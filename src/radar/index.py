@@ -4,6 +4,13 @@ Entries are unit-normalized float32 vectors, so cosine similarity reduces to
 a dot product. Search is a full scan scored in float64; ties break by
 insertion order, which keeps result sequences reproducible.
 
+Storage is one contiguous float64 matrix whose rows are the exact float64
+widenings of the float32 vectors; it is both the store and the scan matrix.
+Its capacity grows by amortized doubling, so an insert appends rows in place
+and never invalidates the matrix a search reads. Searchers read a snapshot
+of the first ``count`` rows, which later appends never touch. The file
+format below is unchanged: vectors are persisted as float32.
+
 File format (all integers little-endian):
     magic  "RDRX" (4 bytes)
     version u32 = 1
@@ -75,22 +82,24 @@ class FlatIndex:
         self.dim = dim
         self._ids: list[str] = []
         self._keywords: list[str] = []
-        self._rows: list[np.ndarray] = []  # float32, unit norm
         self._id_set: set[str] = set()
-        self._matrix: np.ndarray | None = None  # float64 scan cache
+        self._matrix = np.empty((0, dim), dtype=np.float64)  # rows [0, count) are live
         self._lock = threading.Lock()
 
     @property
     def count(self) -> int:
         return len(self._ids)
 
-    def entries(self) -> list[tuple[str, np.ndarray, str]]:
-        """Snapshot of (chunk_id, vector, keyword) in insertion order."""
+    def chunk_ids(self) -> list[str]:
+        """Chunk ids in insertion order, without copying any vector."""
         with self._lock:
-            return [
-                (cid, row.copy(), kw)
-                for cid, row, kw in zip(self._ids, self._rows, self._keywords)
-            ]
+            return list(self._ids)
+
+    def entries(self) -> list[tuple[str, np.ndarray, str]]:
+        """Snapshot of (chunk_id, float32 vector, keyword) in insertion order."""
+        with self._lock:
+            rows = self._matrix[: len(self._ids)].astype(np.float32)
+            return list(zip(self._ids, rows, self._keywords))
 
     def __contains__(self, chunk_id: str) -> bool:
         return chunk_id in self._id_set
@@ -117,21 +126,21 @@ class FlatIndex:
             ids.append(item.chunk.chunk_id)
             rows.append(vec)
         with self._lock:
-            seen = set(self._id_set)
+            batch: set[str] = set()
             for cid in ids:
-                if cid in seen:
+                if cid in self._id_set or cid in batch:
                     raise DuplicateChunkError(f"chunk id {cid} already indexed")
-                seen.add(cid)
+                batch.add(cid)
+            n, end = len(self._ids), len(self._ids) + len(ids)
+            if end > self._matrix.shape[0]:
+                grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim), np.float64)
+                grown[:n] = self._matrix[:n]
+                self._matrix = grown
+            if rows:
+                self._matrix[n:end] = rows
             self._ids.extend(ids)
             self._keywords.extend(keyword for _ in ids)
-            self._rows.extend(rows)
-            self._id_set = seen
-            self._matrix = None
-
-    def _scan_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.vstack(self._rows).astype(np.float64)
-        return self._matrix
+            self._id_set |= batch
 
     def search_top_k(self, query: Sequence[float] | np.ndarray, k: int) -> list[ScoredChunk]:
         """Exact top-k by cosine similarity; ties keep insertion order."""
@@ -144,22 +153,31 @@ class FlatIndex:
         if qnorm == 0.0:
             raise DegenerateVectorError("cannot search with a zero query vector")
         with self._lock:
-            if not self._ids:
+            n = len(self._ids)
+            if not n:
                 return []
-            matrix = self._scan_matrix()
-            ids = list(self._ids)
-            keywords = list(self._keywords)
-        scores = matrix @ (q / qnorm)
-        order = np.argsort(-scores, kind="stable")[: min(k, len(ids))]
-        return [ScoredChunk(ids[i], float(scores[i]), keywords[i]) for i in order]
+            matrix = self._matrix[:n]
+            ids, keywords = self._ids, self._keywords  # append-only: [0, n) is stable
+        neg = -(matrix @ (q / qnorm))
+        # Every row scoring at least the k-th best enters a stable sort, so
+        # ties keep insertion order exactly as a full stable argsort would.
+        # `~(neg > kth)` rather than `neg <= kth` also keeps NaN scores.
+        m = min(k, n)
+        kth = np.partition(neg, m - 1)[m - 1]
+        tied_or_better = np.flatnonzero(~(neg > kth))
+        order = tied_or_better[np.argsort(neg[tied_or_better], kind="stable")[:m]]
+        return [ScoredChunk(ids[i], float(-neg[i]), keywords[i]) for i in order.tolist()]
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
+        vec_bytes = 4 * self.dim
         with self._lock:
-            parts = [_HEADER.pack(MAGIC, VERSION, self.dim, len(self._ids))]
-            for cid, kw, row in zip(self._ids, self._keywords, self._rows):
+            n = len(self._ids)
+            parts = [_HEADER.pack(MAGIC, VERSION, self.dim, n)]
+            vectors = memoryview(self._matrix[:n].astype("<f4").reshape(-1)).cast("B")
+            for i, (cid, kw) in enumerate(zip(self._ids, self._keywords)):
                 cid_b = cid.encode("utf-8")
                 kw_b = kw.encode("utf-8")
                 if len(cid_b) > 0xFFFF or len(kw_b) > 0xFFFF:
@@ -168,7 +186,7 @@ class FlatIndex:
                 parts.append(cid_b)
                 parts.append(_U16.pack(len(kw_b)))
                 parts.append(kw_b)
-                parts.append(np.ascontiguousarray(row, dtype="<f4").tobytes())
+                parts.append(vectors[i * vec_bytes : (i + 1) * vec_bytes])
         path.write_bytes(b"".join(parts))
 
     @classmethod
@@ -183,38 +201,31 @@ class FlatIndex:
             raise FormatError(f"{path}: unsupported version {version}")
         if dim <= 0:
             raise CorruptionError(f"{path}: non-positive dim {dim}")
-        index = cls(dim)
-        offset = _HEADER.size
         vec_bytes = 4 * dim
-
-        def take(n: int) -> bytes:
-            nonlocal offset
-            if offset + n > len(data):
-                raise CorruptionError(f"{path}: truncated at byte {offset}")
-            piece = data[offset : offset + n]
-            offset += n
-            return piece
-
-        for _ in range(count):
-            (id_len,) = _U16.unpack(take(2))
-            cid = take(id_len).decode("utf-8")
-            (kw_len,) = _U16.unpack(take(2))
-            kw = take(kw_len).decode("utf-8")
-            row = np.frombuffer(take(vec_bytes), dtype="<f4").copy()
-            if cid in index._id_set:
+        # Every record holds two u16 lengths and a vector, so a count the
+        # file cannot hold is truncation, caught before allocating rows.
+        if count * (4 + vec_bytes) > len(data) - _HEADER.size:
+            raise CorruptionError(f"{path}: truncated, {count} records cannot fit")
+        index = cls(dim)
+        index._matrix = matrix = np.empty((count, dim), dtype=np.float64)
+        ids, keywords, id_set = index._ids, index._keywords, index._id_set
+        offset = _HEADER.size
+        for i in range(count):
+            try:  # reads past the end raise struct.error or ValueError
+                (id_len,) = _U16.unpack_from(data, offset)
+                kw_at = offset + 2 + id_len
+                (kw_len,) = _U16.unpack_from(data, kw_at)
+                vec_at = kw_at + 2 + kw_len
+                matrix[i] = np.frombuffer(data, "<f4", dim, vec_at)
+            except (struct.error, ValueError):
+                raise CorruptionError(f"{path}: truncated at byte {offset}") from None
+            cid = data[offset + 2 : kw_at].decode("utf-8")
+            if cid in id_set:
                 raise CorruptionError(f"{path}: duplicate chunk id {cid}")
-            index._ids.append(cid)
-            index._keywords.append(kw)
-            index._rows.append(row)
-            index._id_set.add(cid)
+            id_set.add(cid)
+            ids.append(cid)
+            keywords.append(data[kw_at + 2 : vec_at].decode("utf-8"))
+            offset = vec_at + vec_bytes
         if offset != len(data):
             raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")
         return index
-
-
-def save(index: FlatIndex, path: str | Path) -> None:
-    index.save(path)
-
-
-def load(path: str | Path) -> FlatIndex:
-    return FlatIndex.load(path)

@@ -212,26 +212,32 @@ class KnowledgeBase:
 
         All fallible work happens before any state mutation, so a failure
         registers nothing. Documents already in the store (same doc_id,
-        fetched under another keyword) are skipped rather than re-indexed.
+        fetched under another keyword) are skipped rather than re-indexed,
+        and so is a doc_id repeated within the batch. Freshness is decided
+        again under the state lock, because a concurrent ingest of another
+        keyword may store the same document while this one embeds it.
         A keyword with zero documents is still recorded as fetched so an
         unproductive term is not fetched again within the run.
         """
         folded = canonical_fold(keyword)
-        fresh = [d for d in docs if d.doc_id not in self.doc_store]
+        unseen: dict[str, Document] = {}
+        for doc in docs:
+            if doc.doc_id not in self.doc_store:
+                unseen.setdefault(doc.doc_id, doc)
         embedded = []
-        texts: dict[str, str] = {}
         try:
-            for doc in fresh:
+            for doc in unseen.values():
                 chunks = segment(doc, self.chunk_chars, self.overlap_chars)
                 embedded.extend(embed_chunks(embedder, chunks))
-                texts.update({c.chunk_id: c.text for c in chunks})
         except EmbeddingError as exc:
             raise IngestionError(f"ingesting keyword {keyword!r} failed: {exc}") from exc
         with self._state_lock:
+            fresh = {i: d for i, d in unseen.items() if i not in self.doc_store}
+            embedded = [e for e in embedded if e.chunk.doc_id in fresh]
             if embedded:
                 self.index.insert(embedded, folded)
-            self.doc_store.update({d.doc_id: d for d in fresh})
-            self._chunk_texts.update(texts)
+            self.doc_store.update(fresh)
+            self._chunk_texts.update({e.chunk.chunk_id: e.chunk.text for e in embedded})
             self.fetched_keywords.add(folded)
             self.fetch_log.append(FetchLogEntry(keyword, time.time(), len(docs)))
         return len(embedded)
@@ -298,7 +304,7 @@ class KnowledgeBase:
             kb.doc_store[doc.doc_id] = doc
             for chunk in segment(doc, kb.chunk_chars, kb.overlap_chars):
                 kb._chunk_texts[chunk.chunk_id] = chunk.text
-        missing = [cid for cid, _, _ in kb.index.entries() if cid not in kb._chunk_texts]
+        missing = [cid for cid in kb.index.chunk_ids() if cid not in kb._chunk_texts]
         if missing:
             raise CorruptionError(
                 f"{store_dir}: index holds chunks with no stored document: {missing[:5]}"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from radar.errors import (
     ShapeError,
     ValidationError,
 )
-from radar.index import FlatIndex, cosine, load, save
+from radar.index import FlatIndex, cosine
 
 from conftest import unit_chunk
 
@@ -113,6 +116,12 @@ class TestSearchTopK:
         with pytest.raises(DegenerateVectorError):
             self._two_entry_index().search_top_k(np.array([0.0, 0.0]), 1)
 
+    def test_nan_query_scores_keep_insertion_order(self):
+        # NaN scores sort last in a full stable sort; top-k selection must agree.
+        hits = self._two_entry_index().search_top_k(np.array([np.nan, 1.0]), 1)
+        assert [h.chunk_id for h in hits] == ["a"]
+        assert np.isnan(hits[0].score)
+
     def test_ties_break_by_insertion_order(self):
         index = FlatIndex(2)
         index.insert([unit_chunk("later-wins-nothing", [1, 0])], "kw")
@@ -144,6 +153,139 @@ class TestSearchTopK:
         assert scores == sorted(scores, reverse=True)
 
 
+def unit_rows(rng, count, dim):
+    rows = rng.normal(size=(count, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def hits(index, query, k):
+    return [(h.chunk_id, h.score, h.keyword) for h in index.search_top_k(query, k)]
+
+
+class TestGrowth:
+    def test_interleaved_inserts_match_bulk_build(self):
+        # Batches of 1..7 rows from an empty index cross several capacity
+        # doublings; every search in between must equal a bulk-built index.
+        rng = np.random.default_rng(11)
+        rows = unit_rows(rng, 120, 16)
+        grown = FlatIndex(16)
+        start = 0
+        while start < len(rows):
+            stop = min(len(rows), start + int(rng.integers(1, 8)))
+            grown.insert([unit_chunk(f"c{i}", rows[i]) for i in range(start, stop)], "kw")
+            bulk = FlatIndex(16)
+            bulk.insert([unit_chunk(f"c{i}", rows[i]) for i in range(stop)], "kw")
+            for query in rng.normal(size=(3, 16)):
+                assert hits(grown, query, 9) == hits(bulk, query, 9)
+            start = stop
+        assert grown.chunk_ids() == [f"c{i}" for i in range(len(rows))]
+
+    def test_rows_tied_at_kth_score_keep_insertion_order(self):
+        # Two "top" rows beat six identical "tie" rows, which beat the rest;
+        # every k from 1 to 8 cuts through or ends at the tied group.
+        rng = np.random.default_rng(5)
+        index = FlatIndex(4)
+        chunks = []
+        for i in range(48):
+            if i in (17, 31):
+                chunks.append(unit_chunk(f"top{i}", [1.0, 1.0, 0.0, 0.0]))
+            elif i % 8 == 3:
+                chunks.append(unit_chunk(f"tie{i}", [1.0, 1.0, 0.5, 0.0]))
+            else:
+                chunks.append(unit_chunk(f"r{i}", rng.normal(size=4) * [0.1, 0.1, 1.0, 1.0]))
+        index.insert(chunks[:20], "a")
+        index.insert(chunks[20:], "b")
+        query = np.array([1.0, 1.0, 0.0, 0.0])
+        ranked = ["top17", "top31"] + [f"tie{i}" for i in range(3, 48, 8)]
+        for k in range(1, len(ranked) + 1):
+            found = index.search_top_k(query, k)
+            assert [h.chunk_id for h in found] == ranked[:k]
+            expected = brute_force_ids(index.entries(), query, k)
+            assert [h.chunk_id for h in found] == [cid for cid, _ in expected]
+            assert [h.score for h in found] == pytest.approx([sc for _, sc in expected], abs=1e-12)
+
+    def test_entries_are_float32_copies(self):
+        index = FlatIndex(3)
+        index.insert([unit_chunk("a", [1, 2, 2]), unit_chunk("b", [0, 1, 0])], "kw")
+        query = np.array([1.0, 0.0, 0.0])
+        before = (hits(index, query, 2), [vec.tobytes() for _, vec, _ in index.entries()])
+        snapshot = index.entries()
+        assert all(vec.dtype == np.float32 for _, vec, _ in snapshot)
+        for _, vec, _ in snapshot:
+            vec[:] = 0.0
+        assert (hits(index, query, 2), [vec.tobytes() for _, vec, _ in index.entries()]) == before
+
+    @pytest.mark.parametrize(
+        "bad_id, bad_dim, error",
+        [("c0", 6, DuplicateChunkError), ("n0", 6, DuplicateChunkError), ("x", 2, ShapeError)],
+        ids=["existing-id", "repeated-in-batch", "wrong-dim"],
+    )
+    def test_rejected_batch_changes_nothing(self, tmp_path, bad_id, bad_dim, error):
+        rng = np.random.default_rng(8)
+        index = FlatIndex(6)
+        index.insert([unit_chunk(f"c{i}", r) for i, r in enumerate(unit_rows(rng, 5, 6))], "kw")
+        query = rng.normal(size=6)
+        before = (index.count, hits(index, query, 4), index.chunk_ids())
+        index.save(tmp_path / "before.rdrx")
+        # 40 good rows would grow the 5-row matrix if the batch were accepted
+        batch = [unit_chunk(f"n{i}", r) for i, r in enumerate(unit_rows(rng, 40, 6))]
+        with pytest.raises(error):
+            index.insert(batch + [unit_chunk(bad_id, np.ones(bad_dim))], "bad")
+        assert (index.count, hits(index, query, 4), index.chunk_ids()) == before
+        assert "n0" not in index
+        index.save(tmp_path / "after.rdrx")
+        assert (tmp_path / "after.rdrx").read_bytes() == (tmp_path / "before.rdrx").read_bytes()
+
+
+class TestConcurrency:
+    def test_searches_during_growing_inserts_see_only_committed_rows(self):
+        rng = np.random.default_rng(21)
+        chunks = [unit_chunk(f"c{i}", row) for i, row in enumerate(unit_rows(rng, 600, 8))]
+        vectors = {c.chunk.chunk_id: c.vector.astype(np.float64) for c in chunks}
+        owner = {c.chunk.chunk_id: f"w{i // 150}" for i, c in enumerate(chunks)}
+        queries = rng.normal(size=(4, 8))
+        index = FlatIndex(8)
+        errors: list[str] = []
+        writers_done = threading.Event()
+
+        def writer(w):
+            for start in range(150 * w, 150 * (w + 1), 5):
+                index.insert(chunks[start : start + 5], f"w{w}")
+
+        def reader():
+            while not writers_done.is_set():
+                for query in queries:
+                    unit = query / np.linalg.norm(query)
+                    found = index.search_top_k(query, 7)
+                    scores = [h.score for h in found]
+                    if scores != sorted(scores, reverse=True):
+                        errors.append(f"unsorted scores {scores}")
+                    for h in found:
+                        if abs(h.score - float(vectors[h.chunk_id] @ unit)) > 1e-9:
+                            errors.append(f"{h.chunk_id} scored {h.score}")
+                        if h.keyword != owner[h.chunk_id]:
+                            errors.append(f"{h.chunk_id} tagged {h.keyword}")
+
+        writers = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30)
+            writers_done.set()
+            for t in readers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert errors == []
+        assert index.count == 600
+        assert sorted(index.chunk_ids()) == sorted(vectors)
+
+
 class TestPersistence:
     def _sample_index(self):
         index = FlatIndex(4)
@@ -160,8 +302,8 @@ class TestPersistence:
     def test_roundtrip_is_lossless(self, tmp_path):
         index = self._sample_index()
         path = tmp_path / "index.rdrx"
-        save(index, path)
-        loaded = load(path)
+        index.save(path)
+        loaded = FlatIndex.load(path)
         assert loaded.dim == index.dim
         assert loaded.count == index.count
         for (id_a, vec_a, kw_a), (id_b, vec_b, kw_b) in zip(index.entries(), loaded.entries()):
@@ -186,13 +328,23 @@ class TestPersistence:
         FlatIndex.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_empty_index_roundtrip(self, tmp_path):
+        path = tmp_path / "empty.rdrx"
+        FlatIndex(4).save(path)
+        loaded = FlatIndex.load(path)
+        assert (loaded.dim, loaded.count) == (4, 0)
+        assert loaded.search_top_k(np.ones(4), 3) == []
+        second = tmp_path / "again.rdrx"
+        loaded.save(second)
+        assert second.read_bytes() == path.read_bytes()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.rdrx"
         good = tmp_path / "good.rdrx"
         self._sample_index().save(good)
         path.write_bytes(b"NOPE" + good.read_bytes()[4:])
         with pytest.raises(FormatError):
-            load(path)
+            FlatIndex.load(path)
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "bad.rdrx"
@@ -202,7 +354,7 @@ class TestPersistence:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
-            load(path)
+            FlatIndex.load(path)
 
     def test_truncated_mid_vector(self, tmp_path):
         path = tmp_path / "trunc.rdrx"
@@ -211,7 +363,7 @@ class TestPersistence:
         data = good.read_bytes()
         path.write_bytes(data[: len(data) - 7])
         with pytest.raises(CorruptionError):
-            load(path)
+            FlatIndex.load(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "extra.rdrx"
@@ -219,4 +371,23 @@ class TestPersistence:
         self._sample_index().save(good)
         path.write_bytes(good.read_bytes() + b"\x00\x01")
         with pytest.raises(CorruptionError):
-            load(path)
+            FlatIndex.load(path)
+
+    def test_count_beyond_file_size_is_corruption(self, tmp_path):
+        path = tmp_path / "huge.rdrx"
+        good = tmp_path / "good.rdrx"
+        self._sample_index().save(good)
+        data = bytearray(good.read_bytes())
+        data[12:20] = (1 << 40).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError):
+            FlatIndex.load(path)
+
+    def test_duplicate_id_in_file_is_corruption(self, tmp_path):
+        path = tmp_path / "dup.rdrx"
+        index = FlatIndex(2)
+        index.insert([unit_chunk("same", [1, 0]), unit_chunk("sane", [0, 1])], "kw")
+        index.save(path)
+        path.write_bytes(path.read_bytes().replace(b"sane", b"same"))
+        with pytest.raises(CorruptionError):
+            FlatIndex.load(path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -23,6 +24,7 @@ from radar.knowledge import (
     fetch_documents,
     html_to_text,
 )
+from radar.index import FlatIndex
 from radar.providers import HashingEmbedder
 
 from conftest import CountingSource, StaticSource, make_document
@@ -240,6 +242,48 @@ class TestIngest:
         assert kb.has_keyword("astrocytoma")
         assert kb.index.count == 1
 
+    def test_concurrent_keywords_sharing_a_document_index_it_once(self):
+        # Both ingests must pass their freshness filter before either commits:
+        # each blocks in its only embed call until the other one arrives.
+        barrier = threading.Barrier(2)
+
+        class RendezvousEmbedder:
+            dim = 64
+
+            def embed(self, text):
+                barrier.wait(timeout=10)
+                return EMBEDDER.embed(text)
+
+        kb = fresh_kb()
+        doc = make_document("shared", body="y" * 1000)
+        added, errors = {}, []
+
+        def worker(keyword):
+            try:
+                added[keyword] = kb.ingest(keyword, [doc], RendezvousEmbedder())
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(kw,)) for kw in ("glioma", "astrocytoma")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert sorted(added.values()) == [0, 1]
+        assert kb.index.count == 1
+        assert kb.has_keyword("glioma") and kb.has_keyword("astrocytoma")
+        assert kb.chunk_text("shared:0") == doc.body
+
+    def test_repeated_doc_id_within_a_batch_indexed_once(self):
+        kb = fresh_kb()
+        first = make_document("dup", body="a" * 1000, url="https://example.test/a")
+        second = make_document("dup", body="b" * 1000, url="https://example.test/b")
+        assert kb.ingest("glioma", [first, second], EMBEDDER) == 1
+        assert kb.index.count == 1
+        assert kb.doc_store["dup"] is first
+        assert kb.chunk_text("dup:0") == first.body
+
     def test_no_orphans(self, corpus_dir):
         kb = fresh_kb()
         kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
@@ -266,6 +310,33 @@ class TestPersistence:
         assert loaded.fetched_keywords == kb.fetched_keywords
         sample_id = kb.index.entries()[0][0]
         assert loaded.chunk_text(sample_id) == kb.chunk_text(sample_id)
+
+    def test_load_checks_chunk_ids_without_copying_vectors(self, tmp_path, corpus_dir, monkeypatch):
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        kb.save(tmp_path / "store")
+        monkeypatch.setattr(FlatIndex, "entries", lambda self: pytest.fail("entries() copies vectors"))
+        loaded = KnowledgeBase.load(tmp_path / "store")
+        assert loaded.index.chunk_ids() == kb.index.chunk_ids()
+
+    def test_load_rejects_index_chunk_without_text(self, tmp_path, corpus_dir):
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        kb.save(tmp_path / "store")
+        docs_path = tmp_path / "store" / "documents.json"
+        docs = json.loads(docs_path.read_text(encoding="utf-8"))
+        docs.pop(sorted(docs)[0])
+        docs_path.write_text(json.dumps(docs), encoding="utf-8")
+        with pytest.raises(CorruptionError):
+            KnowledgeBase.load(tmp_path / "store")
+
+    def test_empty_roundtrip(self, tmp_path):
+        kb = fresh_kb()
+        store = tmp_path / "store"
+        kb.save(store)
+        loaded = KnowledgeBase.load(store)
+        assert loaded.stats() == kb.stats()
+        assert loaded.index.count == 0
 
     def test_load_missing_store(self, tmp_path):
         with pytest.raises(CorruptionError):

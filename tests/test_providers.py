@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radar.errors import (
@@ -127,7 +130,45 @@ def independent_buckets(text: str, dim: int = 384) -> list[tuple[int, float]]:
     return out
 
 
+def spec_vector(text: str, dim: int) -> np.ndarray:
+    """The published embedding, accumulated from the independent bucket oracle."""
+    buckets = independent_buckets(text, dim)
+    acc = np.zeros(dim)
+    for bucket, sign in buckets:
+        acc[bucket] += sign
+    if not acc.any():  # total sign cancellation: unsigned counts instead
+        for bucket, _ in buckets:
+            acc[bucket] += 1.0
+    return (acc / np.linalg.norm(acc)).astype(np.float32)
+
+
+# At dim 2 the signed 3-gram terms of "aaaa" cancel in both buckets, so the
+# unsigned fallback decides its vector; "aaa" occurs twice, so the fallback
+# must count occurrences, not distinct 3-grams.
+FALLBACK_TEXT, FALLBACK_DIM = "aaaa", 2
+
+
 class TestHashingEmbedder:
+    def test_fallback_text_cancels_to_zero(self):
+        signed = np.zeros(FALLBACK_DIM)
+        for bucket, sign in independent_buckets(FALLBACK_TEXT, dim=FALLBACK_DIM):
+            signed[bucket] += sign
+        assert not signed.any()
+        assert np.array_equal(
+            HashingEmbedder(dim=FALLBACK_DIM).embed(FALLBACK_TEXT),
+            spec_vector(FALLBACK_TEXT, FALLBACK_DIM),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(min_size=1, max_size=80), dim=st.sampled_from([1, 384]))
+    @example(text="İ", dim=384)  # lowercases to two code points
+    @example(text="İstanbul İZMİR", dim=1)
+    @example(text="x\U0001F600y\U00010348", dim=384)  # outside the BMP
+    @example(text="\U0010FFFF\U0010FFFF\U0010FFFF", dim=384)  # highest code point
+    @example(text=FALLBACK_TEXT, dim=FALLBACK_DIM)
+    def test_bit_identical_to_spec(self, text, dim):
+        assert np.array_equal(HashingEmbedder(dim=dim).embed(text), spec_vector(text, dim))
+
     def test_deterministic(self):
         embedder = HashingEmbedder()
         assert np.array_equal(embed_text(embedder, "abc"), embed_text(embedder, "abc"))
@@ -157,6 +198,32 @@ class TestHashingEmbedder:
         vec = embed_text(HashingEmbedder(), "some text")
         assert vec.shape == (384,)
         assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-6
+
+    def test_threads_sharing_the_memo_match_the_spec(self):
+        rng = random.Random(4)
+        texts = ["".join(rng.choice("abcdefgh .İ\U0001F600") for _ in range(120)) for _ in range(40)]
+        expected = [spec_vector(t, 64) for t in texts]
+        embedder = HashingEmbedder(dim=64)
+        mismatches: list[str] = []
+
+        def worker(offset):
+            for i in range(len(texts)):
+                j = (i + offset) % len(texts)
+                if not np.array_equal(embedder.embed(texts[j]), expected[j]):
+                    mismatches.append(texts[j])
+
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.text(min_size=1, max_size=60))
