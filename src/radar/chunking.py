@@ -21,6 +21,11 @@ DEFAULT_OVERLAP_CHARS = 200
 UNIT_NORM_TOLERANCE = 1e-6
 
 
+def is_unit_norm(norm: float) -> bool:
+    """Whether an L2 norm is within tolerance of 1; a NaN norm never is."""
+    return abs(norm - 1.0) <= UNIT_NORM_TOLERANCE
+
+
 class Section(str, Enum):
     ARTICLE = "article"
     CASE = "case"
@@ -72,7 +77,7 @@ class EmbeddedChunk:
 
     def __post_init__(self) -> None:
         norm = float(np.linalg.norm(np.asarray(self.vector, dtype=np.float64)))
-        if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
+        if not is_unit_norm(norm):
             raise ValidationError(
                 f"chunk {self.chunk.chunk_id} vector norm {norm} is not unit length"
             )

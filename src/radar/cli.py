@@ -67,6 +67,9 @@ def cmd_run(config_path: str, cases_path: str, out_dir: str, topology: str | Non
         sys.exit(EXIT_CONFIG)
     try:
         summary = run_cases(cfg, cases_path, out_dir)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     except RadarError as exc:
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(EXIT_PARTIAL)

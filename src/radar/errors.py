@@ -47,7 +47,7 @@ class ShapeError(RadarError):
 
 
 class DegenerateVectorError(RadarError):
-    """A zero vector where a direction is required."""
+    """A zero or non-finite vector where a direction is required."""
 
 
 class DuplicateChunkError(RadarError):

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chunking import UNIT_NORM_TOLERANCE, EmbeddedChunk
+from .chunking import EmbeddedChunk, is_unit_norm
 from .errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -119,7 +119,7 @@ class FlatIndex:
                     f"chunk {item.chunk.chunk_id} has dim {vec.shape[0]}, index dim {self.dim}"
                 )
             norm = float(np.linalg.norm(vec.astype(np.float64)))
-            if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
+            if not is_unit_norm(norm):
                 raise ValidationError(
                     f"chunk {item.chunk.chunk_id} vector norm {norm} is not unit length"
                 )
@@ -152,6 +152,8 @@ class FlatIndex:
         qnorm = float(np.linalg.norm(q))
         if qnorm == 0.0:
             raise DegenerateVectorError("cannot search with a zero query vector")
+        if not np.isfinite(qnorm):
+            raise DegenerateVectorError("cannot search with a non-finite query vector")
         with self._lock:
             n = len(self._ids)
             if not n:

@@ -43,6 +43,12 @@ DEFAULT_MAX_TOKENS = 1024
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 
+# Model calls one process keeps in flight at most: the thread cap of the pool
+# that runs a case's independent agent calls, and the connections an HTTP
+# backend's session keeps per host. The default 4 workers put up to 4 x 5
+# answer calls in flight at once.
+MAX_CONCURRENT_CALLS = 32
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -334,6 +340,16 @@ def _post_with_retries(
     )
 
 
+def _pooled_session() -> requests.Session:
+    """A session that keeps a connection per concurrent call instead of
+    reconnecting every call beyond requests' default pool of 10."""
+    session = requests.Session()
+    adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_CONCURRENT_CALLS)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
 def _auth_headers(api_key: str | None) -> dict[str, str]:
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -364,7 +380,7 @@ class HttpChatProvider:
         self.provider_id = provider_id or f"http:{model or url}"
         self._model = model
         self._timeout_s = timeout_s
-        self._session = session or requests.Session()
+        self._session = session or _pooled_session()
         self._sleep = sleep
         self._headers = _auth_headers(api_key)
 
@@ -420,7 +436,7 @@ class HttpEmbedder:
         self.dim = dim
         self._model = model
         self._timeout_s = timeout_s
-        self._session = session or requests.Session()
+        self._session = session or _pooled_session()
         self._sleep = sleep
         self._headers = _auth_headers(api_key)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import logging
 import os
 import time
 import uuid
@@ -45,8 +44,6 @@ from .topologies import (
     run_radar,
     run_single,
 )
-
-log = logging.getLogger(__name__)
 
 API_KEY_ENV = "RADAR_API_KEY"
 DEFAULT_WORKERS = 4
@@ -401,11 +398,20 @@ def _execute_case(cfg, bundle, kb, templates, case: Case):
 def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> RunSummary:
     """Execute the configured topology over every case and write run outputs."""
     cases = load_cases(cases_path)
+    bundle = build_bundle(cfg)
+    if isinstance(bundle.chat, ScriptedChatProvider) and bundle.chat.remaining and (
+        cfg.topology is Topology.RADAR or cfg.workers > 1
+    ):
+        # Unkeyed entries answer calls in arrival order, which concurrent
+        # cases and the pipeline's concurrent agent calls do not fix.
+        raise ConfigError(
+            f"script {cfg.provider.script_path} has unkeyed entries; they replay only "
+            "with workers=1 and a topology other than radar"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "traces").mkdir(exist_ok=True)
 
-    bundle = build_bundle(cfg)
     kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
     templates = build_templates(cfg)
 
@@ -417,57 +423,24 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     started = time.time()
     _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, None)
 
-    workers = cfg.workers
-    if isinstance(bundle.chat, ScriptedChatProvider) and bundle.chat.remaining:
-        # Ordered scripts assign replies by global call order; parallel cases
-        # would interleave them nondeterministically.
-        if workers > 1:
-            log.info("ordered script in use; forcing workers=1 for reproducible replay")
-        workers = 1
+    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [pool.submit(_execute_case, cfg, bundle, kb, templates, case) for case in cases]
 
-    results: dict[str, tuple] = {}
     failures: list[tuple[str, str]] = []
-
-    def run_one(case: Case):
-        return _execute_case(cfg, bundle, kb, templates, case)
-
-    if workers == 1:
-        outcomes = []
-        for case in cases:
-            try:
-                outcomes.append((case, run_one(case), None))
-            except RadarError as exc:
-                outcomes.append((case, None, exc))
-    else:
-        outcomes = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_one, case): case for case in cases}
-            collected = {}
-            for future in concurrent.futures.as_completed(futures):
-                case = futures[future]
-                try:
-                    collected[case.id] = (case, future.result(), None)
-                except RadarError as exc:
-                    collected[case.id] = (case, None, exc)
-        outcomes = [collected[c.id] for c in cases]
-
     report_lines = []
-    for case, outcome, error in outcomes:
-        if error is not None:
-            failures.append((case.id, f"{type(error).__name__}: {error}"))
-            trace = error.trace if isinstance(error, TopologyRunError) else None
-            if trace is not None:
-                (out_dir / "traces" / f"{case.id}.json").write_text(
-                    json.dumps(trace.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-                )
-            continue
-        report, trace = outcome
-        results[case.id] = outcome
-        line = {"case_id": case.id, **report.to_dict()}
-        report_lines.append(json.dumps(line, sort_keys=True, separators=(",", ":")))
-        (out_dir / "traces" / f"{case.id}.json").write_text(
-            json.dumps(trace.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-        )
+    for case, future in zip(cases, futures):
+        try:
+            report, trace = future.result()
+        except RadarError as exc:
+            failures.append((case.id, f"{type(exc).__name__}: {exc}"))
+            trace = exc.trace if isinstance(exc, TopologyRunError) else None
+        else:
+            line = {"case_id": case.id, **report.to_dict()}
+            report_lines.append(json.dumps(line, sort_keys=True, separators=(",", ":")))
+        if trace is not None:
+            (out_dir / "traces" / f"{case.id}.json").write_text(
+                json.dumps(trace.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
+            )
 
     (out_dir / "reports.jsonl").write_text(
         "".join(line + "\n" for line in report_lines), encoding="utf-8"
@@ -486,7 +459,7 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
 
     _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, time.time())
     return RunSummary(
-        run_id=run_id, n_cases=len(cases), n_ok=len(results), failures=failures
+        run_id=run_id, n_cases=len(cases), n_ok=len(cases) - len(failures), failures=failures
     )
 
 

@@ -7,9 +7,12 @@ identical reports; wall-clock timestamps live only in trace steps.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Sequence
@@ -28,9 +31,11 @@ from .agents import (
     DEFAULT_N_QUERIES,
 )
 from .domain import (
+    CandidateList,
     Case,
     DiagnosisReport,
     EvidenceAnswer,
+    QueryPair,
     canonical_fold,
     no_evidence_answer,
 )
@@ -44,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .knowledge import DocumentSource, KnowledgeBase, RetrievalHit
-from .providers import ChatProvider, Embedder, embed_text
+from .providers import MAX_CONCURRENT_CALLS, ChatProvider, Embedder, embed_text
 
 RETRIEVAL_TOP_K = 5
 DEFAULT_COLLAB_AGENTS = 3
@@ -408,6 +413,54 @@ def run_challenger(
 # Retrieval-augmented pipeline
 # ---------------------------------------------------------------------------
 
+_branches: ThreadPoolExecutor | None = None
+_branches_lock = threading.Lock()
+
+
+def _branch_pool() -> ThreadPoolExecutor:
+    """The process-wide pool that runs every case's independent agent calls.
+
+    Created on first use and shared by all cases, so no case pays for thread
+    start-up. Branch tasks only call the model and never wait on other
+    branch tasks, so the bounded pool cannot deadlock; calls beyond the cap
+    queue.
+    """
+    global _branches
+    with _branches_lock:
+        if _branches is None:
+            _branches = ThreadPoolExecutor(MAX_CONCURRENT_CALLS, thread_name_prefix="radar-branch")
+        return _branches
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One pipeline step: how it aborts the case, its own trace, its outcome."""
+
+    kind: str
+    role: AgentRole
+    trace: RunTrace
+    outcome: Future
+
+
+def _done(value: Any) -> Future:
+    future: Future = Future()
+    future.set_result(value)
+    return future
+
+
+def _join(trace: RunTrace, stages: Sequence[_Stage]) -> list[Any]:
+    """Splice every stage's steps into ``trace`` in pipeline order and return
+    their values; the earliest failing stage aborts the case."""
+    failures = [stage.outcome.exception() for stage in stages]  # waits for each
+    for stage in stages:
+        trace.steps.extend(stage.trace.steps)
+    for stage, exc in zip(stages, failures):
+        if isinstance(exc, RadarError):
+            raise _abort(trace, stage.kind, stage.role.value, exc) from exc
+        if exc is not None:
+            raise exc
+    return [stage.outcome.result() for stage in stages]
+
 
 def run_radar(
     providers: ProviderBundle,
@@ -422,6 +475,17 @@ def run_radar(
     A retrieval failure for one question degrades that question to the
     sentinel answer and the pipeline continues; agent failures abort the
     case with the trace attached.
+
+    Independent model calls overlap, so a case waits on three calls in a
+    row, not one per agent step. The initial doctor and the query generator
+    run concurrently. Retrieval runs on the calling thread in query order, so
+    every search sees the same ingests as in a serial run. Each answer is
+    asked as soon as its retrieval is done, and the final doctor runs once
+    every answer is back, with the evidence in query order. Agent calls run
+    on the shared branch pool, each recording into its own trace; their
+    steps are spliced back in pipeline order, so only timestamps interleave.
+    On failure every submitted call is awaited, then the case aborts at the
+    earliest failing step in pipeline order, with every step that ran.
     """
     if providers.embedder is None or providers.source is None:
         raise ValidationError("the retrieval topology needs an embedder and a document source")
@@ -432,82 +496,98 @@ def run_radar(
     query_cfg = config_for_role(AgentRole.QUERY_GENERATOR, templates=registry)
     answer_cfg = config_for_role(AgentRole.ANSWER_GENERATOR, templates=registry)
     final_cfg = config_for_role(AgentRole.FINAL_DOCTOR, templates=registry)
+    pool = _branch_pool()
 
-    try:
+    def submit(kind: str, role: AgentRole, call, part: RunTrace | None = None) -> _Stage:
+        if part is None:
+            part = RunTrace(trace.trace_id, trace.topology, trace.case_id)
+        return _Stage(kind, role, part, pool.submit(call, part))
+
+    def ask_candidates(part: RunTrace) -> CandidateList:
         candidates = initial_diagnosis(
             providers.chat,
             init_cfg,
             case,
             registry,
-            _step_recorder(trace, "initial_diagnosis", AgentRole.INITIAL_DOCTOR),
+            _step_recorder(part, "initial_diagnosis", AgentRole.INITIAL_DOCTOR),
         )
-        trace.annotate_last({"n_candidates": len(candidates.candidates)})
-    except RadarError as exc:
-        raise _abort(trace, "initial_diagnosis", AgentRole.INITIAL_DOCTOR.value, exc) from exc
+        part.annotate_last({"n_candidates": len(candidates.candidates)})
+        return candidates
 
-    try:
+    def ask_queries(part: RunTrace) -> list[QueryPair]:
         pairs = generate_queries(
             providers.chat,
             query_cfg,
             case,
             n_queries,
             registry,
-            _step_recorder(trace, "generate_queries", AgentRole.QUERY_GENERATOR),
+            _step_recorder(part, "generate_queries", AgentRole.QUERY_GENERATOR),
         )
-        trace.annotate_last({"n_pairs": len(pairs)})
-    except RadarError as exc:
-        raise _abort(trace, "generate_queries", AgentRole.QUERY_GENERATOR.value, exc) from exc
+        part.annotate_last({"n_pairs": len(pairs)})
+        return pairs
 
-    evidence: list[EvidenceAnswer] = []
-    for pair in pairs:
-        try:
-            outcome = kb.lookup_or_fetch(pair.keyword, providers.source, providers.embedder)
-            kind = "kb_fetch" if outcome.hit is RetrievalHit.FETCHED else "kb_hit"
-            trace.add(
-                kind,
-                "knowledge_base",
-                pair.keyword,
-                outcome.hit.value,
-                detail={"keyword": pair.keyword, "new_docs": outcome.new_docs},
-            )
-            query_vec = embed_text(providers.embedder, pair.question)
-            scored = kb.index.search_top_k(query_vec, top_k)
-            trace.add(
-                "search",
-                "knowledge_base",
-                pair.question,
-                json.dumps([s.chunk_id for s in scored]),
-                detail={"keyword": pair.keyword, "chunk_ids": [s.chunk_id for s in scored]},
-            )
-        except (FetchError, TransportError, IngestionError, EmbeddingError,
-                DegenerateVectorError) as exc:
-            trace.add(
-                "retrieval_error",
-                "knowledge_base",
-                pair.keyword,
-                "",
-                detail={"keyword": pair.keyword, "error": f"{type(exc).__name__}: {exc}"},
-            )
-            evidence.append(no_evidence_answer(pair.question, pair.keyword))
-            continue
-        chunk_texts = {s.chunk_id: kb.chunk_text(s.chunk_id) for s in scored}
-        try:
-            answer = answer_question(
-                providers.chat,
-                answer_cfg,
-                pair.question,
-                scored,
-                chunk_texts,
-                pair.keyword,
-                registry,
-                _step_recorder(trace, "answer", AgentRole.ANSWER_GENERATOR),
-            )
-        except RadarError as exc:
-            raise _abort(trace, "answer", AgentRole.ANSWER_GENERATOR.value, exc) from exc
+    def ask_answer(pair: QueryPair, scored, chunk_texts, part: RunTrace) -> EvidenceAnswer:
+        answer = answer_question(
+            providers.chat,
+            answer_cfg,
+            pair.question,
+            scored,
+            chunk_texts,
+            pair.keyword,
+            registry,
+            _step_recorder(part, "answer", AgentRole.ANSWER_GENERATOR),
+        )
         if not scored:
-            trace.add("answer", AgentRole.ANSWER_GENERATOR.value, pair.question, answer.answer,
-                      detail={"sentinel": True})
-        evidence.append(answer)
+            part.add("answer", AgentRole.ANSWER_GENERATOR.value, pair.question, answer.answer,
+                     detail={"sentinel": True})
+        return answer
+
+    stages = [
+        submit("initial_diagnosis", AgentRole.INITIAL_DOCTOR, ask_candidates),
+        submit("generate_queries", AgentRole.QUERY_GENERATOR, ask_queries),
+    ]
+    try:
+        queries = stages[1].outcome
+        pairs = queries.result() if queries.exception() is None else []
+        for pair in pairs:
+            part = RunTrace(trace.trace_id, trace.topology, trace.case_id)
+            try:
+                outcome = kb.lookup_or_fetch(pair.keyword, providers.source, providers.embedder)
+                kind = "kb_fetch" if outcome.hit is RetrievalHit.FETCHED else "kb_hit"
+                part.add(
+                    kind,
+                    "knowledge_base",
+                    pair.keyword,
+                    outcome.hit.value,
+                    detail={"keyword": pair.keyword, "new_docs": outcome.new_docs},
+                )
+                query_vec = embed_text(providers.embedder, pair.question)
+                scored = kb.index.search_top_k(query_vec, top_k)
+                part.add(
+                    "search",
+                    "knowledge_base",
+                    pair.question,
+                    json.dumps([s.chunk_id for s in scored]),
+                    detail={"keyword": pair.keyword, "chunk_ids": [s.chunk_id for s in scored]},
+                )
+            except (FetchError, TransportError, IngestionError, EmbeddingError,
+                    DegenerateVectorError) as exc:
+                part.add(
+                    "retrieval_error",
+                    "knowledge_base",
+                    pair.keyword,
+                    "",
+                    detail={"keyword": pair.keyword, "error": f"{type(exc).__name__}: {exc}"},
+                )
+                sentinel = no_evidence_answer(pair.question, pair.keyword)
+                stages.append(_Stage("answer", AgentRole.ANSWER_GENERATOR, part, _done(sentinel)))
+                continue
+            chunk_texts = {s.chunk_id: kb.chunk_text(s.chunk_id) for s in scored}
+            call = functools.partial(ask_answer, pair, scored, chunk_texts)
+            stages.append(submit("answer", AgentRole.ANSWER_GENERATOR, call, part))
+    finally:  # never leave a branch running, whatever ends the case
+        wait([stage.outcome for stage in stages])
+    candidates, _, *evidence = _join(trace, stages)
 
     try:
         report = final_diagnosis(

@@ -19,11 +19,19 @@ from pathlib import Path
 DATA_DIR = Path(__file__).parent
 sys.path.insert(0, str(DATA_DIR.parent.parent / "src"))
 
+from radar.agents import (  # noqa: E402
+    AgentRole,
+    answer_question,
+    config_for_role,
+    final_diagnosis,
+    generate_queries,
+    initial_diagnosis,
+)
 from radar.chunking import Section  # noqa: E402
 from radar.evaluation import DictionaryNormalizer, evaluate_run, load_synonyms, load_truths  # noqa: E402
-from radar.domain import DiagnosisReport  # noqa: E402
+from radar.domain import DiagnosisReport, no_evidence_answer, validate_case  # noqa: E402
 from radar.knowledge import FixtureSource, KnowledgeBase  # noqa: E402
-from radar.providers import HashingEmbedder, embed_text  # noqa: E402
+from radar.providers import ChatResponse, HashingEmbedder, embed_text, request_fingerprint  # noqa: E402
 from radar.runner import load_reports, load_run_config, run_cases  # noqa: E402
 
 CHUNK_CHARS = 1000
@@ -216,38 +224,69 @@ def _answer_text(question: str, ordinal: int) -> str:
     )
 
 
+class PlannedReply:
+    """A chat provider that gives one planned reply and keeps the request's
+    fingerprint, so one agent call yields one fingerprint-keyed entry."""
+
+    provider_id = "fixture-builder"
+
+    def __init__(self, content: str):
+        self.content = content
+        self.fingerprint: str | None = None
+
+    def complete(self, request):
+        self.fingerprint = request_fingerprint(request)
+        return ChatResponse(content=self.content, provider_id=self.provider_id)
+
+
 def build_script(
     case_specs: list[tuple[str, list[tuple[str, str]]]],
     fail_keywords: tuple[str, ...] = (),
 ) -> list[dict]:
-    """Ordered script for the pipeline, with citations learned by simulating
-    retrieval exactly as the run will perform it."""
+    """Fingerprint-keyed script for the pipeline, one entry per model call, in
+    each case's pipeline order. Every prompt is rendered by the agent call the
+    run makes, and citations are learned by simulating retrieval exactly as
+    the run performs it."""
     source = FixtureSource(DATA_DIR / "corpus", fail_keywords=fail_keywords)
-    healthy = FixtureSource(DATA_DIR / "corpus")
     embedder = HashingEmbedder(dim=DIM)
     kb = KnowledgeBase(dim=DIM, chunk_chars=CHUNK_CHARS, overlap_chars=OVERLAP_CHARS)
+    cases = {c["id"]: validate_case(c) for c in CASES}
     entries: list[dict] = []
+
+    def ask(agent, role: AgentRole, content: str, *args):
+        provider = PlannedReply(content)
+        value = agent(provider, config_for_role(role), *args)
+        entries.append({"fingerprint": provider.fingerprint, "content": content})
+        return value
+
     counter = 0
     for case_id, queries in case_specs:
-        entries.append({"content": json.dumps({"candidates": CANDIDATES[case_id]})})
-        entries.append(
-            {"content": json.dumps([{"question": q, "keyword": k} for q, k in queries])}
-        )
+        case = cases[case_id]
+        candidates = ask(initial_diagnosis, AgentRole.INITIAL_DOCTOR,
+                         json.dumps({"candidates": CANDIDATES[case_id]}), case)
+        ask(generate_queries, AgentRole.QUERY_GENERATOR,
+            json.dumps([{"question": q, "keyword": k} for q, k in queries]), case, len(queries))
+        evidence = []
         for question, keyword in queries:
-            if keyword in fail_keywords:
-                continue  # retrieval fails; the run degrades to the sentinel, no call
-            kb.lookup_or_fetch(keyword, source if keyword not in fail_keywords else healthy, embedder)
+            if keyword in fail_keywords:  # retrieval fails; the run degrades to the sentinel, no call
+                evidence.append(no_evidence_answer(question, keyword))
+                continue
+            kb.lookup_or_fetch(keyword, source, embedder)
             scored = kb.index.search_top_k(embed_text(embedder, question), 5)
-            cited = [s.chunk_id for s in scored[:2]]
             counter += 1
-            entries.append(
-                {
-                    "content": json.dumps(
-                        {"answer": _answer_text(question, counter), "supporting_chunk_ids": cited}
-                    )
-                }
+            reply = json.dumps(
+                {"answer": _answer_text(question, counter),
+                 "supporting_chunk_ids": [s.chunk_id for s in scored[:2]]}
             )
-        entries.append({"content": json.dumps(FINAL_REPORTS[case_id])})
+            chunk_texts = {s.chunk_id: kb.chunk_text(s.chunk_id) for s in scored}
+            evidence.append(ask(answer_question, AgentRole.ANSWER_GENERATOR, reply,
+                                question, scored, chunk_texts, keyword))
+        ask(final_diagnosis, AgentRole.FINAL_DOCTOR, json.dumps(FINAL_REPORTS[case_id]),
+            case, candidates, evidence)
+
+    fingerprints = [entry["fingerprint"] for entry in entries]
+    if len(set(fingerprints)) != len(fingerprints):
+        raise SystemExit("two model calls share a request fingerprint; a keyed script cannot tell them apart")
     return entries
 
 

@@ -162,3 +162,10 @@ class TestDocumentInvariants:
         chunk = segment(make_document("d", body="abcd"), 4, 0)[0]
         with pytest.raises(ValidationError):
             EmbeddedChunk(chunk=chunk, vector=np.array([1.0, 1.0], dtype=np.float32))
+
+    def test_embedded_chunk_rejects_non_finite_vector(self):
+        # A NaN norm compares false against any tolerance, so it needs its own check.
+        chunk = segment(make_document("d", body="abcd"), 4, 0)[0]
+        for vector in ([np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValidationError):
+                EmbeddedChunk(chunk=chunk, vector=np.array(vector, dtype=np.float32))

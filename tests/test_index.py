@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from radar.chunking import Chunk
 from radar.errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -51,6 +53,15 @@ class TestInsert:
         index = FlatIndex(384)
         with pytest.raises(ShapeError):
             index.insert([unit_chunk("a", [1, 0, 0, 0])], "kw")
+
+    def test_non_finite_vector_rejected_atomically(self):
+        # Bypasses EmbeddedChunk's own check to reach the index's.
+        index = FlatIndex(2)
+        for vector in ([np.nan, 1.0], [np.inf, 0.0]):
+            bad = SimpleNamespace(chunk=Chunk("bad", "doc", 0, "xx", (0, 2)), vector=np.array(vector))
+            with pytest.raises(ValidationError):
+                index.insert([unit_chunk("ok", [1, 0]), bad], "kw")
+        assert index.count == 0
 
     def test_insertion_order_preserved(self):
         index = FlatIndex(2)
@@ -116,11 +127,12 @@ class TestSearchTopK:
         with pytest.raises(DegenerateVectorError):
             self._two_entry_index().search_top_k(np.array([0.0, 0.0]), 1)
 
-    def test_nan_query_scores_keep_insertion_order(self):
-        # NaN scores sort last in a full stable sort; top-k selection must agree.
-        hits = self._two_entry_index().search_top_k(np.array([np.nan, 1.0]), 1)
-        assert [h.chunk_id for h in hits] == ["a"]
-        assert np.isnan(hits[0].score)
+    def test_non_finite_query_rejected(self):
+        # The norm of such a query is NaN or infinite, never 0.
+        index = self._two_entry_index()
+        for query in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.0], [np.inf, np.nan]):
+            with pytest.raises(DegenerateVectorError):
+                index.search_top_k(np.array(query), 1)
 
     def test_ties_break_by_insertion_order(self):
         index = FlatIndex(2)

@@ -21,10 +21,12 @@ from radar.errors import (
     ValidationError,
 )
 from radar.providers import (
+    MAX_CONCURRENT_CALLS,
     ChatMessage,
     ChatRequest,
     HashingEmbedder,
     HttpChatProvider,
+    HttpEmbedder,
     ScriptedChatProvider,
     chat_complete,
     embed_text,
@@ -362,3 +364,20 @@ class TestHttpEmbedder:
         embedder, _ = self._embedder([])
         with pytest.raises(ValidationError):
             embed_text(embedder, "")
+
+
+class TestHttpConnectionPool:
+    """Concurrent agent calls share one session; its pool must hold them all."""
+
+    @pytest.mark.parametrize("backend", [HttpChatProvider, HttpEmbedder])
+    def test_own_session_pools_a_connection_per_concurrent_call(self, backend):
+        client = backend("http://backend.test/v1")
+        for url in ("http://backend.test/v1", "https://backend.test/v1"):
+            adapter = client._session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == MAX_CONCURRENT_CALLS
+        assert MAX_CONCURRENT_CALLS > requests.adapters.DEFAULT_POOLSIZE
+
+    @pytest.mark.parametrize("backend", [HttpChatProvider, HttpEmbedder])
+    def test_given_session_used_as_is(self, backend):
+        session = _FakeSession([])
+        assert backend("http://backend.test/v1", session=session)._session is session

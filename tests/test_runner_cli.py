@@ -142,6 +142,45 @@ class TestConcurrentWorkers:
         assert [cid for cid, _ in load_reports(out)] == ["c1", "c2", "c3"]
 
 
+class TestOrderedScripts:
+    """Unkeyed script entries answer calls in arrival order, so they replay
+    only where calls arrive in a fixed order."""
+
+    def _config(self, tmp_path, primaries, **overrides):
+        script = tmp_path / "ordered.json"
+        script.write_text(json.dumps([
+            {"content": json.dumps({
+                "primary": primary,
+                "differentials": ["metastasis", "lymphoma", "abscess", "demyelination"],
+                "confidences": [0.6, 0.2, 0.1, 0.06, 0.04],
+            })}
+            for primary in primaries
+        ]))
+        return write_config(tmp_path / "c.json", **{"provider.script_path": str(script)}, **overrides)
+
+    @pytest.mark.parametrize("overrides", [{}, {"topology": "single", "workers": 2}])
+    def test_rejected_where_calls_run_concurrently(self, tmp_path, overrides):
+        config = self._config(tmp_path, ["a", "b", "c"], **overrides)
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError):
+            run_cases(load_run_config(config), DATA / "cases.jsonl", out)
+        assert not out.exists()
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+
+    def test_single_topology_at_one_worker_replays_in_order(self, tmp_path):
+        cfg = load_run_config(self._config(tmp_path, ["a", "b", "c"], topology="single"))
+        out = tmp_path / "run"
+        assert run_cases(cfg, DATA / "cases.jsonl", out).all_ok
+        assert [(cid, raw["primary"]) for cid, raw in load_reports(out)] == [
+            ("c1", "a"), ("c2", "b"), ("c3", "c")
+        ]
+
+
 class TestContentDigest:
     def test_stable_across_calls(self):
         first = content_digest(DATA / "corpus")

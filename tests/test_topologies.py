@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
+from radar import topologies
+from radar.agents import default_templates
 from radar.domain import NO_EVIDENCE_ANSWER
 from radar.knowledge import FixtureSource, KnowledgeBase
-from radar.providers import HashingEmbedder, ScriptedChatProvider
+from radar.providers import ChatResponse, HashingEmbedder, ScriptedChatProvider
 from radar.topologies import (
     ProviderBundle,
     Topology,
@@ -165,57 +171,101 @@ class TestRunChallenger:
         assert provider.calls == 3
 
 
-def radar_script(keywords, answers_for=5):
-    """Ordered script for one retrieval-augmented case."""
-    script = [json.dumps({"candidates": TEN})]
-    pairs = [
-        {"question": f"question {i} about the lesion?", "keyword": keywords[i % len(keywords)]}
-        for i in range(5)
-    ]
-    script.append(json.dumps(pairs))
-    script.extend(
-        json.dumps({"answer": f"finding {i}", "supporting_chunk_ids": []})
-        for i in range(answers_for)
-    )
-    script.append(report_json())
-    return script
+RADAR_TEMPLATES = ("initial_doctor", "query_generator", "answer_generator", "final_doctor")
 
 
-class _CitingProvider(ScriptedChatProvider):
-    """Rewrites empty citation lists to the first id offered in the prompt.
+def template_of(prompt: str) -> str:
+    """The pipeline template a prompt was rendered from, by its fixed opening."""
+    registry = default_templates()
+    matches = [t for t in RADAR_TEMPLATES if prompt.startswith(registry.get(t).split("{", 1)[0])]
+    assert len(matches) == 1, prompt[:80]
+    return matches[0]
 
-    Keeps radar fixtures self-consistent without pre-computing retrieval.
+
+class RadarResponder:
+    """Replies to each pipeline prompt by its template, as a model would, so
+    no reply depends on call order. Answers cite the first excerpt offered.
+
+    ``hooks`` maps a template id to a callable run on the prompt before the
+    reply; it may block, and a string it returns replaces the reply.
     """
 
+    provider_id = "radar-responder"
+
+    def __init__(self, keywords, hooks=None):
+        self.pairs = [
+            {"question": f"question {i} about the lesion?", "keyword": keywords[i % len(keywords)]}
+            for i in range(5)
+        ]
+        self.hooks = hooks or {}
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.in_flight = 0
+
     def complete(self, request):
-        response = super().complete(request)
+        prompt = request.messages[0].content
+        template = template_of(prompt)
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
         try:
-            value = json.loads(response.content)
-        except json.JSONDecodeError:
-            return response
-        if isinstance(value, dict) and value.get("supporting_chunk_ids") == []:
-            prompt = request.messages[0].content
-            first_id = prompt.split("[", 1)[1].split("]", 1)[0] if "[" in prompt else None
-            if first_id and "no evidence" not in value["answer"]:
-                value["supporting_chunk_ids"] = [first_id]
-                return type(response)(
-                    content=json.dumps(value),
-                    provider_id=response.provider_id,
-                )
-        return response
+            hook = self.hooks.get(template)
+            content = (hook(prompt) if hook else None) or self._reply(template, prompt)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        return ChatResponse(content=content, provider_id=self.provider_id)
+
+    def _reply(self, template, prompt):
+        if template == "initial_doctor":
+            return json.dumps({"candidates": TEN})
+        if template == "query_generator":
+            return json.dumps(self.pairs)
+        if template == "answer_generator":
+            question = prompt.split("Question:\n", 1)[1].split("\n", 1)[0]
+            first_id = prompt.split("[", 1)[1].split("]", 1)[0]
+            return json.dumps({"answer": f"finding for {question}", "supporting_chunk_ids": [first_id]})
+        return report_json()
+
+
+class InlineExecutor:
+    """Runs each submitted call at once on the caller's thread, which is the
+    order of a serial pipeline."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def step_records(trace):
+    """Trace steps without their timestamps."""
+    return [
+        (s.step_kind, s.agent_role, s.request_digest, s.response_digest, s.detail)
+        for s in trace.steps
+    ]
+
+
+RETRIEVED = {"fetch": ["kb_fetch", "search", "answer"], "hit": ["kb_hit", "search", "answer"]}
 
 
 class TestRunRadar:
-    def _bundle(self, corpus_dir, keywords=("glioblastoma", "tuberous sclerosis"), **src_kwargs):
-        provider = _CitingProvider(radar_script(list(keywords)))
+    def _bundle(self, corpus_dir, keywords=("glioblastoma", "tuberous sclerosis"), hooks=None,
+                **src_kwargs):
         return ProviderBundle(
-            chat=provider,
+            chat=RadarResponder(list(keywords), hooks),
             embedder=HashingEmbedder(dim=64),
             source=FixtureSource(corpus_dir, **src_kwargs),
         )
 
+    def _kb(self):
+        return KnowledgeBase(dim=64, chunk_chars=300, overlap_chars=60)
+
     def test_full_pipeline_contract(self, corpus_dir):
-        kb = KnowledgeBase(dim=64, chunk_chars=300, overlap_chars=60)
+        kb = self._kb()
         report, trace = run_radar(self._bundle(corpus_dir), kb, make_case())
         assert report.primary == "glioblastoma"
         assert len(report.evidence) == 5
@@ -235,20 +285,17 @@ class TestRunRadar:
         assert kb.stats()["documents"] == 20
 
     def test_keyword_reuse_across_cases_hits_cache(self, corpus_dir):
-        kb = KnowledgeBase(dim=64, chunk_chars=300, overlap_chars=60)
+        kb = self._kb()
         run_radar(self._bundle(corpus_dir), kb, make_case("c1"))
         _, trace = run_radar(self._bundle(corpus_dir), kb, make_case("c2"))
         assert "kb_fetch" not in trace.kinds()
         assert trace.kinds().count("kb_hit") == 5
 
     def test_failing_keyword_degrades_to_sentinel(self, corpus_dir):
-        kb = KnowledgeBase(dim=64, chunk_chars=300, overlap_chars=60)
-        keywords = ("glioblastoma", "angiocentric glioma")
-        provider = _CitingProvider(radar_script(list(keywords), answers_for=3))
-        bundle = ProviderBundle(
-            chat=provider,
-            embedder=HashingEmbedder(dim=64),
-            source=FixtureSource(corpus_dir, fail_keywords=("angiocentric glioma",)),
+        kb = self._kb()
+        bundle = self._bundle(
+            corpus_dir, ("glioblastoma", "angiocentric glioma"),
+            fail_keywords=("angiocentric glioma",),
         )
         report, trace = run_radar(bundle, kb, make_case())
         assert len(report.evidence) == 5
@@ -257,6 +304,129 @@ class TestRunRadar:
         assert all(e.keyword == "angiocentric glioma" for e in sentinels)
         assert trace.kinds().count("retrieval_error") == 2
         assert report.primary == "glioblastoma"
+        assert bundle.chat.calls == 2 + 3 + 1  # no answer call for a failed retrieval
+
+    def test_five_answers_in_flight_together(self, corpus_dir):
+        barrier = threading.Barrier(5, timeout=5)
+
+        def answer(prompt):
+            barrier.wait()
+
+        bundle = self._bundle(corpus_dir, hooks={"answer_generator": answer})
+        report, _ = run_radar(bundle, self._kb(), make_case())
+        assert len(report.evidence) == 5
+
+    def test_initial_doctor_and_query_generator_in_flight_together(self, corpus_dir):
+        barrier = threading.Barrier(2, timeout=5)
+
+        def wait(prompt):
+            barrier.wait()
+
+        bundle = self._bundle(corpus_dir, hooks={"initial_doctor": wait, "query_generator": wait})
+        report, _ = run_radar(bundle, self._kb(), make_case())
+        assert report.primary == "glioblastoma"
+
+    @pytest.mark.parametrize("fail_keywords", [(), ("tuberous sclerosis",)])
+    def test_trace_and_evidence_match_serial_run(self, corpus_dir, monkeypatch, fail_keywords):
+        def run():
+            bundle = self._bundle(corpus_dir, fail_keywords=fail_keywords)
+            return run_radar(bundle, self._kb(), make_case())
+
+        report, trace = run()
+        monkeypatch.setattr(topologies, "_branch_pool", InlineExecutor)
+        serial_report, serial_trace = run()
+        assert report == serial_report
+        assert step_records(trace) == step_records(serial_trace)
+        questions = [f"question {i} about the lesion?" for i in range(5)]
+        assert [e.question for e in report.evidence] == questions
+        if not fail_keywords:
+            assert trace.kinds() == [
+                "initial_diagnosis", "generate_queries",
+                *RETRIEVED["fetch"], *RETRIEVED["fetch"],
+                *RETRIEVED["hit"], *RETRIEVED["hit"], *RETRIEVED["hit"],
+                "final_diagnosis",
+            ]
+
+    def test_concurrent_cases_keep_serial_traces(self, corpus_dir, monkeypatch):
+        # Eight cases at once on a warm store, so every lookup hits and each
+        # case's trace is fixed; a short switch interval shakes the hand-offs.
+        kb = self._kb()
+        run_radar(self._bundle(corpus_dir), kb, make_case("warm-up"))
+        cases = [make_case(f"c{i}") for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(cases)) as pool:
+                futures = [pool.submit(run_radar, self._bundle(corpus_dir), kb, c) for c in cases]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(topologies, "_branch_pool", InlineExecutor)
+        for case, (report, trace) in zip(cases, results):
+            serial_report, serial_trace = run_radar(self._bundle(corpus_dir), kb, case)
+            assert report == serial_report
+            assert step_records(trace) == step_records(serial_trace)
+
+    def test_failed_answer_aborts_after_every_branch(self, corpus_dir):
+        # Answer 2 of 5 fails all three attempts. Only then do the other
+        # answers reply, one after another, so an abort that did not wait for
+        # every branch would miss their steps.
+        chain = [0, 1, 3, 4]
+        released = {i: threading.Event() for i in chain}
+        attempts = []
+
+        def answer(prompt):
+            i = int(re.search(r"question (\d) about", prompt).group(1))
+            if i == 2:
+                attempts.append(prompt)
+                if len(attempts) == 3:
+                    released[chain[0]].set()
+                return "not json"
+            assert released[i].wait(timeout=5)
+            if i != chain[-1]:
+                released[chain[chain.index(i) + 1]].set()
+            return None
+
+        bundle = self._bundle(corpus_dir, hooks={"answer_generator": answer})
+        with pytest.raises(TopologyRunError) as exc_info:
+            run_radar(bundle, self._kb(), make_case())
+        assert bundle.chat.in_flight == 0
+        assert bundle.chat.calls == 2 + 4 + 3
+        trace = exc_info.value.trace
+        assert trace.kinds() == [
+            "initial_diagnosis", "generate_queries",
+            *RETRIEVED["fetch"], *RETRIEVED["fetch"],
+            *RETRIEVED["hit"], "answer", "answer",
+            *RETRIEVED["hit"], *RETRIEVED["hit"],
+            "answer",
+        ]
+        assert trace.steps[-1].agent_role == "answer_generator"
+        assert "error" in trace.steps[-1].detail
+        assert "failed at answer" in str(exc_info.value)
+
+    def test_abort_names_earliest_failure_in_pipeline_order(self, corpus_dir):
+        # The first answer fails before the initial doctor does, yet the
+        # initial doctor comes first in the pipeline.
+        answer_failed = threading.Event()
+
+        def initial(prompt):
+            assert answer_failed.wait(timeout=5)
+            return "not json"
+
+        def answer(prompt):
+            if "question 0 " in prompt:
+                answer_failed.set()
+                return "not json"
+            return None
+
+        bundle = self._bundle(corpus_dir, hooks={"initial_doctor": initial, "answer_generator": answer})
+        with pytest.raises(TopologyRunError) as exc_info:
+            run_radar(bundle, self._kb(), make_case())
+        kinds = exc_info.value.trace.kinds()
+        assert kinds[:4] == ["initial_diagnosis"] * 3 + ["generate_queries"]
+        assert kinds[-1] == "initial_diagnosis"
+        assert "final_diagnosis" not in kinds
+        assert "failed at initial_diagnosis" in str(exc_info.value)
 
     def test_agent_error_aborts_with_trace(self, corpus_dir):
         kb = KnowledgeBase(dim=64)
