@@ -57,7 +57,6 @@ from .providers import (
     HttpChatProvider,
     HttpEmbedder,
     ScriptedChatProvider,
-    chat_complete,
     embed_text,
     scripted_provider_from_file,
 )

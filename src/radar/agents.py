@@ -34,7 +34,6 @@ from .providers import (
     ChatMessage,
     ChatProvider,
     ChatRequest,
-    chat_complete,
 )
 
 DEFAULT_N_QUERIES = 5
@@ -287,7 +286,7 @@ def ask_structured(
         request = ChatRequest(
             messages=tuple(messages), temperature=cfg.temperature, top_p=cfg.top_p
         )
-        response = chat_complete(provider, request)
+        response = provider.complete(request)
         raw = response.content
         if on_step is not None:
             on_step("\n".join(m.content for m in messages), raw)

@@ -177,11 +177,7 @@ def kb_fetch(keywords: tuple[str, ...], config_path: str) -> None:
 def kb_stats(config_path: str) -> None:
     """Print keyword, document, and chunk counts for the persisted store."""
     try:
-        cfg = load_run_config(config_path)
-        if cfg.kb.store_dir and (Path(cfg.kb.store_dir) / "meta.json").exists():
-            kb = KnowledgeBase.load(cfg.kb.store_dir)
-        else:
-            kb = build_knowledge_base(cfg)
+        kb = build_knowledge_base(load_run_config(config_path))
     except (ConfigError, RadarError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

@@ -17,7 +17,7 @@ from typing import Mapping, Protocol, Sequence
 from .agents import TemplateRegistry, default_templates, parse_structured
 from .domain import DiagnosisReport, canonical_fold
 from .errors import EvaluationError, RadarError, ValidationError
-from .providers import TEMP_LOW, ChatProvider, chat_complete, user_request
+from .providers import TEMP_LOW, ChatProvider, user_request
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ class ProviderNormalizer:
             raise ValidationError(f"label {raw!r} folds to an empty string")
         prompt = self._templates.render("normalize_label", label=raw)
         try:
-            reply = chat_complete(self._provider, user_request(prompt, temperature=TEMP_LOW))
+            reply = self._provider.complete(user_request(prompt, temperature=TEMP_LOW))
             canonical = canonical_fold(parse_structured(reply.content, "normalized_label"))
             if not canonical:
                 raise ValidationError("normalizer returned an empty canonical term")

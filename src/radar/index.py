@@ -230,4 +230,9 @@ class FlatIndex:
             offset = vec_at + vec_bytes
         if offset != len(data):
             raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")
+        # A row sum of float32 values cannot overflow float64, so it is
+        # finite exactly when every component is; no matrix-sized temporary.
+        finite = np.isfinite(matrix.sum(axis=1))
+        if not finite.all():
+            raise CorruptionError(f"{path}: non-finite vector for chunk {ids[int(np.argmin(finite))]}")
         return index

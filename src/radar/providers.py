@@ -126,13 +126,6 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-def chat_complete(provider: ChatProvider, request: ChatRequest) -> ChatResponse:
-    """Run one chat completion. Transport failures surface as typed errors."""
-    if not isinstance(request, ChatRequest):
-        raise ValidationError("chat_complete expects a ChatRequest")
-    return provider.complete(request)
-
-
 def embed_text(embedder: Embedder, text: str) -> np.ndarray:
     """Embed non-empty text into the embedder's fixed-dimension vector."""
     if not text:

@@ -12,6 +12,7 @@ manifest and traces.
 from __future__ import annotations
 
 import concurrent.futures
+import difflib
 import hashlib
 import json
 import os
@@ -98,13 +99,14 @@ class RunConfig:
     workers: int = DEFAULT_WORKERS
 
     def to_dict(self) -> dict[str, Any]:
+        """The documented nested shape, which ``load_run_config`` reads back."""
         return {
             "topology": self.topology.value,
             "provider": {
                 "kind": self.provider.kind,
                 "script_path": self.provider.script_path,
-                "chat_url": self.provider.chat_url,
-                "embed_url": self.provider.embed_url,
+                "chat": {"url": self.provider.chat_url},
+                "embed": {"url": self.provider.embed_url},
                 "timeouts_ms": self.provider.timeouts_ms,
                 "model": self.provider.model,
                 "embedder_kind": self.provider.embedder_kind,
@@ -113,12 +115,14 @@ class RunConfig:
             "kb": {
                 "chunk_chars": self.kb.chunk_chars,
                 "overlap_chars": self.kb.overlap_chars,
-                "source_kind": self.kb.source_kind,
-                "corpus_dir": self.kb.corpus_dir,
-                "fail_keywords": list(self.kb.fail_keywords),
-                "base_url": self.kb.base_url,
-                "delay_ms": self.kb.delay_ms,
-                "cache_dir": self.kb.cache_dir,
+                "source": {
+                    "kind": self.kb.source_kind,
+                    "corpus_dir": self.kb.corpus_dir,
+                    "fail_keywords": list(self.kb.fail_keywords),
+                    "base_url": self.kb.base_url,
+                    "delay_ms": self.kb.delay_ms,
+                    "cache_dir": self.kb.cache_dir,
+                },
                 "store_dir": self.kb.store_dir,
             },
             "agents": {
@@ -135,11 +139,32 @@ class RunConfig:
         }
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return value
+_SHAPE = RunConfig().to_dict()
+
+
+def _key_paths(shape: dict, prefix: str = "") -> list[str]:
+    paths = []
+    for key, value in shape.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def _check_shape(raw: dict, shape: dict = _SHAPE, prefix: str = "") -> None:
+    """Reject a key outside the documented shape, naming the documented key
+    it most resembles, and a section that is not an object (null counts as
+    absent)."""
+    for key, value in raw.items():
+        path = prefix + key
+        if key not in shape:
+            guess = difflib.get_close_matches(path, _key_paths(_SHAPE), n=1)
+            hint = f"; did you mean {guess[0]!r}?" if guess else ""
+            raise ConfigError(f"unknown config key {path!r}{hint}")
+        if isinstance(shape[key], dict) and value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {path!r} must be an object")
+            _check_shape(value, shape[key], path + ".")
 
 
 def _resolve_path(base: Path, value: str | None) -> str | None:
@@ -154,8 +179,10 @@ def _resolve_path(base: Path, value: str | None) -> str | None:
 def load_run_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON run configuration.
 
-    Relative paths are resolved against the config file's directory, and
-    every referenced path must exist at load time.
+    Only the nested shape that ``RunConfig.to_dict`` writes is read, so a
+    manifest's config snapshot loads back to an equal config. Relative paths
+    are resolved against the config file's directory, and every referenced
+    path must exist at load time.
     """
     path = Path(path)
     try:
@@ -164,19 +191,20 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    base = path.parent
+    _check_shape(raw)
+    base = path.absolute().parent  # so a manifest snapshot reloads from anywhere
 
     try:
         topology = Topology(raw.get("topology", "radar"))
     except ValueError as exc:
         raise ConfigError(f"unknown topology {raw.get('topology')!r}") from exc
 
-    p = _section(raw, "provider")
+    p = raw.get("provider") or {}
     provider = ProviderSettings(
         kind=p.get("kind", "scripted"),
         script_path=_resolve_path(base, p.get("script_path")),
-        chat_url=(p.get("chat") or {}).get("url") if "chat" in p else p.get("chat_url"),
-        embed_url=(p.get("embed") or {}).get("url") if "embed" in p else p.get("embed_url"),
+        chat_url=(p.get("chat") or {}).get("url"),
+        embed_url=(p.get("embed") or {}).get("url"),
         timeouts_ms=int(p.get("timeouts_ms", 30_000)),
         model=p.get("model"),
         embedder_kind=p.get("embedder_kind", "hashing"),
@@ -196,18 +224,17 @@ def load_run_config(path: str | Path) -> RunConfig:
     if provider.embedder_kind == "http" and not provider.embed_url:
         raise ConfigError("http embedder needs provider.embed.url")
 
-    k = _section(raw, "kb")
+    k = raw.get("kb") or {}
+    source = k.get("source") or {}
     kb = KbSettings(
         chunk_chars=int(k.get("chunk_chars", DEFAULT_CHUNK_CHARS)),
         overlap_chars=int(k.get("overlap_chars", DEFAULT_OVERLAP_CHARS)),
-        source_kind=(k.get("source") or {}).get("kind", k.get("source_kind", "fixture")),
-        corpus_dir=_resolve_path(
-            base, (k.get("source") or {}).get("corpus_dir", k.get("corpus_dir"))
-        ),
-        fail_keywords=tuple((k.get("source") or {}).get("fail_keywords", k.get("fail_keywords", []))),
-        base_url=(k.get("source") or {}).get("base_url", k.get("base_url")),
-        delay_ms=int((k.get("source") or {}).get("delay_ms", k.get("delay_ms", 1000))),
-        cache_dir=_resolve_path(base, (k.get("source") or {}).get("cache_dir", k.get("cache_dir"))),
+        source_kind=source.get("kind", "fixture"),
+        corpus_dir=_resolve_path(base, source.get("corpus_dir")),
+        fail_keywords=tuple(source.get("fail_keywords", ())),
+        base_url=source.get("base_url"),
+        delay_ms=int(source.get("delay_ms", 1000)),
+        cache_dir=_resolve_path(base, source.get("cache_dir")),
         store_dir=_resolve_path(base, k.get("store_dir")),
     )
     if kb.overlap_chars < 0 or kb.overlap_chars >= kb.chunk_chars:
@@ -225,7 +252,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if kb.source_kind == "live" and not kb.base_url:
         raise ConfigError("live source needs kb.source.base_url")
 
-    a = _section(raw, "agents")
+    a = raw.get("agents") or {}
     agents = AgentSettings(
         n_queries=int(a.get("n_queries", DEFAULT_N_QUERIES)),
         max_retries=int(a.get("max_retries", DEFAULT_MAX_RETRIES)),
@@ -236,9 +263,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     if agents.template_dir and not Path(agents.template_dir).is_dir():
         raise ConfigError(f"template directory {agents.template_dir} does not exist")
 
-    e = _section(raw, "eval")
+    e = raw.get("eval") or {}
     eval_settings = EvalSettings(
-        normalizer_kind=e.get("normalizer_kind", e.get("normalizer", "dictionary")),
+        normalizer_kind=e.get("normalizer_kind", "dictionary"),
         synonym_table=_resolve_path(base, e.get("synonym_table")),
     )
     if eval_settings.normalizer_kind not in ("dictionary", "provider"):
@@ -313,10 +340,6 @@ def build_knowledge_base(cfg: RunConfig) -> KnowledgeBase:
     )
 
 
-def build_templates(cfg: RunConfig) -> TemplateRegistry:
-    return TemplateRegistry(cfg.agents.template_dir)
-
-
 def build_normalizer(cfg: RunConfig, bundle: ProviderBundle | None = None) -> Normalizer:
     table = load_synonyms(cfg.eval.synonym_table) if cfg.eval.synonym_table else {}
     if cfg.eval.normalizer_kind == "provider":
@@ -386,13 +409,14 @@ def _write_manifest(
 
 
 def _execute_case(cfg, bundle, kb, templates, case: Case):
+    agents = {"templates": templates, "max_retries": cfg.agents.max_retries}
     if cfg.topology is Topology.SINGLE:
-        return run_single(bundle, case, templates)
+        return run_single(bundle, case, **agents)
     if cfg.topology is Topology.COLLABORATIVE:
-        return run_collaborative(bundle, case, templates=templates)
+        return run_collaborative(bundle, case, **agents)
     if cfg.topology is Topology.CHALLENGER:
-        return run_challenger(bundle, case, templates=templates)
-    return run_radar(bundle, kb, case, n_queries=cfg.agents.n_queries, templates=templates)
+        return run_challenger(bundle, case, **agents)
+    return run_radar(bundle, kb, case, n_queries=cfg.agents.n_queries, **agents)
 
 
 def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> RunSummary:
@@ -413,7 +437,7 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     (out_dir / "traces").mkdir(exist_ok=True)
 
     kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
-    templates = build_templates(cfg)
+    templates = TemplateRegistry(cfg.agents.template_dir)
 
     run_id = uuid.uuid4().hex[:12]
     digest = content_digest(

@@ -13,7 +13,7 @@ import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Sequence
 
@@ -28,6 +28,7 @@ from .agents import (
     final_diagnosis,
     generate_queries,
     initial_diagnosis,
+    DEFAULT_MAX_RETRIES,
     DEFAULT_N_QUERIES,
 )
 from .domain import (
@@ -113,15 +114,7 @@ class RunTrace:
 
     def annotate_last(self, detail: dict[str, Any]) -> None:
         """Attach detail to the most recent step (known only after parsing)."""
-        last = self.steps[-1]
-        self.steps[-1] = TraceStep(
-            last.step_kind,
-            last.agent_role,
-            last.request_digest,
-            last.response_digest,
-            last.timestamp,
-            detail,
-        )
+        self.steps[-1] = replace(self.steps[-1], detail=detail)
 
     def kinds(self) -> list[str]:
         return [s.step_kind for s in self.steps]
@@ -160,16 +153,17 @@ def _trace_id(topology: Topology, case: Case) -> str:
     return f"{topology.value}-{case.id}"
 
 
-def _step_recorder(trace: RunTrace, step_kind: str, role: AgentRole, detail=None):
-    def on_step(request_text: str, response_text: str) -> None:
-        trace.add(step_kind, role.value, request_text, response_text, detail)
-
-    return on_step
-
-
-def _abort(trace: RunTrace, step_kind: str, role: str, exc: Exception) -> TopologyRunError:
-    trace.add(step_kind, role, "", "", detail={"error": f"{type(exc).__name__}: {exc}"})
-    return TopologyRunError(f"{trace.topology.value} run failed at {step_kind}: {exc}", trace)
+def _step(trace: RunTrace, step_kind: str, role: AgentRole, call, detail=None) -> Any:
+    """Take one agent step: ``call`` gets a recorder that adds each provider
+    round trip to ``trace`` as a ``step_kind`` step by ``role``, and a
+    RadarError it raises aborts the run with an error step of that kind."""
+    try:
+        return call(functools.partial(trace.add, step_kind, role.value, detail=detail))
+    except RadarError as exc:
+        error = {"error": f"{type(exc).__name__}: {exc}"}
+        trace.add(step_kind, role.value, "", "", detail=error)
+        message = f"{trace.topology.value} run failed at {step_kind}: {exc}"
+        raise TopologyRunError(message, trace) from exc
 
 
 def _report_from_reply(value: dict[str, Any], trace_id: str) -> DiagnosisReport:
@@ -182,6 +176,34 @@ def _report_from_reply(value: dict[str, Any], trace_id: str) -> DiagnosisReport:
     )
 
 
+def _ask(
+    chat: ChatProvider, trace: RunTrace, step_kind: str, cfg: AgentConfig, prompt: str,
+    schema_id: str = "diagnosis_report", validate=None, detail=None,
+) -> Any:
+    """Ask ``cfg``'s agent for one structured reply as a step; by default
+    the reply is a diagnosis report."""
+    if validate is None:
+        validate = functools.partial(_report_from_reply, trace_id=trace.trace_id)
+    ask = functools.partial(ask_structured, chat, cfg, prompt, schema_id, validate)
+    return _step(trace, step_kind, cfg.role, ask, detail)
+
+
+def _diagnose(
+    chat: ChatProvider, trace: RunTrace, step_kind: str, case: Case,
+    registry: TemplateRegistry, max_retries: int,
+) -> DiagnosisReport:
+    """One doctor's report on the bare case: the single topology's report and
+    the challenger's draft."""
+    cfg = config_for_role(
+        AgentRole.FINAL_DOCTOR, template_id="single_doctor", max_retries=max_retries,
+        templates=registry,
+    )
+    prompt = registry.render(
+        cfg.prompt_template_id, caption=case.caption, clinical_data=case.clinical_data
+    )
+    return _ask(chat, trace, step_kind, cfg, prompt)
+
+
 # ---------------------------------------------------------------------------
 # Single agent
 # ---------------------------------------------------------------------------
@@ -191,25 +213,12 @@ def run_single(
     providers: ProviderBundle,
     case: Case,
     templates: TemplateRegistry | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """One doctor call, no candidates, no evidence."""
     trace = RunTrace(_trace_id(Topology.SINGLE, case), Topology.SINGLE, case.id)
     registry = templates or default_templates()
-    cfg = config_for_role(AgentRole.FINAL_DOCTOR, template_id="single_doctor", templates=registry)
-    prompt = registry.render(
-        cfg.prompt_template_id, caption=case.caption, clinical_data=case.clinical_data
-    )
-    try:
-        report = ask_structured(
-            providers.chat,
-            cfg,
-            prompt,
-            "diagnosis_report",
-            lambda value: _report_from_reply(value, trace.trace_id),
-            _step_recorder(trace, "diagnose", AgentRole.FINAL_DOCTOR),
-        )
-    except RadarError as exc:
-        raise _abort(trace, "diagnose", AgentRole.FINAL_DOCTOR.value, exc) from exc
+    report = _diagnose(providers.chat, trace, "diagnose", case, registry, max_retries)
     return report, trace
 
 
@@ -264,6 +273,7 @@ def run_collaborative(
     n_agents: int = DEFAULT_COLLAB_AGENTS,
     max_rounds: int = DEFAULT_COLLAB_ROUNDS,
     templates: TemplateRegistry | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Independent assessments, then discussion rounds until primaries agree.
 
@@ -275,23 +285,12 @@ def run_collaborative(
         raise ValidationError(f"collaboration needs at least 2 agents, got {n_agents}")
     trace = RunTrace(_trace_id(Topology.COLLABORATIVE, case), Topology.COLLABORATIVE, case.id)
     registry = templates or default_templates()
-    initial_cfg = config_for_role(AgentRole.COLLABORATOR, templates=registry)
-    revise_cfg = config_for_role(
-        AgentRole.COLLABORATOR, template_id="collaborator_revise", templates=registry
-    )
+    role_cfg = functools.partial(config_for_role, max_retries=max_retries, templates=registry)
+    initial_cfg = role_cfg(AgentRole.COLLABORATOR)
+    revise_cfg = role_cfg(AgentRole.COLLABORATOR, template_id="collaborator_revise")
 
     def agent_call(cfg: AgentConfig, prompt: str, kind: str, agent_idx: int) -> DiagnosisReport:
-        try:
-            return ask_structured(
-                providers.chat,
-                cfg,
-                prompt,
-                "diagnosis_report",
-                lambda value: _report_from_reply(value, trace.trace_id),
-                _step_recorder(trace, kind, AgentRole.COLLABORATOR, {"agent": agent_idx}),
-            )
-        except RadarError as exc:
-            raise _abort(trace, kind, AgentRole.COLLABORATOR.value, exc) from exc
+        return _ask(providers.chat, trace, kind, cfg, prompt, detail={"agent": agent_idx})
 
     reports = []
     for idx in range(n_agents):
@@ -339,33 +338,16 @@ def run_challenger(
     providers: ProviderBundle,
     case: Case,
     templates: TemplateRegistry | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Draft, adversarial critique, one revision. Empty critique keeps the draft."""
     trace = RunTrace(_trace_id(Topology.CHALLENGER, case), Topology.CHALLENGER, case.id)
     registry = templates or default_templates()
-    doctor_cfg = config_for_role(
-        AgentRole.FINAL_DOCTOR, template_id="single_doctor", templates=registry
-    )
-    challenger_cfg = config_for_role(AgentRole.CHALLENGER, templates=registry)
-    revise_cfg = config_for_role(
-        AgentRole.FINAL_DOCTOR, template_id="doctor_revise", templates=registry
-    )
+    role_cfg = functools.partial(config_for_role, max_retries=max_retries, templates=registry)
+    challenger_cfg = role_cfg(AgentRole.CHALLENGER)
+    revise_cfg = role_cfg(AgentRole.FINAL_DOCTOR, template_id="doctor_revise")
 
-    prompt = registry.render(
-        doctor_cfg.prompt_template_id, caption=case.caption, clinical_data=case.clinical_data
-    )
-    try:
-        draft = ask_structured(
-            providers.chat,
-            doctor_cfg,
-            prompt,
-            "diagnosis_report",
-            lambda value: _report_from_reply(value, trace.trace_id),
-            _step_recorder(trace, "draft", AgentRole.FINAL_DOCTOR),
-        )
-    except RadarError as exc:
-        raise _abort(trace, "draft", AgentRole.FINAL_DOCTOR.value, exc) from exc
-
+    draft = _diagnose(providers.chat, trace, "draft", case, registry, max_retries)
     draft_json = json.dumps(draft.to_dict(), indent=2)
     prompt = registry.render(
         challenger_cfg.prompt_template_id,
@@ -373,18 +355,9 @@ def run_challenger(
         clinical_data=case.clinical_data,
         draft=draft_json,
     )
-    try:
-        objections = ask_structured(
-            providers.chat,
-            challenger_cfg,
-            prompt,
-            "critique",
-            lambda value: value,
-            _step_recorder(trace, "critique", AgentRole.CHALLENGER),
-        )
-    except RadarError as exc:
-        raise _abort(trace, "critique", AgentRole.CHALLENGER.value, exc) from exc
-
+    objections = _ask(
+        providers.chat, trace, "critique", challenger_cfg, prompt, "critique", lambda value: value
+    )
     if not objections:
         return draft, trace
 
@@ -395,18 +368,7 @@ def run_challenger(
         draft=draft_json,
         critique="\n".join(f"- {o}" for o in objections),
     )
-    try:
-        revised = ask_structured(
-            providers.chat,
-            revise_cfg,
-            prompt,
-            "diagnosis_report",
-            lambda value: _report_from_reply(value, trace.trace_id),
-            _step_recorder(trace, "revise", AgentRole.FINAL_DOCTOR),
-        )
-    except RadarError as exc:
-        raise _abort(trace, "revise", AgentRole.FINAL_DOCTOR.value, exc) from exc
-    return revised, trace
+    return _ask(providers.chat, trace, "revise", revise_cfg, prompt), trace
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +411,16 @@ def _done(value: Any) -> Future:
 
 
 def _join(trace: RunTrace, stages: Sequence[_Stage]) -> list[Any]:
-    """Splice every stage's steps into ``trace`` in pipeline order and return
-    their values; the earliest failing stage aborts the case."""
-    failures = [stage.outcome.exception() for stage in stages]  # waits for each
+    """Splice the steps of finished stages into ``trace`` in pipeline order
+    and return their values. Each outcome is taken as a step (its round
+    trips are already recorded), so the earliest failing stage aborts the
+    case just as a failing sequential step does."""
     for stage in stages:
         trace.steps.extend(stage.trace.steps)
-    for stage, exc in zip(stages, failures):
-        if isinstance(exc, RadarError):
-            raise _abort(trace, stage.kind, stage.role.value, exc) from exc
-        if exc is not None:
-            raise exc
-    return [stage.outcome.result() for stage in stages]
+    return [
+        _step(trace, stage.kind, stage.role, lambda _: stage.outcome.result())
+        for stage in stages
+    ]
 
 
 def run_radar(
@@ -469,6 +430,7 @@ def run_radar(
     n_queries: int = DEFAULT_N_QUERIES,
     top_k: int = RETRIEVAL_TOP_K,
     templates: TemplateRegistry | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Hypotheses, targeted queries, cached retrieval, grounded answers, final report.
 
@@ -492,50 +454,34 @@ def run_radar(
     trace = RunTrace(_trace_id(Topology.RADAR, case), Topology.RADAR, case.id)
     registry = templates or default_templates()
 
-    init_cfg = config_for_role(AgentRole.INITIAL_DOCTOR, templates=registry)
-    query_cfg = config_for_role(AgentRole.QUERY_GENERATOR, templates=registry)
-    answer_cfg = config_for_role(AgentRole.ANSWER_GENERATOR, templates=registry)
-    final_cfg = config_for_role(AgentRole.FINAL_DOCTOR, templates=registry)
+    role_cfg = functools.partial(config_for_role, max_retries=max_retries, templates=registry)
+    init_cfg = role_cfg(AgentRole.INITIAL_DOCTOR)
+    query_cfg = role_cfg(AgentRole.QUERY_GENERATOR)
+    answer_cfg = role_cfg(AgentRole.ANSWER_GENERATOR)
+    final_cfg = role_cfg(AgentRole.FINAL_DOCTOR)
     pool = _branch_pool()
 
     def submit(kind: str, role: AgentRole, call, part: RunTrace | None = None) -> _Stage:
+        """Run ``call(part, on_step)`` on the branch pool, recording into ``part``."""
         if part is None:
             part = RunTrace(trace.trace_id, trace.topology, trace.case_id)
-        return _Stage(kind, role, part, pool.submit(call, part))
+        on_step = functools.partial(part.add, kind, role.value)
+        return _Stage(kind, role, part, pool.submit(call, part, on_step))
 
-    def ask_candidates(part: RunTrace) -> CandidateList:
-        candidates = initial_diagnosis(
-            providers.chat,
-            init_cfg,
-            case,
-            registry,
-            _step_recorder(part, "initial_diagnosis", AgentRole.INITIAL_DOCTOR),
-        )
+    def ask_candidates(part: RunTrace, on_step) -> CandidateList:
+        candidates = initial_diagnosis(providers.chat, init_cfg, case, registry, on_step)
         part.annotate_last({"n_candidates": len(candidates.candidates)})
         return candidates
 
-    def ask_queries(part: RunTrace) -> list[QueryPair]:
-        pairs = generate_queries(
-            providers.chat,
-            query_cfg,
-            case,
-            n_queries,
-            registry,
-            _step_recorder(part, "generate_queries", AgentRole.QUERY_GENERATOR),
-        )
+    def ask_queries(part: RunTrace, on_step) -> list[QueryPair]:
+        pairs = generate_queries(providers.chat, query_cfg, case, n_queries, registry, on_step)
         part.annotate_last({"n_pairs": len(pairs)})
         return pairs
 
-    def ask_answer(pair: QueryPair, scored, chunk_texts, part: RunTrace) -> EvidenceAnswer:
+    def ask_answer(pair: QueryPair, scored, chunk_texts, part: RunTrace, on_step) -> EvidenceAnswer:
         answer = answer_question(
-            providers.chat,
-            answer_cfg,
-            pair.question,
-            scored,
-            chunk_texts,
-            pair.keyword,
-            registry,
-            _step_recorder(part, "answer", AgentRole.ANSWER_GENERATOR),
+            providers.chat, answer_cfg, pair.question, scored, chunk_texts, pair.keyword,
+            registry, on_step,
         )
         if not scored:
             part.add("answer", AgentRole.ANSWER_GENERATOR.value, pair.question, answer.answer,
@@ -589,17 +535,8 @@ def run_radar(
         wait([stage.outcome for stage in stages])
     candidates, _, *evidence = _join(trace, stages)
 
-    try:
-        report = final_diagnosis(
-            providers.chat,
-            final_cfg,
-            case,
-            candidates,
-            evidence,
-            trace.trace_id,
-            registry,
-            _step_recorder(trace, "final_diagnosis", AgentRole.FINAL_DOCTOR),
-        )
-    except RadarError as exc:
-        raise _abort(trace, "final_diagnosis", AgentRole.FINAL_DOCTOR.value, exc) from exc
-    return report, trace
+    ask = functools.partial(
+        final_diagnosis, providers.chat, final_cfg, case, candidates, evidence, trace.trace_id,
+        registry,
+    )
+    return _step(trace, "final_diagnosis", AgentRole.FINAL_DOCTOR, ask), trace

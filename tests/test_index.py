@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 import sys
 import threading
 from types import SimpleNamespace
@@ -402,4 +403,21 @@ class TestPersistence:
         index.save(path)
         path.write_bytes(path.read_bytes().replace(b"sane", b"same"))
         with pytest.raises(CorruptionError):
+            FlatIndex.load(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vector_in_file_is_corruption(self, tmp_path, bad):
+        # Written by hand: save() can never produce such a file, because
+        # insert() rejects non-finite vectors.
+        def record(cid, vector):
+            return (struct.pack("<H", len(cid)) + cid + struct.pack("<H", 2) + b"kw"
+                    + struct.pack("<2f", *vector))
+
+        path = tmp_path / "nan.rdrx"
+        path.write_bytes(
+            struct.pack("<4sIIQ", b"RDRX", 1, 2, 2)
+            + record(b"good", (1.0, 0.0))
+            + record(b"bad", (bad, 0.0))
+        )
+        with pytest.raises(CorruptionError, match="non-finite vector for chunk bad"):
             FlatIndex.load(path)

@@ -28,7 +28,6 @@ from radar.providers import (
     HttpChatProvider,
     HttpEmbedder,
     ScriptedChatProvider,
-    chat_complete,
     embed_text,
     request_fingerprint,
     scripted_provider_from_file,
@@ -63,49 +62,49 @@ class TestChatRequest:
 class TestScriptedProvider:
     def test_single_entry_replay(self):
         provider = ScriptedChatProvider(["A"])
-        assert chat_complete(provider, req()).content == "A"
+        assert provider.complete(req()).content == "A"
 
     def test_ordered_replay(self):
         provider = ScriptedChatProvider(["A", "B"])
-        assert chat_complete(provider, req("one")).content == "A"
-        assert chat_complete(provider, req("two")).content == "B"
+        assert provider.complete(req("one")).content == "A"
+        assert provider.complete(req("two")).content == "B"
 
     def test_exhaustion(self):
         provider = ScriptedChatProvider(["A", "B"])
-        chat_complete(provider, req())
-        chat_complete(provider, req())
+        provider.complete(req())
+        provider.complete(req())
         with pytest.raises(ScriptExhaustedError):
-            chat_complete(provider, req())
+            provider.complete(req())
 
     def test_keyed_match(self):
         fingerprint = request_fingerprint(req("the question"))
         provider = ScriptedChatProvider(keyed={fingerprint: "X"})
-        assert chat_complete(provider, req("the question")).content == "X"
+        assert provider.complete(req("the question")).content == "X"
         # keyed entries replay indefinitely: same request, same response
-        assert chat_complete(provider, req("the question")).content == "X"
+        assert provider.complete(req("the question")).content == "X"
 
     def test_keyed_miss(self):
         provider = ScriptedChatProvider(keyed={"deadbeef00000000": "X"})
         with pytest.raises(ScriptKeyError):
-            chat_complete(provider, req("unknown"))
+            provider.complete(req("unknown"))
 
     def test_from_file_ordered(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(json.dumps([{"content": "A"}, {"content": "B"}, {"content": "C"}]))
         provider = scripted_provider_from_file(path)
         for expected in ("A", "B", "C"):
-            assert chat_complete(provider, req()).content == expected
+            assert provider.complete(req()).content == expected
         with pytest.raises(ScriptExhaustedError):
-            chat_complete(provider, req())
+            provider.complete(req())
 
     def test_from_file_keyed(self, tmp_path):
         fingerprint = request_fingerprint(req("q"))
         path = tmp_path / "script.json"
         path.write_text(json.dumps([{"fingerprint": fingerprint, "content": "X"}]))
         provider = scripted_provider_from_file(path)
-        assert chat_complete(provider, req("q")).content == "X"
+        assert provider.complete(req("q")).content == "X"
         with pytest.raises(ScriptKeyError):
-            chat_complete(provider, req("other"))
+            provider.complete(req("other"))
 
     def test_from_file_parse_failure(self, tmp_path):
         path = tmp_path / "script.json"
@@ -280,7 +279,7 @@ class TestHttpChatProvider:
         provider, session = self._provider(
             [_FakeResponse(body={"content": "hi", "usage": {"prompt_tokens": 3, "completion_tokens": 1}})]
         )
-        response = chat_complete(provider, req("ping"))
+        response = provider.complete(req("ping"))
         assert response.content == "hi"
         assert response.prompt_tokens == 3
         sent = session.requests[0]
@@ -295,29 +294,29 @@ class TestHttpChatProvider:
                 _FakeResponse(body={"content": "ok"}),
             ]
         )
-        assert chat_complete(provider, req()).content == "ok"
+        assert provider.complete(req()).content == "ok"
         assert len(session.requests) == 3
 
     def test_transport_exhaustion_is_typed_not_fabricated(self):
         provider, _ = self._provider([requests.ConnectionError("down")] * 3)
         with pytest.raises(TransportError):
-            chat_complete(provider, req())
+            provider.complete(req())
 
     def test_client_error_not_retried(self):
         provider, session = self._provider([_FakeResponse(status_code=400, text="bad")])
         with pytest.raises(ProviderError):
-            chat_complete(provider, req())
+            provider.complete(req())
         assert len(session.requests) == 1
 
     def test_unparseable_payload(self):
         provider, _ = self._provider([_FakeResponse(body=None)])
         with pytest.raises(ProviderError):
-            chat_complete(provider, req())
+            provider.complete(req())
 
     def test_missing_content_field(self):
         provider, _ = self._provider([_FakeResponse(body={"message": "hi"})])
         with pytest.raises(ProviderError):
-            chat_complete(provider, req())
+            provider.complete(req())
 
 
 class TestHttpEmbedder:

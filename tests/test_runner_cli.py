@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,18 @@ from click.testing import CliRunner
 
 from radar.cli import main
 from radar.errors import ConfigError
-from radar.runner import content_digest, load_reports, load_run_config, run_cases
+from radar.runner import (
+    AgentSettings,
+    EvalSettings,
+    KbSettings,
+    ProviderSettings,
+    RunConfig,
+    content_digest,
+    load_reports,
+    load_run_config,
+    run_cases,
+)
+from radar.topologies import Topology
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,6 +84,110 @@ class TestLoadRunConfig:
         path = write_config(tmp_path / "c.json", topology="committee")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+
+class TestConfigShape:
+    """One config shape: ``RunConfig.to_dict`` writes the nested shape that
+    ``load_run_config`` reads, and nothing else is read."""
+
+    @pytest.mark.parametrize("name, cases", [
+        ("golden_radar", "cases.jsonl"),
+        ("degraded_radar", "cases_degraded.jsonl"),
+    ])
+    def test_manifest_config_reloads_equal(self, tmp_path, monkeypatch, name, cases):
+        monkeypatch.chdir(DATA)  # relative paths, as a user would type them
+        config = Path("configs") / f"{name}.json"
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(config), "--cases", cases, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        snapshot = tmp_path / "elsewhere" / "config.json"
+        snapshot.parent.mkdir()
+        snapshot.write_text(json.dumps(json.loads((out / "manifest.json").read_text())["config"]))
+        monkeypatch.chdir(tmp_path)
+        assert load_run_config(snapshot) == load_run_config(DATA / config)
+
+    def test_every_field_round_trips(self, tmp_path):
+        (tmp_path / "templates").mkdir()
+        cfg = RunConfig(
+            topology=Topology.CHALLENGER,
+            provider=ProviderSettings(
+                kind="http",
+                script_path=str(DATA / "scripts" / "golden_radar.json"),
+                chat_url="https://backend.test/chat",
+                embed_url="https://backend.test/embed",
+                timeouts_ms=5_000,
+                model="some-model",
+                embedder_kind="http",
+                dim=64,
+            ),
+            kb=KbSettings(
+                chunk_chars=500,
+                overlap_chars=50,
+                source_kind="live",
+                corpus_dir=str(DATA / "corpus"),
+                fail_keywords=("broken term",),
+                base_url="https://reference.test",
+                delay_ms=1500,
+                cache_dir=str(tmp_path / "http-cache"),
+                store_dir=str(tmp_path / "store"),
+            ),
+            agents=AgentSettings(n_queries=3, max_retries=0, template_dir=str(tmp_path / "templates")),
+            eval=EvalSettings(normalizer_kind="provider", synonym_table=str(DATA / "synonyms.json")),
+            seed=11,
+            workers=2,
+        )
+        default = RunConfig()
+        for section in ("provider", "kb", "agents", "eval"):
+            ours, theirs = getattr(cfg, section), getattr(default, section)
+            unset = [f.name for f in dataclasses.fields(ours)
+                     if getattr(ours, f.name) == getattr(theirs, f.name)]
+            assert not unset, f"{section} fields left at their defaults: {unset}"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert load_run_config(path) == cfg
+
+    @pytest.mark.parametrize("alias, value, nested", [
+        ("provider.chat_url", "https://backend.test/chat", "provider.chat.url"),
+        ("provider.embed_url", "https://backend.test/embed", "provider.embed.url"),
+        ("kb.source_kind", "fixture", "kb.source.kind"),
+        ("kb.corpus_dir", str(DATA / "corpus"), "kb.source.corpus_dir"),
+        ("kb.fail_keywords", ["broken term"], "kb.source.fail_keywords"),
+        ("kb.base_url", "https://reference.test", "kb.source.base_url"),
+        ("kb.delay_ms", 1500, "kb.source.delay_ms"),
+        ("kb.cache_dir", "http-cache", "kb.source.cache_dir"),
+        ("eval.normalizer", "dictionary", "eval.normalizer_kind"),
+    ])
+    def test_removed_flat_alias_names_the_nested_key(self, tmp_path, alias, value, nested):
+        path = write_config(tmp_path / "c.json", **{alias: value})
+        with pytest.raises(ConfigError, match=re.escape(repr(nested))):
+            load_run_config(path)
+
+    def test_section_must_be_an_object(self, tmp_path):
+        path = write_config(tmp_path / "c.json", **{"kb.source": "fixture"})
+        with pytest.raises(ConfigError, match="'kb.source' must be an object"):
+            load_run_config(path)
+
+
+class TestMaxRetries:
+    def test_zero_retries_abort_each_case_after_one_call(self, tmp_path):
+        script = tmp_path / "bad.json"
+        script.write_text(json.dumps([{"content": "not json"}] * 3))
+        cfg = load_run_config(write_config(
+            tmp_path / "c.json",
+            topology="single",
+            **{"provider.script_path": str(script), "agents.max_retries": 0},
+        ))
+        out = tmp_path / "out"
+        summary = run_cases(cfg, DATA / "cases.jsonl", out)
+        # one reply per case: with the default of 2 retries, c1 would take all three
+        assert [cid for cid, _ in summary.failures] == ["c1", "c2", "c3"]
+        for case_id, message in summary.failures:
+            assert "unusable after 1 attempts" in message
+            trace = json.loads((out / "traces" / f"{case_id}.json").read_text())
+            assert [s["step_kind"] for s in trace["steps"]] == ["diagnose", "diagnose"]
+            assert "error" in trace["steps"][-1]["detail"]
 
 
 class TestRunCases:
@@ -341,6 +458,19 @@ class TestCliKb:
         )
         assert result.exit_code == 0
         assert "internal, 0 new documents" in result.output
+
+    def test_stats_checks_the_store_dim(self, tmp_path):
+        config = self._config(tmp_path)
+        CliRunner().invoke(
+            main, ["kb", "fetch", "--keyword", "glioblastoma", "--config", str(config)]
+        )
+        other_dim = write_config(
+            tmp_path / "c64.json",
+            **{"kb.store_dir": str(tmp_path / "store"), "provider.dim": 64},
+        )
+        result = CliRunner().invoke(main, ["kb", "stats", "--config", str(other_dim)])
+        assert result.exit_code == 2
+        assert "does not match configured dim 64" in result.output
 
     def test_stats_on_empty_store(self, tmp_path):
         config = self._config(tmp_path)

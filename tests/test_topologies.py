@@ -443,3 +443,28 @@ class TestRunRadar:
         kb = KnowledgeBase(dim=64)
         with pytest.raises(Exception):
             run_radar(ProviderBundle(chat=ScriptedChatProvider([])), kb, make_case())
+
+
+class TestMaxRetries:
+    """Every reply holds no JSON, and the script outlasts every attempt, so
+    ``max_retries`` alone decides how many calls a failing step makes."""
+
+    @pytest.mark.parametrize("max_retries, calls", [(0, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("run", [run_single, run_collaborative, run_challenger])
+    def test_bounds_attempts_of_the_failing_step(self, run, max_retries, calls):
+        chat = ScriptedChatProvider(["no json here"] * 6)
+        with pytest.raises(TopologyRunError):
+            run(ProviderBundle(chat=chat), make_case(), max_retries=max_retries)
+        assert chat.calls == calls
+
+    def test_radar_bounds_attempts_of_both_start_calls(self, corpus_dir):
+        chat = ScriptedChatProvider(["no json here"] * 6)
+        bundle = ProviderBundle(
+            chat=chat, embedder=HashingEmbedder(dim=64), source=FixtureSource(corpus_dir)
+        )
+        with pytest.raises(TopologyRunError) as exc_info:
+            run_radar(bundle, KnowledgeBase(dim=64), make_case(), max_retries=0)
+        assert chat.calls == 2  # the initial doctor and the query generator, once each
+        assert exc_info.value.trace.kinds() == [
+            "initial_diagnosis", "generate_queries", "initial_diagnosis"
+        ]
