@@ -36,7 +36,6 @@ from .evaluation import (
     ProviderNormalizer,
     aggregate,
     evaluate_run,
-    normalize_label,
     score_case,
 )
 from .index import FlatIndex, ScoredChunk, cosine

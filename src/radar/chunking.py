@@ -49,6 +49,22 @@ class Document:
         if not self.body:
             raise ValidationError(f"document {self.doc_id} has an empty body")
 
+    def to_dict(self) -> dict[str, str]:
+        """The JSON form of a corpus file and of a stored document."""
+        return {**vars(self), "section": self.section.value}
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Document":
+        """Read the JSON form; ``title`` may be absent and defaults to empty."""
+        return cls(
+            doc_id=raw["doc_id"],
+            keyword=raw["keyword"],
+            section=raw["section"],
+            title=raw.get("title", ""),
+            body=raw["body"],
+            source_url=raw["source_url"],
+        )
+
 
 @dataclass(frozen=True)
 class Chunk:

@@ -102,12 +102,6 @@ class ProviderNormalizer:
         return NormalizedPrediction(raw=raw, canonical=canonical, normalizer_id=self.normalizer_id)
 
 
-def normalize_label(normalizer: Normalizer, raw_label: str) -> NormalizedPrediction:
-    if not raw_label:
-        raise ValidationError("cannot normalize an empty label")
-    return normalizer.normalize(raw_label)
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
@@ -170,8 +164,8 @@ def score_case(
     report: DiagnosisReport, truth_label: str, normalizer: Normalizer
 ) -> tuple[bool, bool]:
     """Whether the truth matches the primary (top-1) or any of the five (top-5)."""
-    truth = normalize_label(normalizer, truth_label).canonical
-    predictions = [normalize_label(normalizer, label).canonical for label in report.labels]
+    truth = normalizer.normalize(truth_label).canonical
+    predictions = [normalizer.normalize(label).canonical for label in report.labels]
     top1 = predictions[0] == truth
     top5 = truth in predictions
     return top1, top5

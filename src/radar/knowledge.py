@@ -248,17 +248,7 @@ class KnowledgeBase:
         store_dir = Path(store_dir)
         store_dir.mkdir(parents=True, exist_ok=True)
         self.index.save(store_dir / INDEX_FILENAME)
-        docs = {
-            doc_id: {
-                "doc_id": d.doc_id,
-                "keyword": d.keyword,
-                "section": d.section.value,
-                "title": d.title,
-                "body": d.body,
-                "source_url": d.source_url,
-            }
-            for doc_id, d in self.doc_store.items()
-        }
+        docs = {doc_id: d.to_dict() for doc_id, d in self.doc_store.items()}
         (store_dir / DOCS_FILENAME).write_text(
             json.dumps(docs, sort_keys=True, ensure_ascii=False), encoding="utf-8"
         )
@@ -293,14 +283,7 @@ class KnowledgeBase:
             for e in meta.get("fetch_log", [])
         ]
         for raw in raw_docs.values():
-            doc = Document(
-                doc_id=raw["doc_id"],
-                keyword=raw["keyword"],
-                section=Section(raw["section"]),
-                title=raw["title"],
-                body=raw["body"],
-                source_url=raw["source_url"],
-            )
+            doc = Document.from_dict(raw)
             kb.doc_store[doc.doc_id] = doc
             for chunk in segment(doc, kb.chunk_chars, kb.overlap_chars):
                 kb._chunk_texts[chunk.chunk_id] = chunk.text
@@ -334,15 +317,7 @@ class FixtureSource:
         self._by_keyword: dict[str, list[Document]] = {}
         for path in sorted(self.corpus_dir.glob("*.json")):
             try:
-                raw = json.loads(path.read_text(encoding="utf-8"))
-                doc = Document(
-                    doc_id=raw["doc_id"],
-                    keyword=raw["keyword"],
-                    section=Section(raw["section"]),
-                    title=raw.get("title", ""),
-                    body=raw["body"],
-                    source_url=raw["source_url"],
-                )
+                doc = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
             except (KeyError, ValueError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"bad corpus document {path}: {exc}") from exc
             self._by_keyword.setdefault(canonical_fold(doc.keyword), []).append(doc)

@@ -18,16 +18,17 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
+from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal, NewType, get_args, get_origin, get_type_hints
 
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
 from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS
 from .domain import Case, load_cases
 from .errors import ConfigError, EvaluationError, RadarError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
-from .knowledge import FixtureSource, KnowledgeBase, LiveSource
+from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
 from .providers import (
     DEFAULT_EMBED_DIM,
     HashingEmbedder,
@@ -49,43 +50,60 @@ from .topologies import (
 API_KEY_ENV = "RADAR_API_KEY"
 DEFAULT_WORKERS = 4
 
+ConfigPath = NewType("ConfigPath", str)
+"""A path key; a relative value resolves against the config file's directory."""
+
+
+# The settings dataclasses below are the documented config shape: each field
+# is a key, each nested dataclass a section, each default the documented one.
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    url: str | None = None
+
 
 @dataclass(frozen=True)
 class ProviderSettings:
-    kind: str = "scripted"  # scripted | http
-    script_path: str | None = None
-    chat_url: str | None = None
-    embed_url: str | None = None
+    kind: Literal["scripted", "http"] = "scripted"
+    script_path: ConfigPath | None = None
+    chat: Endpoint = field(default_factory=Endpoint)
+    embed: Endpoint = field(default_factory=Endpoint)
     timeouts_ms: int = 30_000
     model: str | None = None
-    embedder_kind: str = "hashing"  # hashing | http
+    embedder_kind: Literal["hashing", "http"] = "hashing"
     dim: int = DEFAULT_EMBED_DIM
+
+
+@dataclass(frozen=True)
+class SourceSettings:
+    kind: Literal["fixture", "live"] = "fixture"
+    corpus_dir: ConfigPath | None = None
+    fail_keywords: tuple[str, ...] = ()
+    base_url: str | None = None
+    delay_ms: int = MIN_POLITENESS_DELAY_MS
+    cache_dir: ConfigPath | None = None
 
 
 @dataclass(frozen=True)
 class KbSettings:
     chunk_chars: int = DEFAULT_CHUNK_CHARS
     overlap_chars: int = DEFAULT_OVERLAP_CHARS
-    source_kind: str = "fixture"  # fixture | live
-    corpus_dir: str | None = None
-    fail_keywords: tuple[str, ...] = ()
-    base_url: str | None = None
-    delay_ms: int = 1000
-    cache_dir: str | None = None
-    store_dir: str | None = None
+    source: SourceSettings = field(default_factory=SourceSettings)
+    store_dir: ConfigPath | None = None
 
 
 @dataclass(frozen=True)
 class AgentSettings:
     n_queries: int = DEFAULT_N_QUERIES
     max_retries: int = DEFAULT_MAX_RETRIES
-    template_dir: str | None = None
+    template_dir: ConfigPath | None = None
 
 
 @dataclass(frozen=True)
 class EvalSettings:
-    normalizer_kind: str = "dictionary"  # dictionary | provider
-    synonym_table: str | None = None
+    normalizer_kind: Literal["dictionary", "provider"] = "dictionary"
+    synonym_table: ConfigPath | None = None
 
 
 @dataclass(frozen=True)
@@ -100,80 +118,76 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """The documented nested shape, which ``load_run_config`` reads back."""
-        return {
-            "topology": self.topology.value,
-            "provider": {
-                "kind": self.provider.kind,
-                "script_path": self.provider.script_path,
-                "chat": {"url": self.provider.chat_url},
-                "embed": {"url": self.provider.embed_url},
-                "timeouts_ms": self.provider.timeouts_ms,
-                "model": self.provider.model,
-                "embedder_kind": self.provider.embedder_kind,
-                "dim": self.provider.dim,
-            },
-            "kb": {
-                "chunk_chars": self.kb.chunk_chars,
-                "overlap_chars": self.kb.overlap_chars,
-                "source": {
-                    "kind": self.kb.source_kind,
-                    "corpus_dir": self.kb.corpus_dir,
-                    "fail_keywords": list(self.kb.fail_keywords),
-                    "base_url": self.kb.base_url,
-                    "delay_ms": self.kb.delay_ms,
-                    "cache_dir": self.kb.cache_dir,
-                },
-                "store_dir": self.kb.store_dir,
-            },
-            "agents": {
-                "n_queries": self.agents.n_queries,
-                "max_retries": self.agents.max_retries,
-                "template_dir": self.agents.template_dir,
-            },
-            "eval": {
-                "normalizer_kind": self.eval.normalizer_kind,
-                "synonym_table": self.eval.synonym_table,
-            },
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        return asdict(self, dict_factory=lambda items: {k: _json_value(v) for k, v in items})
 
 
-_SHAPE = RunConfig().to_dict()
+def _json_value(value: Any) -> Any:
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _key_paths(shape: dict, prefix: str = "") -> list[str]:
+def _key_paths(cls: type = RunConfig, prefix: str = "") -> list[str]:
     paths = []
-    for key, value in shape.items():
+    for key, tp in get_type_hints(cls).items():
         paths.append(prefix + key)
-        if isinstance(value, dict):
-            paths += _key_paths(value, f"{prefix}{key}.")
+        if is_dataclass(tp):
+            paths += _key_paths(tp, f"{prefix}{key}.")
     return paths
 
 
-def _check_shape(raw: dict, shape: dict = _SHAPE, prefix: str = "") -> None:
-    """Reject a key outside the documented shape, naming the documented key
-    it most resembles, and a section that is not an object (null counts as
-    absent)."""
-    for key, value in raw.items():
-        path = prefix + key
-        if key not in shape:
-            guess = difflib.get_close_matches(path, _key_paths(_SHAPE), n=1)
-            hint = f"; did you mean {guess[0]!r}?" if guess else ""
-            raise ConfigError(f"unknown config key {path!r}{hint}")
-        if isinstance(shape[key], dict) and value is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {path!r} must be an object")
-            _check_shape(value, shape[key], path + ".")
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _resolve_path(base: Path, value: str | None) -> str | None:
-    if value is None:
-        return None
-    path = Path(value)
-    if not path.is_absolute():
-        path = base / path
-    return str(path)
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+# The JSON type each scalar field type accepts: (what to call it, test).
+_JSON_TYPES = {
+    int: ("an integer", _is_int),
+    str: ("a string", _is_str),
+    ConfigPath: ("a path string", _is_str),
+    tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v))),
+}
+
+
+def _read(tp: Any, value: Any, base: Path, path: str = "") -> Any:
+    """Check a JSON value against the field type ``tp`` at key ``path`` and
+    convert it; a settings dataclass is read key by key, and a key it leaves
+    out keeps its default."""
+    if is_dataclass(tp):  # a section; null counts as absent
+        if value is None:
+            return tp()
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {path!r} must be an object")
+        types = get_type_hints(tp)
+        prefix = path + "." if path else ""
+        for key in value:
+            if key not in types:
+                guess = difflib.get_close_matches(prefix + key, _key_paths(), n=1)
+                hint = f"; did you mean {guess[0]!r}?" if guess else ""
+                raise ConfigError(f"unknown config key {prefix + key!r}{hint}")
+        return tp(**{key: _read(types[key], v, base, prefix + key) for key, v in value.items()})
+    if type(None) in get_args(tp):  # an optional key
+        if value is None:
+            return None
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+    if get_origin(tp) is Literal or isinstance(tp, EnumMeta):
+        choices = get_args(tp) or tuple(member.value for member in tp)
+        if value not in choices:
+            raise ConfigError(
+                f"config key {path!r} must be one of {', '.join(map(json.dumps, choices))}, "
+                f"got {json.dumps(value)}"
+            )
+        return tp(value) if isinstance(tp, EnumMeta) else value
+    expected, accepts = _JSON_TYPES[tp]
+    if not accepts(value):
+        raise ConfigError(f"config key {path!r} must be {expected}, got {json.dumps(value)}")
+    if tp is ConfigPath:
+        return str(base / value)
+    return tuple(value) if isinstance(value, list) else value
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -191,101 +205,40 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    _check_shape(raw)
-    base = path.absolute().parent  # so a manifest snapshot reloads from anywhere
+    cfg = _read(RunConfig, raw, path.absolute().parent)  # so a snapshot reloads from anywhere
 
-    try:
-        topology = Topology(raw.get("topology", "radar"))
-    except ValueError as exc:
-        raise ConfigError(f"unknown topology {raw.get('topology')!r}") from exc
-
-    p = raw.get("provider") or {}
-    provider = ProviderSettings(
-        kind=p.get("kind", "scripted"),
-        script_path=_resolve_path(base, p.get("script_path")),
-        chat_url=(p.get("chat") or {}).get("url"),
-        embed_url=(p.get("embed") or {}).get("url"),
-        timeouts_ms=int(p.get("timeouts_ms", 30_000)),
-        model=p.get("model"),
-        embedder_kind=p.get("embedder_kind", "hashing"),
-        dim=int(p.get("dim", DEFAULT_EMBED_DIM)),
-    )
-    if provider.kind not in ("scripted", "http"):
-        raise ConfigError(f"unknown provider kind {provider.kind!r}")
+    # Checks that span several keys, or look at the file system.
+    provider, kb, source = cfg.provider, cfg.kb, cfg.kb.source
     if provider.kind == "scripted":
         if not provider.script_path:
             raise ConfigError("scripted provider needs provider.script_path")
         if not Path(provider.script_path).is_file():
             raise ConfigError(f"script file {provider.script_path} does not exist")
-    if provider.kind == "http" and not provider.chat_url:
+    if provider.kind == "http" and not provider.chat.url:
         raise ConfigError("http provider needs provider.chat.url")
-    if provider.embedder_kind not in ("hashing", "http"):
-        raise ConfigError(f"unknown embedder kind {provider.embedder_kind!r}")
-    if provider.embedder_kind == "http" and not provider.embed_url:
+    if provider.embedder_kind == "http" and not provider.embed.url:
         raise ConfigError("http embedder needs provider.embed.url")
-
-    k = raw.get("kb") or {}
-    source = k.get("source") or {}
-    kb = KbSettings(
-        chunk_chars=int(k.get("chunk_chars", DEFAULT_CHUNK_CHARS)),
-        overlap_chars=int(k.get("overlap_chars", DEFAULT_OVERLAP_CHARS)),
-        source_kind=source.get("kind", "fixture"),
-        corpus_dir=_resolve_path(base, source.get("corpus_dir")),
-        fail_keywords=tuple(source.get("fail_keywords", ())),
-        base_url=source.get("base_url"),
-        delay_ms=int(source.get("delay_ms", 1000)),
-        cache_dir=_resolve_path(base, source.get("cache_dir")),
-        store_dir=_resolve_path(base, k.get("store_dir")),
-    )
-    if kb.overlap_chars < 0 or kb.overlap_chars >= kb.chunk_chars:
+    if not 0 <= kb.overlap_chars < kb.chunk_chars:
         raise ConfigError(
             f"kb.overlap_chars must satisfy 0 <= overlap < chunk, got "
             f"overlap={kb.overlap_chars}, chunk={kb.chunk_chars}"
         )
-    if kb.source_kind not in ("fixture", "live"):
-        raise ConfigError(f"unknown kb source kind {kb.source_kind!r}")
-    if kb.source_kind == "fixture":
-        if not kb.corpus_dir:
+    if source.kind == "fixture":
+        if not source.corpus_dir:
             raise ConfigError("fixture source needs kb.source.corpus_dir")
-        if not Path(kb.corpus_dir).is_dir():
-            raise ConfigError(f"corpus directory {kb.corpus_dir} does not exist")
-    if kb.source_kind == "live" and not kb.base_url:
+        if not Path(source.corpus_dir).is_dir():
+            raise ConfigError(f"corpus directory {source.corpus_dir} does not exist")
+    if source.kind == "live" and not source.base_url:
         raise ConfigError("live source needs kb.source.base_url")
-
-    a = raw.get("agents") or {}
-    agents = AgentSettings(
-        n_queries=int(a.get("n_queries", DEFAULT_N_QUERIES)),
-        max_retries=int(a.get("max_retries", DEFAULT_MAX_RETRIES)),
-        template_dir=_resolve_path(base, a.get("template_dir")),
-    )
-    if agents.n_queries <= 0:
-        raise ConfigError(f"agents.n_queries must be positive, got {agents.n_queries}")
-    if agents.template_dir and not Path(agents.template_dir).is_dir():
-        raise ConfigError(f"template directory {agents.template_dir} does not exist")
-
-    e = raw.get("eval") or {}
-    eval_settings = EvalSettings(
-        normalizer_kind=e.get("normalizer_kind", "dictionary"),
-        synonym_table=_resolve_path(base, e.get("synonym_table")),
-    )
-    if eval_settings.normalizer_kind not in ("dictionary", "provider"):
-        raise ConfigError(f"unknown normalizer kind {eval_settings.normalizer_kind!r}")
-    if eval_settings.synonym_table and not Path(eval_settings.synonym_table).is_file():
-        raise ConfigError(f"synonym table {eval_settings.synonym_table} does not exist")
-
-    workers = int(raw.get("workers", DEFAULT_WORKERS))
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-    return RunConfig(
-        topology=topology,
-        provider=provider,
-        kb=kb,
-        agents=agents,
-        eval=eval_settings,
-        seed=int(raw.get("seed", 0)),
-        workers=workers,
-    )
+    if cfg.agents.n_queries <= 0:
+        raise ConfigError(f"agents.n_queries must be positive, got {cfg.agents.n_queries}")
+    if cfg.agents.template_dir and not Path(cfg.agents.template_dir).is_dir():
+        raise ConfigError(f"template directory {cfg.agents.template_dir} does not exist")
+    if cfg.eval.synonym_table and not Path(cfg.eval.synonym_table).is_file():
+        raise ConfigError(f"synonym table {cfg.eval.synonym_table} does not exist")
+    if cfg.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +254,7 @@ def build_bundle(cfg: RunConfig) -> ProviderBundle:
         chat = scripted_provider_from_file(cfg.provider.script_path)
     else:
         chat = HttpChatProvider(
-            cfg.provider.chat_url,
+            cfg.provider.chat.url,
             api_key=api_key,
             model=cfg.provider.model,
             timeout_s=timeout_s,
@@ -311,15 +264,14 @@ def build_bundle(cfg: RunConfig) -> ProviderBundle:
         embedder = HashingEmbedder(dim=cfg.provider.dim)
     else:
         embedder = HttpEmbedder(
-            cfg.provider.embed_url, dim=cfg.provider.dim, api_key=api_key, timeout_s=timeout_s
+            cfg.provider.embed.url, dim=cfg.provider.dim, api_key=api_key, timeout_s=timeout_s
         )
 
-    if cfg.kb.source_kind == "fixture":
-        source = FixtureSource(cfg.kb.corpus_dir, fail_keywords=cfg.kb.fail_keywords)
+    src = cfg.kb.source
+    if src.kind == "fixture":
+        source = FixtureSource(src.corpus_dir, fail_keywords=src.fail_keywords)
     else:
-        source = LiveSource(
-            cfg.kb.base_url, delay_ms=cfg.kb.delay_ms, cache_dir=cfg.kb.cache_dir
-        )
+        source = LiveSource(src.base_url, delay_ms=src.delay_ms, cache_dir=src.cache_dir)
     return ProviderBundle(chat=chat, embedder=embedder, source=source)
 
 
@@ -442,7 +394,7 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     run_id = uuid.uuid4().hex[:12]
     digest = content_digest(
         cfg.agents.template_dir or (Path(__file__).parent / "templates"),
-        cfg.kb.corpus_dir,
+        cfg.kb.source.corpus_dir,
     )
     started = time.time()
     _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, None)

@@ -45,7 +45,9 @@ from .errors import (
     EmbeddingError,
     FetchError,
     IngestionError,
+    ProviderError,
     RadarError,
+    ShapeError,
     TransportError,
     ValidationError,
 )
@@ -238,16 +240,22 @@ def borda_aggregate(
     """Merge ranked reports by Borda count over the five slots.
 
     The primary slot scores 5 points down to 1 for the last differential.
-    Labels are grouped after canonical folding; the displayed spelling and
-    any tie both resolve to the earliest agent (then slot) occurrence.
-    Confidences are Borda scores rescaled by the maximum attainable score.
+    Labels are grouped after canonical folding, and a ballot that names one
+    folded label twice scores it once, at its best slot. The displayed
+    spelling and any tie both resolve to the earliest agent (then slot)
+    occurrence. Confidences are Borda scores rescaled by the maximum
+    attainable score.
     """
     scores: dict[str, float] = {}
     display: dict[str, str] = {}
     first_seen: dict[str, int] = {}
     for agent_idx, report in enumerate(reports):
+        ballot: set[str] = set()
         for slot, label in enumerate(report.labels):
             folded = canonical_fold(label)
+            if folded in ballot:
+                continue
+            ballot.add(folded)
             scores[folded] = scores.get(folded, 0.0) + (5 - slot)
             if folded not in display:
                 display[folded] = label
@@ -516,8 +524,8 @@ def run_radar(
                     json.dumps([s.chunk_id for s in scored]),
                     detail={"keyword": pair.keyword, "chunk_ids": [s.chunk_id for s in scored]},
                 )
-            except (FetchError, TransportError, IngestionError, EmbeddingError,
-                    DegenerateVectorError) as exc:
+            except (FetchError, TransportError, IngestionError, EmbeddingError, ProviderError,
+                    ShapeError, DegenerateVectorError) as exc:
                 part.add(
                     "retrieval_error",
                     "knowledge_base",

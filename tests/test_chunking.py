@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,24 @@ def spans_by_stride(length: int, chunk: int, overlap: int) -> list[tuple[int, in
         if end >= length:
             return spans
         start += chunk - overlap
+
+
+class TestDocumentJson:
+    def test_corpus_files_round_trip(self):
+        corpus = sorted((Path(__file__).parent / "data" / "corpus").glob("*.json"))
+        assert corpus
+        for path in corpus:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            assert Document.from_dict(raw).to_dict() == raw
+
+    def test_title_may_be_absent(self):
+        raw = make_document("d").to_dict()
+        del raw["title"]
+        assert Document.from_dict(raw).title == ""
+
+    def test_section_is_written_as_its_value(self):
+        raw = make_document("d", section=Section.CASE).to_dict()
+        assert raw["section"] == "case" and type(raw["section"]) is str
 
 
 class TestSegment:

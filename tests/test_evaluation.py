@@ -16,7 +16,6 @@ from radar.evaluation import (
     evaluate_run,
     load_synonyms,
     load_truths,
-    normalize_label,
     score_case,
 )
 from radar.providers import ScriptedChatProvider
@@ -28,47 +27,47 @@ DICT = DictionaryNormalizer({"gbm": "glioblastoma"})
 
 class TestDictionaryNormalizer:
     def test_table_lookup_after_folding(self):
-        assert normalize_label(DICT, "GBM").canonical == "glioblastoma"
+        assert DICT.normalize("GBM").canonical == "glioblastoma"
 
     def test_identity_with_fold_when_absent(self):
-        assert normalize_label(DictionaryNormalizer(), "Glioblastoma").canonical == "glioblastoma"
+        assert DictionaryNormalizer().normalize("Glioblastoma").canonical == "glioblastoma"
 
     def test_idempotent(self):
-        first = normalize_label(DICT, "GBM")
-        second = normalize_label(DICT, first.canonical)
+        first = DICT.normalize("GBM")
+        second = DICT.normalize(first.canonical)
         assert second.canonical == first.canonical
 
     def test_table_values_are_folded(self):
         normalizer = DictionaryNormalizer({"nf2": "Neurofibromatosis Type-2"})
-        assert normalize_label(normalizer, "NF2").canonical == "neurofibromatosis type-2"
+        assert normalizer.normalize("NF2").canonical == "neurofibromatosis type-2"
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValidationError):
-            normalize_label(DICT, "")
+            DICT.normalize("")
 
     def test_pure_function(self):
         for _ in range(3):
-            assert normalize_label(DICT, "GBM") == normalize_label(DICT, "GBM")
+            assert DICT.normalize("GBM") == DICT.normalize("GBM")
 
 
 class TestProviderNormalizer:
     def test_provider_reply_folded(self):
         provider = ScriptedChatProvider([json.dumps({"canonical": "Glioblastoma"})])
         normalizer = ProviderNormalizer(provider)
-        prediction = normalize_label(normalizer, "GBM, IDH-wildtype")
+        prediction = normalizer.normalize("GBM, IDH-wildtype")
         assert prediction.canonical == "glioblastoma"
         assert not prediction.degraded
 
     def test_failure_falls_back_to_folded_raw(self):
         provider = ScriptedChatProvider([])  # exhausted: provider failure
         normalizer = ProviderNormalizer(provider)
-        prediction = normalize_label(normalizer, "Weird-Term")
+        prediction = normalizer.normalize("Weird-Term")
         assert prediction.canonical == "weird-term"
         assert prediction.degraded
 
     def test_garbage_reply_falls_back(self):
         provider = ScriptedChatProvider(["no json here"])
-        prediction = normalize_label(ProviderNormalizer(provider), "GBM")
+        prediction = ProviderNormalizer(provider).normalize("GBM")
         assert prediction.canonical == "gbm"
         assert prediction.degraded
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,12 @@ from radar.cli import main
 from radar.errors import ConfigError
 from radar.runner import (
     AgentSettings,
+    Endpoint,
     EvalSettings,
     KbSettings,
     ProviderSettings,
     RunConfig,
+    SourceSettings,
     content_digest,
     load_reports,
     load_run_config,
@@ -61,7 +64,7 @@ class TestLoadRunConfig:
         cfg = load_run_config(DATA / "configs" / "golden_radar.json")
         assert cfg.topology.value == "radar"
         assert cfg.kb.chunk_chars == 1000
-        assert Path(cfg.kb.corpus_dir).is_dir()
+        assert Path(cfg.kb.source.corpus_dir).is_dir()
 
     def test_overlap_must_be_less_than_chunk(self, tmp_path):
         path = write_config(tmp_path / "c.json", **{"kb.overlap_chars": 1000})
@@ -115,8 +118,8 @@ class TestConfigShape:
             provider=ProviderSettings(
                 kind="http",
                 script_path=str(DATA / "scripts" / "golden_radar.json"),
-                chat_url="https://backend.test/chat",
-                embed_url="https://backend.test/embed",
+                chat=Endpoint("https://backend.test/chat"),
+                embed=Endpoint("https://backend.test/embed"),
                 timeouts_ms=5_000,
                 model="some-model",
                 embedder_kind="http",
@@ -125,12 +128,14 @@ class TestConfigShape:
             kb=KbSettings(
                 chunk_chars=500,
                 overlap_chars=50,
-                source_kind="live",
-                corpus_dir=str(DATA / "corpus"),
-                fail_keywords=("broken term",),
-                base_url="https://reference.test",
-                delay_ms=1500,
-                cache_dir=str(tmp_path / "http-cache"),
+                source=SourceSettings(
+                    kind="live",
+                    corpus_dir=str(DATA / "corpus"),
+                    fail_keywords=("broken term",),
+                    base_url="https://reference.test",
+                    delay_ms=1500,
+                    cache_dir=str(tmp_path / "http-cache"),
+                ),
                 store_dir=str(tmp_path / "store"),
             ),
             agents=AgentSettings(n_queries=3, max_retries=0, template_dir=str(tmp_path / "templates")),
@@ -139,8 +144,9 @@ class TestConfigShape:
             workers=2,
         )
         default = RunConfig()
-        for section in ("provider", "kb", "agents", "eval"):
-            ours, theirs = getattr(cfg, section), getattr(default, section)
+        for section in ("provider", "provider.chat", "provider.embed", "kb", "kb.source",
+                        "agents", "eval"):
+            ours, theirs = attrgetter(section)(cfg), attrgetter(section)(default)
             unset = [f.name for f in dataclasses.fields(ours)
                      if getattr(ours, f.name) == getattr(theirs, f.name)]
             assert not unset, f"{section} fields left at their defaults: {unset}"
@@ -168,6 +174,91 @@ class TestConfigShape:
         path = write_config(tmp_path / "c.json", **{"kb.source": "fixture"})
         with pytest.raises(ConfigError, match="'kb.source' must be an object"):
             load_run_config(path)
+
+
+class TestConfigValues:
+    """Each value is checked against its field's JSON type, and a wrong one is
+    a configuration error that names the key."""
+
+    BAD_VALUES = [
+        ("provider.dim", "large"),
+        ("kb.source.delay_ms", None),
+        ("kb.source.fail_keywords", None),
+        ("kb.source.fail_keywords", "abc"),
+        ("kb.source.fail_keywords", ["ok", 3]),
+        ("kb.chunk_chars", 1000.0),
+        ("workers", "2"),
+        ("seed", True),
+        ("provider.kind", None),
+        ("eval.normalizer_kind", "thesaurus"),
+        ("provider.chat.url", 7),
+        ("kb.store_dir", 5),
+    ]
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_wrong_type_names_the_key(self, tmp_path, key, value):
+        path = write_config(tmp_path / "c.json", **{key: value})
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_wrong_type_exits_two(self, tmp_path, key, value):
+        config = write_config(tmp_path / "c.json", **{key: value})
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(tmp_path / "run")],
+        )
+        assert result.exit_code == 2, result.output
+        assert repr(key) in result.output
+
+    def test_null_is_the_default_where_allowed(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.json",
+            agents=None,
+            **{"provider.model": None, "provider.chat": None, "kb.store_dir": None},
+        )
+        cfg = load_run_config(path)
+        assert cfg.agents == AgentSettings()
+        assert cfg.provider.model is None and cfg.provider.chat == Endpoint()
+        assert cfg.kb.store_dir is None
+
+
+class TestReadmeConfig:
+    """The README's config block documents exactly the keys the loader reads,
+    with their defaults."""
+
+    def _readme_block(self) -> dict:
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)```", readme, flags=re.DOTALL).group(1)
+        # drop each // comment, but leave a "//" inside a string (https://...) alone
+        return json.loads(re.sub(r'("(?:[^"\\]|\\.)*")|//[^\n]*', lambda m: m.group(1) or "", block))
+
+    @staticmethod
+    def _leaves(shape: dict, prefix: str = "") -> dict:
+        """{dotted key path: value} for every key that is not a section."""
+        out = {}
+        for key, value in shape.items():
+            if isinstance(value, dict):
+                out |= TestReadmeConfig._leaves(value, f"{prefix}{key}.")
+            else:
+                out[prefix + key] = value
+        return out
+
+    def test_key_paths_match_the_settings(self):
+        documented = self._leaves(self._readme_block())
+        assert documented.keys() == self._leaves(RunConfig().to_dict()).keys()
+        assert len(documented) == 25
+
+    def test_documented_values_are_the_defaults(self):
+        """Keys that default to null show an example; every other shows its default."""
+        documented = self._leaves(self._readme_block())
+        for key, default in self._leaves(RunConfig().to_dict()).items():
+            if default is not None:
+                assert documented[key] == default, key
+
+    def test_comment_stripping_keeps_urls(self):
+        assert self._readme_block()["provider"]["chat"]["url"] == "https://..."
 
 
 class TestMaxRetries:

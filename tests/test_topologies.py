@@ -5,12 +5,15 @@ import re
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from radar import topologies
 from radar.agents import default_templates
 from radar.domain import NO_EVIDENCE_ANSWER
+from radar.errors import ProviderError
 from radar.knowledge import FixtureSource, KnowledgeBase
 from radar.providers import ChatResponse, HashingEmbedder, ScriptedChatProvider
 from radar.topologies import (
@@ -141,6 +144,14 @@ class TestBordaAggregate:
         merged, scores = borda_aggregate(reports)
         assert merged.primary == "Glioma"  # first-seen spelling displayed
         assert scores["Glioma"] == 10.0
+
+    def test_repeated_label_scores_once_per_ballot(self):
+        # each ballot names "A" twice after folding; it scores 5, not 5 + 4
+        reports = [make_report("A", ("a", "B", "C", "D"))] * 3
+        merged, scores = borda_aggregate(reports)
+        assert scores == {"A": 15.0, "B": 9.0, "C": 6.0, "D": 3.0}
+        assert merged.primary == "A"
+        assert merged.confidences[0] == 1.0
 
 
 class TestRunChallenger:
@@ -305,6 +316,29 @@ class TestRunRadar:
         assert trace.kinds().count("retrieval_error") == 2
         assert report.primary == "glioblastoma"
         assert bundle.chat.calls == 2 + 3 + 1  # no answer call for a failed retrieval
+
+    @pytest.mark.parametrize("vector", [None, np.zeros(8, dtype=np.float32)])
+    def test_failed_query_embedding_degrades_to_sentinel(self, corpus_dir, vector):
+        """A query embedder that raises ProviderError (None) or returns the
+        wrong dimension (ShapeError) fails retrieval, as a failed ingest does."""
+
+        class BrokenEmbedder:
+            dim = 64
+
+            def embed(self, text):
+                if vector is None:
+                    raise ProviderError("embedding backend unavailable")
+                return vector
+
+        kb = self._kb()
+        run_radar(self._bundle(corpus_dir), kb, make_case("warm-up"))  # every keyword now a hit
+        bundle = replace(self._bundle(corpus_dir), embedder=BrokenEmbedder())
+        report, trace = run_radar(bundle, kb, make_case())
+        assert [e.answer for e in report.evidence] == [NO_EVIDENCE_ANSWER] * 5
+        assert trace.kinds().count("kb_hit") == 5
+        assert trace.kinds().count("retrieval_error") == 5
+        assert "search" not in trace.kinds()
+        assert bundle.chat.calls == 2 + 1  # no answer call for a failed retrieval
 
     def test_five_answers_in_flight_together(self, corpus_dir):
         barrier = threading.Barrier(5, timeout=5)
