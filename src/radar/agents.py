@@ -1,22 +1,26 @@
 """Prompted agent operations over a chat provider.
 
-Each agent is a prompt template plus a structured-output parser. Prompt
-wording lives in template files so it is data, not code; every template
-tells the model to answer with JSON and the parser tolerates surrounding
-prose and code fences. Malformed output earns up to ``max_retries`` re-asks
-with a format reminder, then a hard error carrying the raw reply.
+Each agent is a prompt template plus one reply parser. Prompt wording lives
+in template files so it is data, not code; every template tells the model to
+answer with JSON. ``parse_structured`` takes the first JSON value out of the
+reply, tolerating surrounding prose and code fences, and the agent's parser
+turns it into the domain object in one step: the parser checks JSON types
+and what only its context can judge (the query count, the cited chunk ids),
+and the domain type's constructor checks its own invariants. A reply that
+fails either earns up to ``max_retries`` re-asks with a reminder naming the
+error, then a hard error carrying the raw reply.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .domain import (
-    CANDIDATE_COUNT,
     CandidateList,
     Case,
     DiagnosisReport,
@@ -175,40 +179,55 @@ def _require(condition: bool, message: str, position: int) -> None:
         raise ParseError(message, position=position)
 
 
-def _schema_candidate_list(value: Any, pos: int) -> list[str]:
-    if isinstance(value, dict):
-        value = value.get("candidates")
+def _unwrap(value: Any, key: str) -> Any:
+    """A reply may wrap its payload in an object under ``key``."""
+    return value.get(key) if isinstance(value, dict) else value
+
+
+# (JSON value, its position in the reply) -> domain object; see the module
+# docstring for which checks a parser makes.
+Parser = Callable[[Any, int], Any]
+
+
+def parse_candidates(value: Any, pos: int) -> CandidateList:
+    value = _unwrap(value, "candidates")
     _require(isinstance(value, list), "expected a 'candidates' array", pos)
     _require(all(isinstance(c, str) and c.strip() for c in value),
              "candidates must be non-empty strings", pos)
-    return list(value)
+    return CandidateList(tuple(value))
 
 
-def _schema_query_pairs(value: Any, pos: int) -> list[dict[str, str]]:
+def parse_queries(value: Any, pos: int, n: int) -> list[QueryPair]:
     if isinstance(value, dict):
         value = value.get("queries", value.get("pairs"))
     _require(isinstance(value, list), "expected an array of question-keyword pairs", pos)
-    out = []
     for item in value:
         _require(isinstance(item, dict), "each pair must be an object", pos)
-        q, k = item.get("question"), item.get("keyword")
-        _require(isinstance(q, str) and isinstance(k, str),
+        _require(isinstance(item.get("question"), str) and isinstance(item.get("keyword"), str),
                  "each pair needs string 'question' and 'keyword'", pos)
-        out.append({"question": q, "keyword": k})
-    return out
+    if len(value) != n:
+        raise ValidationError(f"need exactly {n} query pairs, got {len(value)}")
+    return [QueryPair(item["question"], item["keyword"]) for item in value]
 
 
-def _schema_evidence_answer(value: Any, pos: int) -> dict[str, Any]:
+def parse_answer(
+    value: Any, pos: int, question: str, keyword: str, retrieved_ids: Collection[str]
+) -> EvidenceAnswer:
     _require(isinstance(value, dict), "expected an object", pos)
     answer = value.get("answer")
-    ids = value.get("supporting_chunk_ids")
+    cited = value.get("supporting_chunk_ids")
     _require(isinstance(answer, str) and answer.strip(), "missing 'answer' string", pos)
-    _require(isinstance(ids, list) and all(isinstance(i, str) for i in ids),
+    _require(isinstance(cited, list) and all(isinstance(i, str) for i in cited),
              "missing 'supporting_chunk_ids' string array", pos)
-    return {"answer": answer, "supporting_chunk_ids": list(ids)}
+    unknown = [c for c in cited if c not in retrieved_ids]
+    if unknown:
+        raise ValidationError(f"cited ids not among retrieved chunks: {unknown}")
+    return EvidenceAnswer(question, answer, cited, keyword)
 
 
-def _schema_diagnosis_report(value: Any, pos: int) -> dict[str, Any]:
+def parse_report(
+    value: Any, pos: int, evidence: Sequence[EvidenceAnswer] = (), trace_id: str = ""
+) -> DiagnosisReport:
     _require(isinstance(value, dict), "expected an object", pos)
     primary = value.get("primary")
     differentials = value.get("differentials")
@@ -220,44 +239,26 @@ def _schema_diagnosis_report(value: Any, pos: int) -> dict[str, Any]:
     _require(isinstance(confidences, list)
              and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in confidences),
              "missing numeric 'confidences' array", pos)
-    return {
-        "primary": primary,
-        "differentials": list(differentials),
-        "confidences": [float(c) for c in confidences],
-    }
+    return DiagnosisReport(primary, differentials, confidences, evidence, trace_id)
 
 
-def _schema_critique(value: Any, pos: int) -> list[str]:
-    if isinstance(value, dict):
-        value = value.get("objections")
+def parse_objections(value: Any, pos: int) -> list[str]:
+    value = _unwrap(value, "objections")
     _require(isinstance(value, list) and all(isinstance(o, str) for o in value),
              "expected an 'objections' string array", pos)
     return list(value)
 
 
-def _schema_normalized_label(value: Any, pos: int) -> str:
-    if isinstance(value, dict):
-        value = value.get("canonical")
+def parse_label(value: Any, pos: int) -> str:
+    value = _unwrap(value, "canonical")
     _require(isinstance(value, str) and value.strip(), "expected a 'canonical' string", pos)
     return value
 
 
-SCHEMAS: dict[str, Callable[[Any, int], Any]] = {
-    "candidate_list": _schema_candidate_list,
-    "query_pairs": _schema_query_pairs,
-    "evidence_answer": _schema_evidence_answer,
-    "diagnosis_report": _schema_diagnosis_report,
-    "critique": _schema_critique,
-    "normalized_label": _schema_normalized_label,
-}
-
-
-def parse_structured(text: str, schema_id: str) -> Any:
-    """Extract the first JSON value from text and validate it against a schema."""
-    if schema_id not in SCHEMAS:
-        raise ConfigError(f"unknown schema {schema_id!r}")
+def parse_structured(text: str, parser: Parser) -> Any:
+    """Extract the first JSON value from text and parse it with ``parser``."""
     value, pos = _extract_json(text)
-    return SCHEMAS[schema_id](value, pos)
+    return parser(value, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +275,10 @@ def ask_structured(
     provider: ChatProvider,
     cfg: AgentConfig,
     prompt: str,
-    schema_id: str,
-    validate: Callable[[Any], Any],
+    parser: Parser,
     on_step: StepFn | None = None,
 ) -> Any:
-    """Prompt, parse, validate; re-ask with a reminder on malformed output."""
+    """Prompt and parse; re-ask with a reminder naming the error on an unusable reply."""
     messages: list[ChatMessage] = [ChatMessage("user", prompt)]
     raw = ""
     error: Exception | None = None
@@ -291,7 +291,7 @@ def ask_structured(
         if on_step is not None:
             on_step("\n".join(m.content for m in messages), raw)
         try:
-            return validate(parse_structured(raw, schema_id))
+            return parse_structured(raw, parser)
         except (ParseError, ValidationError) as exc:
             error = exc
             messages.append(ChatMessage("assistant", raw))
@@ -319,13 +319,7 @@ def initial_diagnosis(
     prompt = registry.render(
         cfg.prompt_template_id, caption=case.caption, clinical_data=case.clinical_data
     )
-
-    def validate(value: list[str]) -> CandidateList:
-        if len(value) != CANDIDATE_COUNT:
-            raise ValidationError(f"need exactly {CANDIDATE_COUNT} candidates, got {len(value)}")
-        return CandidateList(tuple(value))
-
-    return ask_structured(provider, cfg, prompt, "candidate_list", validate, on_step)
+    return ask_structured(provider, cfg, prompt, parse_candidates, on_step)
 
 
 def generate_queries(
@@ -346,13 +340,8 @@ def generate_queries(
         clinical_data=case.clinical_data,
         n_queries=str(n),
     )
-
-    def validate(value: list[dict[str, str]]) -> list[QueryPair]:
-        if len(value) != n:
-            raise ValidationError(f"need exactly {n} query pairs, got {len(value)}")
-        return [QueryPair(question=item["question"], keyword=item["keyword"]) for item in value]
-
-    return ask_structured(provider, cfg, prompt, "query_pairs", validate, on_step)
+    parser = functools.partial(parse_queries, n=n)
+    return ask_structured(provider, cfg, prompt, parser, on_step)
 
 
 def _render_chunks(retrieved: Sequence[ScoredChunk], chunk_texts: Mapping[str, str]) -> str:
@@ -385,21 +374,11 @@ def answer_question(
         question=question,
         chunks=_render_chunks(retrieved, chunk_texts),
     )
-    retrieved_ids = {hit.chunk_id for hit in retrieved}
-
-    def validate(value: dict[str, Any]) -> EvidenceAnswer:
-        cited = value["supporting_chunk_ids"]
-        unknown = [c for c in cited if c not in retrieved_ids]
-        if unknown:
-            raise ValidationError(f"cited ids not among retrieved chunks: {unknown}")
-        return EvidenceAnswer(
-            question=question,
-            answer=value["answer"],
-            supporting_chunk_ids=tuple(cited),
-            keyword=keyword,
-        )
-
-    return ask_structured(provider, cfg, prompt, "evidence_answer", validate, on_step)
+    parser = functools.partial(
+        parse_answer, question=question, keyword=keyword,
+        retrieved_ids={hit.chunk_id for hit in retrieved},
+    )
+    return ask_structured(provider, cfg, prompt, parser, on_step)
 
 
 def _render_evidence(evidence: Sequence[EvidenceAnswer]) -> str:
@@ -431,14 +410,5 @@ def final_diagnosis(
         candidates=_render_candidates(candidates),
         evidence=_render_evidence(evidence),
     )
-
-    def validate(value: dict[str, Any]) -> DiagnosisReport:
-        return DiagnosisReport(
-            primary=value["primary"],
-            differentials=tuple(value["differentials"]),
-            confidences=tuple(value["confidences"]),
-            evidence=tuple(evidence),
-            trace_id=trace_id,
-        )
-
-    return ask_structured(provider, cfg, prompt, "diagnosis_report", validate, on_step)
+    parser = functools.partial(parse_report, evidence=evidence, trace_id=trace_id)
+    return ask_structured(provider, cfg, prompt, parser, on_step)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .agents import TemplateRegistry, default_templates, parse_structured
+from .agents import TemplateRegistry, default_templates, parse_label, parse_structured
 from .domain import DiagnosisReport, canonical_fold
 from .errors import EvaluationError, RadarError, ValidationError
 from .providers import TEMP_LOW, ChatProvider, user_request
@@ -91,15 +91,13 @@ class ProviderNormalizer:
         prompt = self._templates.render("normalize_label", label=raw)
         try:
             reply = self._provider.complete(user_request(prompt, temperature=TEMP_LOW))
-            canonical = canonical_fold(parse_structured(reply.content, "normalized_label"))
-            if not canonical:
-                raise ValidationError("normalizer returned an empty canonical term")
+            canonical = canonical_fold(parse_structured(reply.content, parse_label))
+            return NormalizedPrediction(raw=raw, canonical=canonical, normalizer_id=self.normalizer_id)
         except RadarError as exc:
             log.warning("label normalization failed for %r, using folded raw: %s", raw, exc)
             return NormalizedPrediction(
                 raw=raw, canonical=folded, normalizer_id=self.normalizer_id, degraded=True
             )
-        return NormalizedPrediction(raw=raw, canonical=canonical, normalizer_id=self.normalizer_id)
 
 
 # ---------------------------------------------------------------------------

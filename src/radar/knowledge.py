@@ -272,18 +272,25 @@ class KnowledgeBase:
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptionError(f"cannot load knowledge base from {store_dir}: {exc}") from exc
         index = FlatIndex.load(store_dir / INDEX_FILENAME)
-        kb = cls(
-            chunk_chars=meta["chunk_chars"],
-            overlap_chars=meta["overlap_chars"],
-            index=index,
-        )
-        kb.fetched_keywords = set(meta.get("fetched_keywords", []))
-        kb.fetch_log = [
-            FetchLogEntry(e["keyword"], e["timestamp"], e["doc_count"])
-            for e in meta.get("fetch_log", [])
-        ]
-        for raw in raw_docs.values():
-            doc = Document.from_dict(raw)
+        try:
+            kb = cls(chunk_chars=meta["chunk_chars"], overlap_chars=meta["overlap_chars"], index=index)
+            kb.fetched_keywords = set(meta.get("fetched_keywords", []))
+            kb.fetch_log = [
+                FetchLogEntry(e["keyword"], e["timestamp"], e["doc_count"])
+                for e in meta.get("fetch_log", [])
+            ]
+        except (KeyError, TypeError, ConfigError) as exc:
+            raise CorruptionError(
+                f"{store_dir}: bad {META_FILENAME}: {type(exc).__name__}: {exc}"
+            ) from exc
+        for doc_id, raw in raw_docs.items():
+            try:
+                doc = Document.from_dict(raw)
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                raise CorruptionError(
+                    f"{store_dir}: stored document {doc_id!r} is invalid: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             kb.doc_store[doc.doc_id] = doc
             for chunk in segment(doc, kb.chunk_chars, kb.overlap_chars):
                 kb._chunk_texts[chunk.chunk_id] = chunk.text
@@ -318,9 +325,10 @@ class FixtureSource:
         for path in sorted(self.corpus_dir.glob("*.json")):
             try:
                 doc = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+                folded = canonical_fold(doc.keyword)
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise ConfigError(f"bad corpus document {path}: {exc}") from exc
-            self._by_keyword.setdefault(canonical_fold(doc.keyword), []).append(doc)
+            self._by_keyword.setdefault(folded, []).append(doc)
 
     def fetch(self, keyword: str) -> list[Document]:
         folded = canonical_fold(keyword)
@@ -389,8 +397,9 @@ class LiveSource:
     For each keyword the article and case search pages are requested, the
     first five result links per section are fetched, and each page is
     reduced to plain text. Every network request honors a politeness delay
-    of at least one second, and responses are cached on disk so repeated
-    runs do not hammer the site.
+    of at least one second, also across concurrent fetches, which take turns
+    at one request gate; responses are cached on disk so repeated runs do
+    not hammer the site.
     """
 
     def __init__(
@@ -421,6 +430,7 @@ class LiveSource:
         self._sleep = sleep
         self._clock = clock
         self._last_request = float("-inf")
+        self._gate = threading.Lock()
 
     def _cache_path(self, url: str) -> Path | None:
         if not self.cache_dir:
@@ -431,15 +441,16 @@ class LiveSource:
         cached = self._cache_path(url)
         if cached and cached.exists():
             return cached.read_text(encoding="utf-8")
-        wait = self.delay_s - (self._clock() - self._last_request)
-        if wait > 0:
-            self._sleep(wait)
-        try:
-            resp = self._session.get(url, timeout=self._timeout_s)
-        except requests.RequestException as exc:
-            raise TransportError(f"GET {url} failed: {exc}") from exc
-        finally:
-            self._last_request = self._clock()
+        with self._gate:  # one request at a time, each at least delay_s after the last
+            wait = self.delay_s - (self._clock() - self._last_request)
+            if wait > 0:
+                self._sleep(wait)
+            try:
+                resp = self._session.get(url, timeout=self._timeout_s)
+            except requests.RequestException as exc:
+                raise TransportError(f"GET {url} failed: {exc}") from exc
+            finally:
+                self._last_request = self._clock()
         if resp.status_code != 200:
             raise TransportError(f"GET {url} answered {resp.status_code}")
         if cached:

@@ -20,6 +20,7 @@ from typing import Any, Sequence
 from .agents import (
     AgentConfig,
     AgentRole,
+    Parser,
     TemplateRegistry,
     answer_question,
     ask_structured,
@@ -28,6 +29,8 @@ from .agents import (
     final_diagnosis,
     generate_queries,
     initial_diagnosis,
+    parse_objections,
+    parse_report,
     DEFAULT_MAX_RETRIES,
     DEFAULT_N_QUERIES,
 )
@@ -168,25 +171,15 @@ def _step(trace: RunTrace, step_kind: str, role: AgentRole, call, detail=None) -
         raise TopologyRunError(message, trace) from exc
 
 
-def _report_from_reply(value: dict[str, Any], trace_id: str) -> DiagnosisReport:
-    return DiagnosisReport(
-        primary=value["primary"],
-        differentials=tuple(value["differentials"]),
-        confidences=tuple(value["confidences"]),
-        evidence=(),
-        trace_id=trace_id,
-    )
-
-
 def _ask(
     chat: ChatProvider, trace: RunTrace, step_kind: str, cfg: AgentConfig, prompt: str,
-    schema_id: str = "diagnosis_report", validate=None, detail=None,
+    parser: Parser | None = None, detail=None,
 ) -> Any:
-    """Ask ``cfg``'s agent for one structured reply as a step; by default
-    the reply is a diagnosis report."""
-    if validate is None:
-        validate = functools.partial(_report_from_reply, trace_id=trace.trace_id)
-    ask = functools.partial(ask_structured, chat, cfg, prompt, schema_id, validate)
+    """Ask ``cfg``'s agent for one parsed reply as a step; by default the
+    reply is a diagnosis report."""
+    if parser is None:
+        parser = functools.partial(parse_report, trace_id=trace.trace_id)
+    ask = functools.partial(ask_structured, chat, cfg, prompt, parser)
     return _step(trace, step_kind, cfg.role, ask, detail)
 
 
@@ -363,9 +356,7 @@ def run_challenger(
         clinical_data=case.clinical_data,
         draft=draft_json,
     )
-    objections = _ask(
-        providers.chat, trace, "critique", challenger_cfg, prompt, "critique", lambda value: value
-    )
+    objections = _ask(providers.chat, trace, "critique", challenger_cfg, prompt, parse_objections)
     if not objections:
         return draft, trace
 

@@ -1,22 +1,37 @@
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
+from radar import agents
 from radar.agents import (
     AgentConfig,
     AgentRole,
     TemplateRegistry,
     answer_question,
+    ask_structured,
     config_for_role,
     default_templates,
     final_diagnosis,
     generate_queries,
     initial_diagnosis,
+    parse_answer,
+    parse_candidates,
+    parse_label,
+    parse_objections,
+    parse_queries,
+    parse_report,
     parse_structured,
 )
-from radar.domain import NO_EVIDENCE_ANSWER, CandidateList, EvidenceAnswer
+from radar.domain import (
+    NO_EVIDENCE_ANSWER,
+    CandidateList,
+    DiagnosisReport,
+    EvidenceAnswer,
+    QueryPair,
+)
 from radar.errors import AgentOutputError, ConfigError, ParseError, ValidationError
 from radar.index import ScoredChunk
 from radar.providers import ScriptedChatProvider, TEMP_HIGH, TEMP_LOW, TEMP_MID
@@ -42,34 +57,181 @@ def report_json(primary="glioblastoma", confidences=(0.6, 0.2, 0.1, 0.06, 0.04))
 
 class TestParseStructured:
     def test_plain_object(self):
-        value = parse_structured(report_json(), "diagnosis_report")
-        assert value["primary"] == "glioblastoma"
-        assert value["confidences"] == [0.6, 0.2, 0.1, 0.06, 0.04]
+        report = parse_structured(report_json(), parse_report)
+        assert report.primary == "glioblastoma"
+        assert report.confidences == (0.6, 0.2, 0.1, 0.06, 0.04)
 
     def test_object_with_surrounding_prose(self):
         text = 'Here you go: {"canonical": "glioblastoma"} — hope that helps.'
-        assert parse_structured(text, "normalized_label") == "glioblastoma"
+        assert parse_structured(text, parse_label) == "glioblastoma"
 
     def test_fenced_block(self):
         text = "```json\n{\"objections\": [\"weak reasoning\"]}\n```"
-        assert parse_structured(text, "critique") == ["weak reasoning"]
+        assert parse_structured(text, parse_objections) == ["weak reasoning"]
 
     def test_bare_array(self):
         text = '[{"question": "q?", "keyword": "k"}]'
-        assert parse_structured(text, "query_pairs") == [{"question": "q?", "keyword": "k"}]
+        parser = functools.partial(parse_queries, n=1)
+        assert parse_structured(text, parser) == [QueryPair(question="q?", keyword="k")]
 
     def test_prose_without_json(self):
         with pytest.raises(ParseError):
-            parse_structured("I am not sure what to say.", "critique")
+            parse_structured("I am not sure what to say.", parse_objections)
 
     def test_schema_violation_reports_position(self):
         with pytest.raises(ParseError) as exc_info:
-            parse_structured('noise {"wrong": 1} noise', "evidence_answer")
+            parse_structured('noise {"wrong": 1} noise', PARSERS["answer"])
         assert exc_info.value.position == 6
 
-    def test_unknown_schema(self):
-        with pytest.raises(ConfigError):
-            parse_structured("{}", "no_such_schema")
+
+# One parser per reply type, bound to the context its agent supplies.
+RETRIEVED_IDS = ("doc:0", "doc:1")
+EVIDENCE = (EvidenceAnswer("q", "ans", ("c0",), "k"),)
+PARSERS = {
+    "candidates": parse_candidates,
+    "queries": functools.partial(parse_queries, n=2),
+    "queries5": functools.partial(parse_queries, n=5),
+    "answer": functools.partial(
+        parse_answer, question="q?", keyword="k", retrieved_ids=set(RETRIEVED_IDS)
+    ),
+    "report": functools.partial(parse_report, trace_id="t"),
+    "report_with_evidence": functools.partial(parse_report, evidence=EVIDENCE, trace_id="t-9"),
+    "objections": parse_objections,
+    "label": parse_label,
+}
+
+PAIRS = [{"question": "q0?", "keyword": "k0"}, {"question": "q1?", "keyword": "k1"}]
+QUERY_PAIRS = [QueryPair("q0?", "k0"), QueryPair("q1?", "k1")]
+DIFFERENTIALS = ["metastasis", "lymphoma", "abscess", "demyelination"]
+CONFIDENCES = [0.6, 0.2, 0.1, 0.06, 0.04]
+REPORT = {"primary": "glioblastoma", "differentials": DIFFERENTIALS, "confidences": CONFIDENCES}
+# The benchmark's synthetic responder answers every non-answer prompt with
+# one object that is at once a candidate list, a query list and a report.
+PAIRS5 = [{"question": f"q{i}?", "keyword": f"k{i}"} for i in range(5)]
+ONE_FOR_ALL = json.dumps({
+    "candidates": TEN, "queries": PAIRS5, "primary": "glioblastoma",
+    "differentials": DIFFERENTIALS, "confidences": [0.5, 0.2, 0.15, 0.1, 0.05],
+})
+
+
+def _report(confidences=CONFIDENCES, evidence=(), trace_id="t"):
+    return DiagnosisReport("glioblastoma", tuple(DIFFERENTIALS), tuple(confidences),
+                           evidence, trace_id)
+
+
+def _dumps(value, **extra):
+    return json.dumps({**value, **extra})
+
+
+# The two tables pin which replies each parser accepts, and with which error
+# type it rejects the rest; a reply is re-asked on either error type, but the
+# type says whether the JSON shape or a value was wrong.
+# (reply type, reply text, the domain object it parses to)
+ACCEPTED = [
+    ("candidates", json.dumps(TEN), CandidateList(tuple(TEN))),
+    ("candidates", json.dumps({"candidates": TEN}), CandidateList(tuple(TEN))),
+    ("candidates", json.dumps({"candidates": TEN, "note": "extra"}), CandidateList(tuple(TEN))),
+    ("candidates", f"Sure:\n```json\n{json.dumps(TEN)}\n```", CandidateList(tuple(TEN))),
+    ("candidates", ONE_FOR_ALL, CandidateList(tuple(TEN))),
+    ("queries", json.dumps(PAIRS), QUERY_PAIRS),
+    ("queries", json.dumps({"queries": PAIRS}), QUERY_PAIRS),
+    ("queries", json.dumps({"pairs": PAIRS}), QUERY_PAIRS),
+    ("queries", json.dumps({"queries": PAIRS, "pairs": []}), QUERY_PAIRS),
+    ("queries", json.dumps([{**p, "why": "extra"} for p in PAIRS]), QUERY_PAIRS),
+    ("queries5", ONE_FOR_ALL, [QueryPair(p["question"], p["keyword"]) for p in PAIRS5]),
+    ("answer", json.dumps({"answer": "a", "supporting_chunk_ids": ["doc:0"]}),
+     EvidenceAnswer("q?", "a", ("doc:0",), "k")),
+    ("answer", json.dumps({"answer": "a", "supporting_chunk_ids": ["doc:1", "doc:0"], "x": 1}),
+     EvidenceAnswer("q?", "a", ("doc:1", "doc:0"), "k")),
+    ("answer", json.dumps({"answer": NO_EVIDENCE_ANSWER, "supporting_chunk_ids": []}),
+     EvidenceAnswer("q?", NO_EVIDENCE_ANSWER, (), "k")),
+    ("report", json.dumps(REPORT), _report()),
+    ("report", _dumps(REPORT, evidence=[{"bogus": 1}], trace_id="ignored"), _report()),
+    ("report", _dumps(REPORT, confidences=[1, 0, 0, 0, 0]), _report(confidences=(1.0, 0, 0, 0, 0))),
+    ("report", ONE_FOR_ALL, _report(confidences=(0.5, 0.2, 0.15, 0.1, 0.05))),
+    ("report_with_evidence", json.dumps(REPORT), _report(evidence=EVIDENCE, trace_id="t-9")),
+    ("objections", json.dumps({"objections": []}), []),
+    ("objections", json.dumps(["too broad"]), ["too broad"]),
+    ("objections", json.dumps({"objections": ["too broad"], "severity": "high"}), ["too broad"]),
+    ("label", json.dumps({"canonical": "glioblastoma"}), "glioblastoma"),
+    ("label", json.dumps({"canonical": "Glioblastoma", "confidence": 0.9}), "Glioblastoma"),
+    ("label", '```json\n"glioblastoma"\n```', "glioblastoma"),
+]
+
+# (reply type, reply text, the error it is rejected with)
+REJECTED = [
+    ("candidates", "no json here", ParseError),
+    ("candidates", json.dumps({}), ParseError),
+    ("candidates", json.dumps({"candidates": "glioma"}), ParseError),
+    ("candidates", json.dumps(TEN[:9] + [3]), ParseError),
+    ("candidates", json.dumps(TEN[:9] + ["  "]), ParseError),
+    ("candidates", json.dumps(TEN[:8]), ValidationError),
+    ("candidates", json.dumps(TEN + ["diagnosis 10"]), ValidationError),
+    ("candidates", json.dumps(["glioma", "Glioma"] + TEN[2:]), ValidationError),
+    ("queries", json.dumps({"questions": PAIRS}), ParseError),
+    ("queries", json.dumps({"queries": None, "pairs": PAIRS}), ParseError),
+    ("queries", json.dumps(PAIRS[:1] + ["k1"]), ParseError),
+    ("queries", json.dumps(PAIRS[:1] + [{"question": "q1?", "keyword": 1}]), ParseError),
+    ("queries", json.dumps(PAIRS[:1] + [{"question": "q1?"}]), ParseError),
+    ("queries", json.dumps(PAIRS[:1]), ValidationError),
+    ("queries", json.dumps(PAIRS[:1] + [{"question": "q1?", "keyword": ""}]), ValidationError),
+    ("queries", json.dumps(PAIRS[:1] + [{"question": " ", "keyword": "k1"}]), ValidationError),
+    ("queries", json.dumps(PAIRS[:1] + [{"question": "q1?", "keyword": "k" * 101}]),
+     ValidationError),
+    ("queries", ONE_FOR_ALL, ValidationError),
+    ("answer", json.dumps([{"answer": "a", "supporting_chunk_ids": ["doc:0"]}]), ParseError),
+    ("answer", json.dumps({"answer": " ", "supporting_chunk_ids": ["doc:0"]}), ParseError),
+    ("answer", json.dumps({"answer": "a", "supporting_chunk_ids": "doc:0"}), ParseError),
+    ("answer", json.dumps({"answer": "a", "supporting_chunk_ids": [0]}), ParseError),
+    ("answer", json.dumps({"answer": "a"}), ParseError),
+    ("answer", json.dumps({"answer": "a", "supporting_chunk_ids": ["doc:9"]}), ValidationError),
+    ("answer", json.dumps({"answer": "a", "supporting_chunk_ids": []}), ValidationError),
+    ("answer", ONE_FOR_ALL, ParseError),
+    ("report", json.dumps([REPORT]), ParseError),
+    ("report", _dumps(REPORT, primary=""), ParseError),
+    ("report", _dumps(REPORT, differentials="metastasis"), ParseError),
+    ("report", _dumps(REPORT, differentials=DIFFERENTIALS[:3] + [""]), ParseError),
+    ("report", _dumps(REPORT, confidences=[True, 0, 0, 0, 0]), ParseError),
+    ("report", _dumps(REPORT, confidences=["0.6", "0.2", "0.1", "0.06", "0.04"]), ParseError),
+    ("report", _dumps(REPORT, differentials=DIFFERENTIALS[:3]), ValidationError),
+    ("report", _dumps(REPORT, confidences=CONFIDENCES[:4]), ValidationError),
+    ("report", _dumps(REPORT, confidences=[0.2, 0.6, 0.1, 0.06, 0.04]), ValidationError),
+    ("report", _dumps(REPORT, confidences=[1.5, 0.2, 0.1, 0.06, 0.04]), ValidationError),
+    ("objections", json.dumps({"objections": "too broad"}), ParseError),
+    ("objections", json.dumps([1]), ParseError),
+    ("objections", ONE_FOR_ALL, ParseError),
+    ("label", json.dumps({"canonical": ""}), ParseError),
+    ("label", json.dumps({"canonical": 3}), ParseError),
+    ("label", json.dumps(["glioblastoma"]), ParseError),
+]
+
+
+class TestReplyTable:
+    @pytest.mark.parametrize("kind, text, expected", ACCEPTED)
+    def test_accepted(self, kind, text, expected):
+        assert parse_structured(text, PARSERS[kind]) == expected
+
+    @pytest.mark.parametrize("kind, text, error", REJECTED)
+    def test_rejected(self, kind, text, error):
+        with pytest.raises(error):
+            parse_structured(text, PARSERS[kind])
+
+
+def test_ask_structured_parses_through_module_hook(monkeypatch):
+    """Every attempt goes through ``agents.parse_structured`` by module lookup,
+    so a wrapper installed on the module sees each one."""
+    calls = []
+    original = agents.parse_structured
+
+    def counting(text, parser):
+        calls.append(text)
+        return original(text, parser)
+
+    monkeypatch.setattr(agents, "parse_structured", counting)
+    provider = ScriptedChatProvider(["not json", json.dumps({"objections": []})])
+    cfg = config_for_role(AgentRole.CHALLENGER)
+    assert ask_structured(provider, cfg, "prompt", parse_objections) == []
+    assert calls == ["not json", json.dumps({"objections": []})]
 
 
 class TestConfigForRole:

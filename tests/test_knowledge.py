@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+import sys
 import threading
 
 import pytest
@@ -113,6 +115,20 @@ class TestFixtureSource:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ConfigError):
             FixtureSource(tmp_path / "absent")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(body=""),
+        lambda doc: doc.update(doc_id=""),
+        lambda doc: doc.update(keyword=None),
+        lambda doc: doc.pop("source_url"),
+    ], ids=["empty-body", "empty-doc_id", "null-keyword", "no-source_url"])
+    def test_invalid_document_is_a_config_error_naming_the_file(self, corpus_dir, edit):
+        path = corpus_dir / "gbm-case-2.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        edit(raw)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigError, match="gbm-case-2.json"):
+            FixtureSource(corpus_dir)
 
 
 class TestLookupOrFetch:
@@ -330,6 +346,43 @@ class TestPersistence:
         with pytest.raises(CorruptionError):
             KnowledgeBase.load(tmp_path / "store")
 
+    @staticmethod
+    def _edit_store(store, filename, edit):
+        path = store / filename
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        edit(raw)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+
+    @pytest.mark.parametrize("edit", [
+        lambda docs: docs["gbm-case-2"].pop("body"),
+        lambda docs: docs["gbm-case-2"].pop("source_url"),
+        lambda docs: docs["gbm-case-2"].update(body=""),
+        lambda docs: docs["gbm-case-2"].update(doc_id=""),
+        lambda docs: docs["gbm-case-2"].update(section="letter"),
+        lambda docs: docs.update({"gbm-case-2": ["not", "an", "object"]}),
+    ], ids=["no-body", "no-source_url", "empty-body", "empty-doc_id", "bad-section", "array"])
+    def test_load_rejects_an_invalid_stored_document(self, tmp_path, corpus_dir, edit):
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        store = tmp_path / "store"
+        kb.save(store)
+        self._edit_store(store, "documents.json", edit)
+        with pytest.raises(CorruptionError, match="gbm-case-2"):
+            KnowledgeBase.load(store)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta.pop("chunk_chars"), "chunk_chars"),
+        (lambda meta: meta.pop("overlap_chars"), "overlap_chars"),
+        (lambda meta: meta.update(overlap_chars=5000), "overlap_chars"),
+        (lambda meta: meta.update(fetch_log=[{"keyword": "glioma"}]), "timestamp"),
+    ], ids=["no-chunk_chars", "no-overlap_chars", "overlap-too-large", "fetch_log-entry"])
+    def test_load_rejects_a_bad_meta_file(self, tmp_path, edit, named):
+        store = tmp_path / "store"
+        fresh_kb().save(store)
+        self._edit_store(store, "meta.json", edit)
+        with pytest.raises(CorruptionError, match=named):
+            KnowledgeBase.load(store)
+
     def test_empty_roundtrip(self, tmp_path):
         kb = fresh_kb()
         store = tmp_path / "store"
@@ -471,3 +524,88 @@ class TestLiveSource:
         )
         with pytest.raises(TransportError):
             source.fetch("glioblastoma")
+
+    def test_concurrent_requests_keep_the_delay(self):
+        """Two fetches that reach the network together still send their
+        requests a full delay apart. Both threads meet at a barrier: at the
+        first request if nothing serializes them, else the one that finds
+        the source's request gate taken meets the other there."""
+        now = [0.0]
+        barrier = threading.Barrier(2)
+        arrivals = iter(range(1_000))
+
+        def meet():
+            if next(arrivals) < 2:  # only the first two arrivals rendezvous
+                barrier.wait(timeout=10)
+
+        class Gate:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    meet()
+                    self._lock.acquire()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+        sent = []
+
+        class RacingSession(_PageSession):
+            def get(self, url, timeout=None):
+                sent.append(now[0])
+                meet()
+                return super().get(url, timeout)
+
+        pages = {f"{self.BASE}/a": "<p>a</p>", f"{self.BASE}/b": "<p>b</p>"}
+        source = LiveSource(
+            self.BASE,
+            session=RacingSession(pages),
+            sleep=lambda s: now.__setitem__(0, now[0] + s),
+            clock=lambda: now[0],
+        )
+        source._gate = Gate()
+        _run_threads([functools.partial(source._get, url) for url in pages])
+        assert len(sent) == 2
+        assert sent[1] - sent[0] >= source.delay_s
+
+    def test_many_concurrent_fetches_keep_the_delay(self):
+        now = [0.0]
+        sent = []
+
+        class ClockedSession(_PageSession):
+            def get(self, url, timeout=None):
+                sent.append(now[0])
+                return super().get(url, timeout)
+
+        pages = {f"{self.BASE}/p{i}": f"<p>{i}</p>" for i in range(48)}
+        source = LiveSource(
+            self.BASE,
+            session=ClockedSession(pages),
+            sleep=lambda s: now.__setitem__(0, now[0] + s),
+            clock=lambda: now[0],
+        )
+        urls = list(pages)
+
+        def get_all(part):
+            for url in part:
+                source._get(url)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads([functools.partial(get_all, urls[i::8]) for i in range(8)])
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(sent) == len(urls)
+        assert all(b - a >= source.delay_s for a, b in zip(sent, sent[1:]))
+
+
+def _run_threads(targets, timeout_s=30):
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout_s)
+    assert not any(t.is_alive() for t in threads)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import shutil
 from operator import attrgetter
 from pathlib import Path
 
@@ -441,6 +442,24 @@ class TestCliRun:
              "--out", str(tmp_path / "run")],
         )
         assert result.exit_code == 2
+
+    def test_invalid_corpus_document_exits_two(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(DATA / "corpus", corpus)
+        bad = sorted(corpus.glob("*.json"))[0]
+        raw = json.loads(bad.read_text(encoding="utf-8"))
+        raw["body"] = ""
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        config = write_config(
+            tmp_path / "c.json", **{"kb.source": {"kind": "fixture", "corpus_dir": str(corpus)}}
+        )
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(tmp_path / "run")],
+        )
+        assert result.exit_code == 2
+        assert bad.name in result.output
 
     def test_partial_failure_exits_one(self, tmp_path):
         script = json.loads((DATA / "scripts" / "golden_radar.json").read_text())
