@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateVectorError, EmbeddingError, ValidationError
-from .providers import Embedder
+from .providers import Embedder, embed_text
 
 DEFAULT_CHUNK_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
@@ -99,39 +99,46 @@ class EmbeddedChunk:
             )
 
 
-def segment(doc: Document, chunk_chars: int, overlap_chars: int) -> list[Chunk]:
-    """Slice a document body into overlapping windows.
-
-    Every chunk except possibly the last has length ``chunk_chars``;
-    consecutive chunks share exactly ``overlap_chars`` characters. Chunk ids
-    are ``{doc_id}:{ordinal}`` so a corpus re-segmented with the same
-    parameters reproduces the same ids.
-    """
-    if chunk_chars <= 0:
-        raise ConfigError(f"chunk_chars must be positive, got {chunk_chars}")
-    if overlap_chars < 0 or overlap_chars >= chunk_chars:
+def check_window(chunk_chars: int, overlap_chars: int) -> None:
+    """Reject window parameters outside ``0 <= overlap_chars < chunk_chars``."""
+    if not 0 <= overlap_chars < chunk_chars:
         raise ConfigError(
             f"overlap_chars must satisfy 0 <= overlap < chunk, got "
             f"overlap={overlap_chars}, chunk={chunk_chars}"
         )
-    body = doc.body
-    stride = chunk_chars - overlap_chars
+
+
+def chunk_span(
+    length: int, ordinal: int, chunk_chars: int, overlap_chars: int
+) -> tuple[int, int] | None:
+    """The span of chunk ``ordinal >= 0`` of a body ``length`` long; None past the last.
+
+    Windows start every ``chunk_chars - overlap_chars`` characters and are
+    ``chunk_chars`` long, the last one cut at the body's end. A window after
+    the first exists only while its predecessor stops short of the end.
+    """
+    start = ordinal * (chunk_chars - overlap_chars)
+    if ordinal and start + overlap_chars >= length:
+        return None
+    return start, min(start + chunk_chars, length)
+
+
+def segment(doc: Document, chunk_chars: int, overlap_chars: int) -> list[Chunk]:
+    """Slice a document body into the overlapping windows of `chunk_span`.
+
+    Every chunk except possibly the last has length ``chunk_chars``;
+    consecutive chunks share exactly ``overlap_chars`` characters. Chunk ids
+    are ``{doc_id}:{ordinal}``, so an id and the window parameters name the
+    chunk's text within its document.
+    """
+    check_window(chunk_chars, overlap_chars)
     chunks: list[Chunk] = []
-    start = 0
-    while True:
-        end = min(start + chunk_chars, len(body))
-        chunks.append(
-            Chunk(
-                chunk_id=f"{doc.doc_id}:{len(chunks)}",
-                doc_id=doc.doc_id,
-                ordinal=len(chunks),
-                text=body[start:end],
-                char_span=(start, end),
-            )
-        )
-        if end >= len(body):
-            return chunks
-        start += stride
+    while span := chunk_span(len(doc.body), len(chunks), chunk_chars, overlap_chars):
+        start, end = span
+        ordinal = len(chunks)
+        chunk_id = f"{doc.doc_id}:{ordinal}"
+        chunks.append(Chunk(chunk_id, doc.doc_id, ordinal, doc.body[start:end], span))
+    return chunks
 
 
 def l2_normalize(vector: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -144,13 +151,17 @@ def l2_normalize(vector: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def embed_chunks(embedder: Embedder, chunks: Sequence[Chunk]) -> list[EmbeddedChunk]:
-    """Embed chunks in order, normalizing every vector to unit length."""
+    """Embed chunks in order, normalizing every vector to unit length.
+
+    Each vector passes `embed_text`'s dimension and finiteness checks first,
+    so any bad vector fails as an `EmbeddingError` naming its chunk.
+    """
     if not chunks:
         raise ValidationError("embed_chunks needs at least one chunk")
     out = []
     for chunk in chunks:
         try:
-            vec = l2_normalize(embedder.embed(chunk.text))
+            vec = l2_normalize(embed_text(embedder, chunk.text))
         except Exception as exc:
             raise EmbeddingError(
                 f"embedding chunk {chunk.chunk_id} failed: {exc}", chunk_id=chunk.chunk_id

@@ -5,13 +5,18 @@ five article-section and five case-section documents, segments and embeds
 them, and appends the vectors to the shared flat index. A keyword is only
 recorded as fetched once its whole ingestion batch committed, so failures
 leave no partial state behind.
+
+Each chunk's text lives once, in its stored document: the chunk id
+``doc_id:ordinal`` and the window parameters name a slice of the body.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
+import os
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -28,6 +33,8 @@ from .chunking import (
     DEFAULT_OVERLAP_CHARS,
     Document,
     Section,
+    check_window,
+    chunk_span,
     embed_chunks,
     segment,
 )
@@ -54,6 +61,28 @@ MIN_POLITENESS_DELAY_MS = 1000
 INDEX_FILENAME = "index.rdrx"
 DOCS_FILENAME = "documents.json"
 META_FILENAME = "meta.json"
+
+_ORDINAL = re.compile(r"0|[1-9][0-9]*")  # canonical decimal, ASCII digits only
+
+_UMASK = os.umask(0o022)  # os reads the umask only by setting it, so restore it at once
+os.umask(_UMASK)
+
+
+def _write_replacing(path: Path, write: Callable[[Path], None]) -> None:
+    """Run ``write`` on a fresh temporary file beside ``path``, then move it there.
+
+    Readers of ``path`` see the old file or the whole new one, never part of
+    it; a write that fails leaves no temporary file behind.
+    """
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp's 0600 becomes what a plain open gives
+        write(Path(tmp))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class DocumentSource(Protocol):
@@ -130,10 +159,15 @@ def fetch_documents(
 class KnowledgeBase:
     """Keyword-keyed document cache feeding chunker, embedder, and index.
 
+    The index holds one row per chunk, keyed ``doc_id:ordinal``; the text of
+    an indexed chunk is cut from its document in ``doc_store`` on demand, so
+    no per-chunk copy is kept, and ``load`` checks ids without segmenting.
+
     Concurrency: lookups for the same folded keyword serialize on a
     per-keyword lock, so concurrent requests cause a single fetch; distinct
     keywords may fetch in parallel. The index enforces its own single-writer
-    contract for the final insert.
+    contract for the final insert. Searches take no knowledge-base lock, so
+    an ingest stores its documents before their rows reach the index.
     """
 
     def __init__(
@@ -144,11 +178,7 @@ class KnowledgeBase:
         overlap_chars: int = DEFAULT_OVERLAP_CHARS,
         index: FlatIndex | None = None,
     ):
-        if overlap_chars < 0 or overlap_chars >= chunk_chars:
-            raise ConfigError(
-                f"overlap_chars must satisfy 0 <= overlap < chunk, got "
-                f"overlap={overlap_chars}, chunk={chunk_chars}"
-            )
+        check_window(chunk_chars, overlap_chars)
         if index is None:
             index = FlatIndex(dim if dim is not None else 384)
         elif dim is not None and index.dim != dim:
@@ -159,7 +189,6 @@ class KnowledgeBase:
         self.doc_store: dict[str, Document] = {}
         self.fetched_keywords: set[str] = set()
         self.fetch_log: list[FetchLogEntry] = []
-        self._chunk_texts: dict[str, str] = {}
         self._state_lock = threading.Lock()
         self._keyword_locks: dict[str, threading.Lock] = {}
 
@@ -168,11 +197,22 @@ class KnowledgeBase:
     def has_keyword(self, keyword: str) -> bool:
         return canonical_fold(keyword) in self.fetched_keywords
 
+    def _window(self, chunk_id: str) -> tuple[str, int, int] | None:
+        """The stored body and span that ``doc_id:ordinal`` names, or None."""
+        doc_id, _, ordinal = chunk_id.rpartition(":")
+        doc = self.doc_store.get(doc_id)
+        if doc is None or not _ORDINAL.fullmatch(ordinal):
+            return None
+        span = chunk_span(len(doc.body), int(ordinal), self.chunk_chars, self.overlap_chars)
+        return None if span is None else (doc.body, *span)
+
     def chunk_text(self, chunk_id: str) -> str:
-        try:
-            return self._chunk_texts[chunk_id]
-        except KeyError:
-            raise KeyError(f"unknown chunk id {chunk_id}") from None
+        """The text of an indexed chunk, sliced from its stored document."""
+        window = self._window(chunk_id) if chunk_id in self.index else None
+        if window is None:
+            raise KeyError(f"unknown chunk id {chunk_id}")
+        body, start, end = window
+        return body[start:end]
 
     def stats(self) -> dict[str, int]:
         return {
@@ -210,8 +250,9 @@ class KnowledgeBase:
     def ingest(self, keyword: str, docs: list[Document], embedder: Embedder) -> int:
         """Segment, embed, and index fetched documents; returns chunks added.
 
-        All fallible work happens before any state mutation, so a failure
-        registers nothing. Documents already in the store (same doc_id,
+        All fallible work but the index insert happens before any state
+        mutation, and a failed insert takes its documents back out, so a
+        failure registers nothing. Documents already in the store (same doc_id,
         fetched under another keyword) are skipped rather than re-indexed,
         and so is a doc_id repeated within the batch. Freshness is decided
         again under the state lock, because a concurrent ingest of another
@@ -234,10 +275,14 @@ class KnowledgeBase:
         with self._state_lock:
             fresh = {i: d for i, d in unseen.items() if i not in self.doc_store}
             embedded = [e for e in embedded if e.chunk.doc_id in fresh]
-            if embedded:
-                self.index.insert(embedded, folded)
-            self.doc_store.update(fresh)
-            self._chunk_texts.update({e.chunk.chunk_id: e.chunk.text for e in embedded})
+            self.doc_store.update(fresh)  # before the rows, which searches see at once
+            try:
+                if embedded:
+                    self.index.insert(embedded, folded)
+            except BaseException:
+                for doc_id in fresh:
+                    del self.doc_store[doc_id]
+                raise
             self.fetched_keywords.add(folded)
             self.fetch_log.append(FetchLogEntry(keyword, time.time(), len(docs)))
         return len(embedded)
@@ -245,13 +290,21 @@ class KnowledgeBase:
     # -- persistence ---------------------------------------------------------
 
     def save(self, store_dir: str | Path) -> None:
+        """Write documents, then index, then meta, each replacing its file whole.
+
+        Documents are only ever added, so a save that dies part way leaves a
+        store that loads: every index id still names a stored document.
+        """
         store_dir = Path(store_dir)
         store_dir.mkdir(parents=True, exist_ok=True)
-        self.index.save(store_dir / INDEX_FILENAME)
         docs = {doc_id: d.to_dict() for doc_id, d in self.doc_store.items()}
-        (store_dir / DOCS_FILENAME).write_text(
-            json.dumps(docs, sort_keys=True, ensure_ascii=False), encoding="utf-8"
+        # The JSON text lives only inside its write, so the documents' text
+        # and the index's bytes never both add to peak memory.
+        _write_replacing(
+            store_dir / DOCS_FILENAME,
+            lambda p: p.write_text(json.dumps(docs, sort_keys=True, ensure_ascii=False), "utf-8"),
         )
+        _write_replacing(store_dir / INDEX_FILENAME, self.index.save)
         meta = {
             "chunk_chars": self.chunk_chars,
             "overlap_chars": self.overlap_chars,
@@ -261,10 +314,17 @@ class KnowledgeBase:
                 for e in self.fetch_log
             ],
         }
-        (store_dir / META_FILENAME).write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+        _write_replacing(
+            store_dir / META_FILENAME, lambda p: p.write_text(json.dumps(meta, sort_keys=True), "utf-8")
+        )
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
+        """Read a saved store; any inconsistency is a `CorruptionError` here.
+
+        Every index id must be ``doc_id:ordinal`` with a stored document, a
+        canonical decimal ordinal and a window inside that document's body.
+        """
         store_dir = Path(store_dir)
         try:
             meta = json.loads((store_dir / META_FILENAME).read_text(encoding="utf-8"))
@@ -274,7 +334,10 @@ class KnowledgeBase:
         index = FlatIndex.load(store_dir / INDEX_FILENAME)
         try:
             kb = cls(chunk_chars=meta["chunk_chars"], overlap_chars=meta["overlap_chars"], index=index)
-            kb.fetched_keywords = set(meta.get("fetched_keywords", []))
+            keywords = meta.get("fetched_keywords", [])
+            if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+                raise TypeError(f"fetched_keywords must be a list of strings, got {keywords!r}")
+            kb.fetched_keywords = set(keywords)
             kb.fetch_log = [
                 FetchLogEntry(e["keyword"], e["timestamp"], e["doc_count"])
                 for e in meta.get("fetch_log", [])
@@ -292,12 +355,10 @@ class KnowledgeBase:
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
             kb.doc_store[doc.doc_id] = doc
-            for chunk in segment(doc, kb.chunk_chars, kb.overlap_chars):
-                kb._chunk_texts[chunk.chunk_id] = chunk.text
-        missing = [cid for cid in kb.index.chunk_ids() if cid not in kb._chunk_texts]
-        if missing:
+        unnamed = [cid for cid in kb.index.chunk_ids() if kb._window(cid) is None]
+        if unnamed:
             raise CorruptionError(
-                f"{store_dir}: index holds chunks with no stored document: {missing[:5]}"
+                f"{store_dir}: index ids name no chunk of a stored document: {unnamed[:5]}"
             )
         return kb
 
@@ -454,7 +515,7 @@ class LiveSource:
         if resp.status_code != 200:
             raise TransportError(f"GET {url} answered {resp.status_code}")
         if cached:
-            cached.write_text(resp.text, encoding="utf-8")
+            _write_replacing(cached, lambda p: p.write_text(resp.text, "utf-8"))
         return resp.text
 
     def _result_links(self, html: str, path_prefix: str) -> list[str]:

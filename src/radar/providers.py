@@ -133,7 +133,7 @@ def embed_text(embedder: Embedder, text: str) -> np.ndarray:
     vec = np.asarray(embedder.embed(text), dtype=np.float32).reshape(-1)
     if vec.shape[0] != embedder.dim:
         raise ShapeError(f"embedder returned dim {vec.shape[0]}, expected {embedder.dim}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ProviderError("embedder returned non-finite components")
     return vec
 

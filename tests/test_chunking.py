@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radar.chunking import Document, EmbeddedChunk, Section, embed_chunks, l2_normalize, segment
+from radar.chunking import (
+    Document,
+    EmbeddedChunk,
+    Section,
+    chunk_span,
+    embed_chunks,
+    l2_normalize,
+    segment,
+)
 from radar.errors import ConfigError, DegenerateVectorError, EmbeddingError, ValidationError
 from radar.providers import HashingEmbedder
 
@@ -102,6 +110,16 @@ class TestSegment:
         assert [c.char_span for c in chunks] == spans_by_stride(length, chunk, overlap)
 
 
+class TestChunkSpan:
+    @settings(max_examples=200, deadline=None)
+    @given(length=st.integers(1, 400), chunk=st.integers(1, 120), data=st.data())
+    def test_is_segments_span_and_none_past_the_last(self, length, chunk, data):
+        overlap = data.draw(st.integers(0, chunk - 1))
+        chunks = segment(make_document("d", body="x" * length), chunk, overlap)
+        spans = [chunk_span(length, i, chunk, overlap) for i in range(len(chunks) + 1)]
+        assert spans == [c.char_span for c in chunks] + [None]
+
+
 class TestL2Normalize:
     def test_three_four_five(self):
         assert np.allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
@@ -155,6 +173,19 @@ class TestEmbedChunks:
         with pytest.raises(EmbeddingError) as exc_info:
             embed_chunks(_BoomEmbedder(fail_on_call=2), chunks)
         assert exc_info.value.chunk_id == "d:1"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_is_an_embedding_error(self, bad):
+        class NonFinite:
+            dim = 4
+
+            def embed(self, text):
+                return np.array([bad, 1.0, 0.0, 0.0])
+
+        chunks = segment(make_document("d", body="x" * 30), 10, 0)
+        with pytest.raises(EmbeddingError) as exc_info:
+            embed_chunks(NonFinite(), chunks)
+        assert exc_info.value.chunk_id == "d:0"
 
     def test_deterministic_composition(self):
         doc = make_document("d", body="the quick brown fox " * 10)

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import functools
 import json
+import pathlib
+import re
 import sys
 import threading
 
 import pytest
 import requests
 
-from radar.chunking import Section
+from radar import knowledge
+from radar.chunking import Section, segment
 from radar.errors import (
     ConfigError,
     CorruptionError,
+    DuplicateChunkError,
     FetchError,
     IngestionError,
     TransportError,
@@ -29,7 +33,7 @@ from radar.knowledge import (
 from radar.index import FlatIndex
 from radar.providers import HashingEmbedder
 
-from conftest import CountingSource, StaticSource, make_document
+from conftest import CountingSource, StaticSource, make_document, unit_chunk
 
 
 EMBEDDER = HashingEmbedder(dim=64)
@@ -308,6 +312,44 @@ class TestIngest:
             assert doc_id in kb.doc_store
             assert kb.chunk_text(chunk_id) in kb.doc_store[doc_id].body
 
+    def test_rows_serve_their_text_as_soon_as_they_land(self, monkeypatch):
+        """A search on another thread may return a row the moment insert
+        appends it, before ingest returns; its text must already be there."""
+        kb = fresh_kb()
+        real_insert = kb.index.insert
+        texts = []
+
+        def insert_then_read(embedded, keyword):
+            real_insert(embedded, keyword)
+            texts.extend(kb.chunk_text(e.chunk.chunk_id) for e in embedded)
+
+        monkeypatch.setattr(kb.index, "insert", insert_then_read)
+        doc = make_document("d1", body="abcdefghij" * 260)
+        assert kb.ingest("glioma", [doc], EMBEDDER) == 3
+        assert texts == [c.text for c in segment(doc, 1000, 200)]
+
+    def test_failed_insert_leaves_the_document_store_unchanged(self, monkeypatch):
+        kb = fresh_kb()
+        kb.ingest("glioma", [make_document("d1")], EMBEDDER)
+        before = dict(kb.doc_store)
+
+        def refuse(embedded, keyword):
+            raise DuplicateChunkError("refused")
+
+        monkeypatch.setattr(kb.index, "insert", refuse)
+        with pytest.raises(DuplicateChunkError):
+            kb.ingest("astrocytoma", [make_document("d2")], EMBEDDER)
+        assert kb.doc_store == before
+        assert not kb.has_keyword("astrocytoma")
+
+    def test_chunk_text_needs_an_indexed_id(self):
+        kb = fresh_kb()
+        kb.ingest("glioma", [make_document("d1", body="x" * 2600)], EMBEDDER)
+        assert kb.chunk_text("d1:2") == "x" * 1000
+        for unknown in ("d1:3", "d1:01", "d1", "d2:0"):
+            with pytest.raises(KeyError):
+                kb.chunk_text(unknown)
+
 
 class TestOutcomeInvariant:
     def test_internal_outcome_cannot_report_new_docs(self):
@@ -346,6 +388,43 @@ class TestPersistence:
         with pytest.raises(CorruptionError):
             KnowledgeBase.load(tmp_path / "store")
 
+    def test_load_never_segments(self, tmp_path, corpus_dir, monkeypatch):
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        kb.save(tmp_path / "store")
+        monkeypatch.setattr(knowledge, "segment", lambda *a: pytest.fail("load re-segments"))
+        loaded = KnowledgeBase.load(tmp_path / "store")
+        for cid in kb.index.chunk_ids():
+            assert loaded.chunk_text(cid) == kb.chunk_text(cid)
+
+    def test_doc_ids_with_colons_round_trip(self, tmp_path):
+        kb = fresh_kb()
+        docs = [
+            make_document("articles:glioma", body="abcdefghij" * 260),
+            make_document("cases:glioma:7", body="0123456789" * 130),
+        ]
+        kb.ingest("glioma", docs, EMBEDDER)
+        kb.save(tmp_path / "store")
+        loaded = KnowledgeBase.load(tmp_path / "store")
+        expected = {c.chunk_id: c.text for d in docs for c in segment(d, 1000, 200)}
+        assert loaded.index.chunk_ids() == list(expected)
+        assert {cid: loaded.chunk_text(cid) for cid in expected} == expected
+
+    @pytest.mark.parametrize("chunk_id", [
+        "d1:3", "d1:01", "d1:+1", "d1:-1", "d1:\u0661", "d1:", "d1", "d2:0",
+    ], ids=["past-last-window", "leading-zero", "plus-sign", "negative", "non-ascii-digit",
+            "empty-ordinal", "no-colon", "no-document"])
+    def test_load_rejects_an_index_id_that_names_no_window(self, tmp_path, chunk_id):
+        kb = fresh_kb()
+        kb.ingest("glioma", [make_document("d1", body="x" * 2600)], EMBEDDER)
+        store = tmp_path / "store"
+        kb.save(store)
+        index = FlatIndex.load(store / "index.rdrx")
+        index.insert([unit_chunk(chunk_id, [1.0] + [0.0] * 63)], "glioma")
+        index.save(store / "index.rdrx")
+        with pytest.raises(CorruptionError, match=re.escape(repr(chunk_id))):
+            KnowledgeBase.load(store)
+
     @staticmethod
     def _edit_store(store, filename, edit):
         path = store / filename
@@ -375,13 +454,47 @@ class TestPersistence:
         (lambda meta: meta.pop("overlap_chars"), "overlap_chars"),
         (lambda meta: meta.update(overlap_chars=5000), "overlap_chars"),
         (lambda meta: meta.update(fetch_log=[{"keyword": "glioma"}]), "timestamp"),
-    ], ids=["no-chunk_chars", "no-overlap_chars", "overlap-too-large", "fetch_log-entry"])
+        (lambda meta: meta.update(fetched_keywords="glioma"), "fetched_keywords"),
+        (lambda meta: meta.update(fetched_keywords=["glioma", 3]), "fetched_keywords"),
+    ], ids=["no-chunk_chars", "no-overlap_chars", "overlap-too-large", "fetch_log-entry",
+            "fetched_keywords-string", "fetched_keywords-non-string"])
     def test_load_rejects_a_bad_meta_file(self, tmp_path, edit, named):
         store = tmp_path / "store"
         fresh_kb().save(store)
         self._edit_store(store, "meta.json", edit)
         with pytest.raises(CorruptionError, match=named):
             KnowledgeBase.load(store)
+
+    @pytest.mark.parametrize("dies", ["documents.json", "index.rdrx", "meta.json"])
+    def test_a_save_that_dies_leaves_a_store_that_loads(self, tmp_path, corpus_dir, monkeypatch,
+                                                        dies):
+        """The second save writes half of one file and dies; the store then
+        holds the first save, the second, or a mix that still loads."""
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        store = tmp_path / "store"
+        kb.save(store)
+        first_rows = kb.index.count
+        kb.lookup_or_fetch("tuberous sclerosis", FixtureSource(corpus_dir), EMBEDDER)
+        if dies == "index.rdrx":
+            real_save = FlatIndex.save
+
+            def save_half(index, path):
+                real_save(index, path)
+                data = pathlib.Path(path).read_bytes()
+                pathlib.Path(path).write_bytes(data[: len(data) // 2])
+                raise OSError("died mid-write")
+
+            monkeypatch.setattr(FlatIndex, "save", save_half)
+        else:
+            _die_writing(monkeypatch, lambda path: path.name.startswith(dies))
+        with pytest.raises(OSError, match="died"):
+            kb.save(store)
+        monkeypatch.undo()
+        loaded = KnowledgeBase.load(store)
+        assert loaded.index.count in (first_rows, kb.index.count)
+        for cid in loaded.index.chunk_ids():
+            assert loaded.chunk_text(cid) == kb.chunk_text(cid)
 
     def test_empty_roundtrip(self, tmp_path):
         kb = fresh_kb()
@@ -502,6 +615,20 @@ class TestLiveSource:
         source.fetch("glioblastoma")
         assert len(session.urls) == first_requests
 
+    def test_a_cache_write_that_dies_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        sleeps = []
+        source, session = self._source(tmp_path, sleeps)
+        url = f"{self.BASE}/articles/glioblastoma-1"
+        _die_writing(monkeypatch, lambda path: path.parent == source.cache_dir)
+        with pytest.raises(OSError, match="died"):
+            source._get(url)
+        monkeypatch.undo()
+        assert list(source.cache_dir.iterdir()) == []
+        assert "Article body text." in source._get(url)
+        assert session.urls == [url, url]
+        assert source._get(url) == source._cache_path(url).read_text(encoding="utf-8")
+        assert session.urls == [url, url]
+
     def test_delay_clamped_to_floor(self, tmp_path):
         source = LiveSource(self.BASE, delay_ms=10, cache_dir=tmp_path)
         assert source.delay_s == pytest.approx(1.0)
@@ -600,6 +727,19 @@ class TestLiveSource:
             sys.setswitchinterval(switch)
         assert len(sent) == len(urls)
         assert all(b - a >= source.delay_s for a, b in zip(sent, sent[1:]))
+
+
+def _die_writing(monkeypatch, matches):
+    """Make text writes to matching paths write half their text, then raise."""
+    real_write_text = pathlib.Path.write_text
+
+    def write_half(path, data, *args, **kwargs):
+        if not matches(path):
+            return real_write_text(path, data, *args, **kwargs)
+        real_write_text(path, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(f"died mid-write of {path.name}")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_half)
 
 
 def _run_threads(targets, timeout_s=30):

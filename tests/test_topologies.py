@@ -340,6 +340,25 @@ class TestRunRadar:
         assert "search" not in trace.kinds()
         assert bundle.chat.calls == 2 + 1  # no answer call for a failed retrieval
 
+    def test_non_finite_chunk_embedding_degrades_to_sentinel(self, corpus_dir):
+        """On a cold store every keyword ingests; a chunk vector with a NaN
+        component fails that ingest, which degrades its question."""
+
+        class NonFiniteEmbedder:
+            dim = 64
+
+            def embed(self, text):
+                return np.full(64, np.nan, dtype=np.float32)
+
+        bundle = replace(self._bundle(corpus_dir), embedder=NonFiniteEmbedder())
+        kb = self._kb()
+        report, trace = run_radar(bundle, kb, make_case())
+        assert [e.answer for e in report.evidence] == [NO_EVIDENCE_ANSWER] * 5
+        assert trace.kinds().count("retrieval_error") == 5
+        assert "kb_fetch" not in trace.kinds()
+        assert kb.stats()["chunks"] == 0
+        assert bundle.chat.calls == 2 + 1  # no answer call for a failed retrieval
+
     def test_five_answers_in_flight_together(self, corpus_dir):
         barrier = threading.Barrier(5, timeout=5)
 
