@@ -38,7 +38,7 @@ from .evaluation import (
     evaluate_run,
     score_case,
 )
-from .index import FlatIndex, ScoredChunk, cosine
+from .index import FlatIndex, ScoredChunk
 from .knowledge import (
     FixtureSource,
     KnowledgeBase,

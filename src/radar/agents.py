@@ -125,8 +125,6 @@ def default_templates() -> TemplateRegistry:
 def config_for_role(
     role: AgentRole,
     *,
-    temperature: float | None = None,
-    top_p: float | None = None,
     template_id: str | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     templates: TemplateRegistry | None = None,
@@ -136,13 +134,13 @@ def config_for_role(
     The chosen template must exist in the registry; that is checked here
     rather than at call time so misconfiguration fails fast.
     """
-    preset_temp, preset_top_p, preset_template = _ROLE_PRESETS[role]
+    temperature, top_p, preset_template = _ROLE_PRESETS[role]
     chosen_template = template_id or preset_template
     (templates or default_templates()).get(chosen_template)
     return AgentConfig(
         role=role,
-        temperature=preset_temp if temperature is None else temperature,
-        top_p=preset_top_p if top_p is None else top_p,
+        temperature=temperature,
+        top_p=top_p,
         prompt_template_id=chosen_template,
         max_retries=max_retries,
     )

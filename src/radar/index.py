@@ -56,19 +56,6 @@ class ScoredChunk:
     keyword: str
 
 
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine similarity of two equal-dimension, nonzero vectors."""
-    a = np.asarray(u, dtype=np.float64).reshape(-1)
-    b = np.asarray(v, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine dims differ: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine is undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 class FlatIndex:
     """Append-only exact index over (chunk_id, unit vector, keyword) entries.
 

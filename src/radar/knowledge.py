@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .index import FlatIndex
-from .providers import Embedder
+from .providers import Embedder, with_retries
 
 log = logging.getLogger(__name__)
 
@@ -116,29 +116,20 @@ def fetch_documents(
     source: DocumentSource,
     keyword: str,
     *,
-    attempts: int = 3,
-    backoff_s: float = 1.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[Document]:
     """Fetch documents for a keyword, capped at 5 per section.
 
     Results are deduplicated by source_url and kept in the source's own
     order (the source's ranking is taken as relevance). Transport failures
-    are retried with exponential backoff before giving up.
+    are retried (`with_retries`); the last one becomes a `FetchError`.
     """
     if not keyword or not keyword.strip():
         raise ValidationError("cannot fetch documents for an empty keyword")
-    last: Exception | None = None
-    for attempt in range(attempts):
-        if attempt:
-            sleep(backoff_s * 2 ** (attempt - 1))
-        try:
-            docs = source.fetch(keyword)
-            break
-        except TransportError as exc:
-            last = exc
-    else:
-        raise FetchError(f"source failed for keyword {keyword!r}: {last}") from last
+    try:
+        docs = with_retries(lambda: source.fetch(keyword), sleep=sleep)
+    except TransportError as exc:
+        raise FetchError(f"source failed for keyword {keyword!r}: {exc}") from exc
     seen: set[str] = set()
     taken = {Section.ARTICLE: 0, Section.CASE: 0}
     limits = {Section.ARTICLE: ARTICLES_PER_KEYWORD, Section.CASE: CASES_PER_KEYWORD}

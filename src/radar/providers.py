@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -48,6 +48,8 @@ RETRY_BACKOFF_S = 1.0
 # backend's session keeps per host. The default 4 workers put up to 4 x 5
 # answer calls in flight at once.
 MAX_CONCURRENT_CALLS = 32
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -291,71 +293,28 @@ class HashingEmbedder:
 
 
 # ---------------------------------------------------------------------------
-# Live HTTP backends
+# Outside calls: one retry policy, and one JSON endpoint per live backend
 # ---------------------------------------------------------------------------
 
 
-def _post_with_retries(
-    session: requests.Session,
-    url: str,
-    payload: dict,
-    *,
-    headers: dict[str, str],
-    timeout_s: float,
-    attempts: int = RETRY_ATTEMPTS,
-    backoff_s: float = RETRY_BACKOFF_S,
-    sleep: Callable[[float], None] = time.sleep,
-) -> dict:
-    """POST JSON with bounded retries on transport failures only."""
-    last: Exception | None = None
-    for attempt in range(attempts):
-        if attempt:
-            sleep(backoff_s * 2 ** (attempt - 1))
+def with_retries(call: Callable[[], T], *, sleep: Callable[[float], None] = time.sleep) -> T:
+    """Return ``call()``, trying it up to RETRY_ATTEMPTS times while it raises
+    `TransportError`, with a backoff of RETRY_BACKOFF_S doubling between
+    tries. Any other error, or the last transport failure, is raised."""
+    for attempt in range(RETRY_ATTEMPTS - 1):
         try:
-            resp = session.post(url, json=payload, headers=headers, timeout=timeout_s)
-        except requests.RequestException as exc:
-            last = exc
-            continue
-        if resp.status_code >= 500:
-            last = TransportError(f"{url} answered {resp.status_code}")
-            continue
-        if resp.status_code >= 400:
-            raise ProviderError(f"{url} answered {resp.status_code}: {resp.text[:200]}")
-        try:
-            body = resp.json()
-        except ValueError as exc:
-            raise ProviderError(f"{url} returned a non-JSON payload") from exc
-        if not isinstance(body, dict):
-            raise ProviderError(f"{url} returned a non-object payload")
-        return body
-    raise TransportError(f"{url} unreachable after {attempts} attempts: {last}") from (
-        last if isinstance(last, Exception) else None
-    )
+            return call()
+        except TransportError:
+            sleep(RETRY_BACKOFF_S * 2**attempt)
+    return call()
 
 
-def _pooled_session() -> requests.Session:
-    """A session that keeps a connection per concurrent call instead of
-    reconnecting every call beyond requests' default pool of 10."""
-    session = requests.Session()
-    adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_CONCURRENT_CALLS)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+class _JsonEndpoint:
+    """One JSON-over-HTTP backend: a POST of a JSON object that answers one.
 
-
-def _auth_headers(api_key: str | None) -> dict[str, str]:
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    return headers
-
-
-class HttpChatProvider:
-    """Chat completions against one JSON endpoint.
-
-    Wire shape: POST {model?, messages, temperature, top_p, max_tokens} and
-    expect {content: str, usage?: {prompt_tokens, completion_tokens}} back.
-    Per-model adapters are expected to live behind the endpoint.
+    Sends the bearer token when given, forwards ``model`` when set, and
+    keeps a connection per concurrent call instead of reconnecting every
+    call beyond requests' default pool of 10.
     """
 
     def __init__(
@@ -367,89 +326,101 @@ class HttpChatProvider:
         timeout_s: float = 30.0,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        provider_id: str | None = None,
     ):
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_CONCURRENT_CALLS)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
         self.url = url
-        self.provider_id = provider_id or f"http:{model or url}"
         self._model = model
         self._timeout_s = timeout_s
-        self._session = session or _pooled_session()
+        self._session = session
         self._sleep = sleep
-        self._headers = _auth_headers(api_key)
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+
+    def _post(self, payload: dict) -> dict:
+        """POST ``payload``, retrying transport failures (`with_retries`).
+
+        A connection failure or 5xx is a `TransportError`; a 4xx, or a
+        reply that is not a JSON object, is a `ProviderError`.
+        """
+        if self._model:
+            payload["model"] = self._model
+
+        def attempt() -> dict:
+            try:
+                resp = self._session.post(
+                    self.url, json=payload, headers=self._headers, timeout=self._timeout_s
+                )
+            except requests.RequestException as exc:
+                raise TransportError(f"POST {self.url} failed: {exc}") from exc
+            if resp.status_code >= 500:
+                raise TransportError(f"{self.url} answered {resp.status_code}")
+            if resp.status_code >= 400:
+                raise ProviderError(f"{self.url} answered {resp.status_code}: {resp.text[:200]}")
+            try:
+                body = resp.json()
+            except ValueError as exc:
+                raise ProviderError(f"{self.url} returned a non-JSON payload") from exc
+            if not isinstance(body, dict):
+                raise ProviderError(f"{self.url} returned a non-object payload")
+            return body
+
+        return with_retries(attempt, sleep=self._sleep)
+
+
+class HttpChatProvider(_JsonEndpoint):
+    """Chat completions against one JSON endpoint.
+
+    Wire shape: POST {messages, temperature, top_p, max_tokens, model?} and
+    expect {content: str, usage?: {prompt_tokens?: int, completion_tokens?: int}}
+    back. Per-model adapters are expected to live behind the endpoint.
+    """
+
+    def __init__(self, url: str, *, provider_id: str | None = None, **endpoint):
+        super().__init__(url, **endpoint)
+        self.provider_id = provider_id or f"http:{self._model or url}"
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        payload: dict = {
+        body = self._post({
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "top_p": request.top_p,
             "max_tokens": request.max_tokens,
-        }
-        if self._model:
-            payload["model"] = self._model
-        body = _post_with_retries(
-            self._session,
-            self.url,
-            payload,
-            headers=self._headers,
-            timeout_s=self._timeout_s,
-            sleep=self._sleep,
-        )
+        })
         content = body.get("content")
         if not isinstance(content, str):
             raise ProviderError(f"{self.url} reply carries no 'content' string")
         usage = body.get("usage") or {}
-        return ChatResponse(
-            content=content,
-            provider_id=self.provider_id,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-        )
+        if not isinstance(usage, dict):
+            raise ProviderError(f"{self.url} reply carries a non-object 'usage'")
+        tokens = [usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")]
+        if not all(type(n) is int and n >= 0 for n in tokens):
+            raise ProviderError(f"{self.url} reply carries token counts {tokens!r:.200}")
+        return ChatResponse(content, self.provider_id, *tokens)
 
 
-class HttpEmbedder:
+class HttpEmbedder(_JsonEndpoint):
     """Text embeddings against one JSON endpoint.
 
-    Wire shape: POST {model?, text} and expect {embedding: [float, ...]}.
+    Wire shape: POST {text, model?} and expect {embedding: [number, ...]}.
     """
 
-    def __init__(
-        self,
-        url: str,
-        *,
-        dim: int = DEFAULT_EMBED_DIM,
-        api_key: str | None = None,
-        model: str | None = None,
-        timeout_s: float = 30.0,
-        session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, url: str, *, dim: int = DEFAULT_EMBED_DIM, **endpoint):
         if dim <= 0:
             raise ConfigError(f"embedder dim must be positive, got {dim}")
-        self.url = url
+        super().__init__(url, **endpoint)
         self.dim = dim
-        self._model = model
-        self._timeout_s = timeout_s
-        self._session = session or _pooled_session()
-        self._sleep = sleep
-        self._headers = _auth_headers(api_key)
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValidationError("cannot embed empty text")
-        payload: dict = {"text": text}
-        if self._model:
-            payload["model"] = self._model
-        body = _post_with_retries(
-            self._session,
-            self.url,
-            payload,
-            headers=self._headers,
-            timeout_s=self._timeout_s,
-            sleep=self._sleep,
-        )
-        embedding = body.get("embedding")
-        if not isinstance(embedding, list):
-            raise ProviderError(f"{self.url} reply carries no 'embedding' list")
+        embedding = self._post({"text": text}).get("embedding")
+        if not isinstance(embedding, list) or not all(type(x) in (int, float) for x in embedding):
+            raise ProviderError(f"{self.url} reply carries no 'embedding' list of numbers")
         vec = np.asarray(embedding, dtype=np.float32)
         if vec.shape != (self.dim,):
             raise ShapeError(f"{self.url} returned dim {vec.shape}, expected ({self.dim},)")

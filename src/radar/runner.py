@@ -26,7 +26,7 @@ from typing import Any, Literal, NewType, get_args, get_origin, get_type_hints
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
 from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS
 from .domain import Case, load_cases
-from .errors import ConfigError, EvaluationError, RadarError
+from .errors import ConfigError, EvaluationError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
 from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
 from .providers import (
@@ -230,8 +230,12 @@ def load_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"corpus directory {source.corpus_dir} does not exist")
     if source.kind == "live" and not source.base_url:
         raise ConfigError("live source needs kb.source.base_url")
+    if provider.timeouts_ms <= 0:
+        raise ConfigError(f"provider.timeouts_ms must be positive, got {provider.timeouts_ms}")
     if cfg.agents.n_queries <= 0:
         raise ConfigError(f"agents.n_queries must be positive, got {cfg.agents.n_queries}")
+    if cfg.agents.max_retries < 0:
+        raise ConfigError(f"agents.max_retries must be >= 0, got {cfg.agents.max_retries}")
     if cfg.agents.template_dir and not Path(cfg.agents.template_dir).is_dir():
         raise ConfigError(f"template directory {cfg.agents.template_dir} does not exist")
     if cfg.eval.synonym_table and not Path(cfg.eval.synonym_table).is_file():
@@ -279,11 +283,15 @@ def build_knowledge_base(cfg: RunConfig) -> KnowledgeBase:
     store = Path(cfg.kb.store_dir) if cfg.kb.store_dir else None
     if store and (store / "meta.json").exists():
         kb = KnowledgeBase.load(store)
-        if kb.index.dim != cfg.provider.dim:
-            raise ConfigError(
-                f"persisted knowledge base dim {kb.index.dim} does not match "
-                f"configured dim {cfg.provider.dim}"
-            )
+        for name, have, want in (
+            ("dim", kb.index.dim, cfg.provider.dim),
+            ("chunk_chars", kb.chunk_chars, cfg.kb.chunk_chars),
+            ("overlap_chars", kb.overlap_chars, cfg.kb.overlap_chars),
+        ):
+            if have != want:
+                raise ConfigError(
+                    f"persisted knowledge base {name} {have} does not match configured {name} {want}"
+                )
         return kb
     return KnowledgeBase(
         dim=cfg.provider.dim,
@@ -292,12 +300,10 @@ def build_knowledge_base(cfg: RunConfig) -> KnowledgeBase:
     )
 
 
-def build_normalizer(cfg: RunConfig, bundle: ProviderBundle | None = None) -> Normalizer:
+def build_normalizer(cfg: RunConfig) -> Normalizer:
     table = load_synonyms(cfg.eval.synonym_table) if cfg.eval.synonym_table else {}
     if cfg.eval.normalizer_kind == "provider":
-        if bundle is None:
-            bundle = build_bundle(cfg)
-        return ProviderNormalizer(bundle.chat)
+        return ProviderNormalizer(build_bundle(cfg).chat)
     return DictionaryNormalizer(table)
 
 
@@ -407,7 +413,7 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     for case, future in zip(cases, futures):
         try:
             report, trace = future.result()
-        except RadarError as exc:
+        except Exception as exc:  # one case's fault, whatever its type, costs no other case
             failures.append((case.id, f"{type(exc).__name__}: {exc}"))
             trace = exc.trace if isinstance(exc, TopologyRunError) else None
         else:

@@ -17,7 +17,7 @@ from radar.errors import (
     ShapeError,
     ValidationError,
 )
-from radar.index import FlatIndex, cosine
+from radar.index import FlatIndex
 
 from conftest import unit_chunk
 
@@ -69,34 +69,6 @@ class TestInsert:
         index.insert([unit_chunk("first", [1, 0])], "k1")
         index.insert([unit_chunk("second", [0, 1])], "k2")
         assert [cid for cid, _, _ in index.entries()] == ["first", "second"]
-
-
-class TestCosine:
-    def test_parallel(self):
-        assert cosine([1, 0], [1, 0]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_forty_five_degrees(self):
-        assert cosine([1, 1], [1, 0]) == pytest.approx(0.70710678, abs=1e-8)
-
-    def test_zero_vector(self):
-        with pytest.raises(DegenerateVectorError):
-            cosine([0, 0], [1, 0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine([1, 0, 0], [1, 0])
-
-    def test_dot_equals_cosine_for_unit_vectors(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            u = rng.normal(size=16)
-            v = rng.normal(size=16)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            assert cosine(u, v) == pytest.approx(float(np.dot(u, v)), abs=1e-9)
 
 
 class TestSearchTopK:

@@ -17,6 +17,7 @@ from radar.errors import (
     ProviderError,
     ScriptExhaustedError,
     ScriptKeyError,
+    ShapeError,
     TransportError,
     ValidationError,
 )
@@ -32,6 +33,7 @@ from radar.providers import (
     request_fingerprint,
     scripted_provider_from_file,
     user_request,
+    with_retries,
 )
 
 
@@ -237,6 +239,45 @@ class TestHashingEmbedder:
         assert abs(float(np.linalg.norm(first)) - 1.0) < 1e-6
 
 
+class TestWithRetries:
+    """The one transport retry policy every outside call goes through."""
+
+    def _flaky(self, outcomes):
+        calls = []
+
+        def call():
+            calls.append(None)
+            outcome = outcomes[len(calls) - 1]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        return call, calls
+
+    def test_transport_failures_back_off_then_succeed(self):
+        call, calls = self._flaky([TransportError("a"), TransportError("b"), "ok"])
+        waits = []
+        assert with_retries(call, sleep=waits.append) == "ok"
+        assert len(calls) == 3
+        assert waits == [1.0, 2.0]
+
+    def test_exhaustion_raises_the_last_failure(self):
+        last = TransportError("third")
+        call, calls = self._flaky([TransportError("first"), TransportError("second"), last])
+        with pytest.raises(TransportError) as raised:
+            with_retries(call, sleep=lambda _: None)
+        assert raised.value is last
+        assert len(calls) == 3
+
+    def test_other_errors_are_not_retried(self):
+        call, calls = self._flaky([ProviderError("bad reply"), "unreached"])
+        waits = []
+        with pytest.raises(ProviderError):
+            with_retries(call, sleep=waits.append)
+        assert len(calls) == 1
+        assert waits == []
+
+
 class _FakeResponse:
     def __init__(self, status_code=200, body=None, text=""):
         self.status_code = status_code
@@ -318,6 +359,47 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderError):
             provider.complete(req())
 
+    @pytest.mark.parametrize("body", [[1, 2], "ok", 7], ids=["array", "string", "number"])
+    def test_non_object_payload(self, body):
+        provider, session = self._provider([_FakeResponse(body=body)])
+        with pytest.raises(ProviderError):
+            provider.complete(req())
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize(
+        "usage",
+        [[1], {"prompt_tokens": "abc"}, {"prompt_tokens": None}, {"completion_tokens": 1.5},
+         {"prompt_tokens": -1}, {"completion_tokens": True}, "many"],
+        ids=["array", "string-count", "null-count", "float-count", "negative", "bool", "string"],
+    )
+    def test_malformed_usage_is_a_provider_error(self, usage):
+        provider, _ = self._provider([_FakeResponse(body={"content": "hi", "usage": usage})])
+        with pytest.raises(ProviderError):
+            provider.complete(req())
+
+    @pytest.mark.parametrize(
+        "usage, tokens", [(None, (0, 0)), ({}, (0, 0)), ({"prompt_tokens": 5}, (5, 0))]
+    )
+    def test_absent_token_counts_are_zero(self, usage, tokens):
+        provider, _ = self._provider([_FakeResponse(body={"content": "hi", "usage": usage})])
+        response = provider.complete(req())
+        assert (response.prompt_tokens, response.completion_tokens) == tokens
+
+    def test_wire_payload(self):
+        session = _FakeSession([_FakeResponse(body={"content": "hi"})])
+        provider = HttpChatProvider("https://backend.test/chat", model="m1", session=session)
+        assert provider.provider_id == "http:m1"
+        provider.complete(req("ping"))
+        sent = session.requests[0]
+        assert json.dumps(sent["json"]) == json.dumps({
+            "messages": [{"role": "user", "content": "ping"}],
+            "temperature": 0.5,
+            "top_p": 1.0,
+            "max_tokens": 1024,
+            "model": "m1",
+        })
+        assert sent["headers"] == {"Content-Type": "application/json"}
+
 
 class TestHttpEmbedder:
     def _embedder(self, outcomes, dim=4):
@@ -340,8 +422,6 @@ class TestHttpEmbedder:
         assert session.requests[0]["json"] == {"text": "lesion"}
 
     def test_wrong_dimension(self):
-        from radar.errors import ShapeError
-
         embedder, _ = self._embedder([_FakeResponse(body={"embedding": [1.0, 0.0]})])
         with pytest.raises(ShapeError):
             embed_text(embedder, "lesion")
@@ -350,6 +430,26 @@ class TestHttpEmbedder:
         embedder, _ = self._embedder([_FakeResponse(body={"vector": [1.0]})])
         with pytest.raises(ProviderError):
             embed_text(embedder, "lesion")
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [["a", "b", "c", "d"], ["1.0", 0.0, 0.0, 0.0], [None, 0.0, 0.0, 0.0],
+         [True, 0.0, 0.0, 0.0], [[1.0], 0.0, 0.0, 0.0], {"0": 1.0}],
+        ids=["letters", "numeric-string", "null", "bool", "nested", "object"],
+    )
+    def test_non_numeric_embedding_is_a_provider_error(self, embedding):
+        embedder, _ = self._embedder([_FakeResponse(body={"embedding": embedding})])
+        with pytest.raises(ProviderError):
+            embed_text(embedder, "lesion")
+
+    def test_integer_components_accepted(self):
+        embedder, _ = self._embedder([_FakeResponse(body={"embedding": [0, 1, 0, 0]})])
+        assert embed_text(embedder, "lesion").tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    def test_wire_payload_forwards_model_last(self):
+        session = _FakeSession([_FakeResponse(body={"embedding": [1.0, 0.0, 0.0, 0.0]})])
+        HttpEmbedder("https://backend.test/embed", dim=4, model="e1", session=session).embed("x")
+        assert json.dumps(session.requests[0]["json"]) == '{"text": "x", "model": "e1"}'
 
     def test_retries_transport(self):
         embedder, session = self._embedder(

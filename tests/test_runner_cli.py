@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from radar import runner
 from radar.cli import main
 from radar.errors import ConfigError
 from radar.runner import (
@@ -225,6 +226,45 @@ class TestConfigValues:
         assert cfg.kb.store_dir is None
 
 
+class TestConfigFaultsExitTwo:
+    """A value no run can use is refused when the config loads, not per case."""
+
+    def _run(self, config, out):
+        return CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(out)],
+        )
+
+    @pytest.mark.parametrize(
+        "key, value", [("agents.max_retries", -1), ("provider.timeouts_ms", 0),
+                       ("provider.timeouts_ms", -5)]
+    )
+    def test_out_of_range_value(self, tmp_path, key, value):
+        result = self._run(write_config(tmp_path / "c.json", **{key: value}), tmp_path / "run")
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("kb.chunk_chars", 800, "chunk_chars 1000 does not match configured chunk_chars 800"),
+        ("kb.overlap_chars", 100, "overlap_chars 200 does not match configured overlap_chars 100"),
+    ])
+    def test_store_window_must_match_the_config(self, tmp_path, key, value, message):
+        store = {"kb.store_dir": str(tmp_path / "store")}
+        fetch = CliRunner().invoke(
+            main,
+            ["kb", "fetch", "--keyword", "glioblastoma",
+             "--config", str(write_config(tmp_path / "c.json", **store))],
+        )
+        assert fetch.exit_code == 0, fetch.output
+        other = write_config(tmp_path / "other.json", **store, **{key: value})
+        result = self._run(other, tmp_path / "run")
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "run" / "reports.jsonl").exists()
+
+
 class TestReadmeConfig:
     """The README's config block documents exactly the keys the loader reads,
     with their defaults."""
@@ -311,6 +351,60 @@ class TestRunCases:
         assert len(load_reports(out)) == 2
         failures = (out / "failures.jsonl").read_text().splitlines()
         assert json.loads(failures[0])["case_id"] == "c3"
+
+
+class DiskFullOnce:
+    """Wraps a source; the first fetch of one keyword raises the OSError a
+    live source's cache write raises on a full disk."""
+
+    def __init__(self, source, keyword):
+        self.source = source
+        self.keyword = keyword
+        self.failed = False
+
+    def fetch(self, keyword):
+        if keyword == self.keyword and not self.failed:
+            self.failed = True
+            raise OSError(28, "No space left on device")
+        return self.source.fetch(keyword)
+
+
+class TestCaseIsolation:
+    """Any exception one case raises is that case's failure; the others run."""
+
+    @pytest.fixture(autouse=True)
+    def disk_full_once(self, monkeypatch):
+        build_bundle = runner.build_bundle
+
+        def failing_bundle(cfg):
+            bundle = build_bundle(cfg)
+            return dataclasses.replace(bundle, source=DiskFullOnce(bundle.source, "tuberous sclerosis"))
+
+        monkeypatch.setattr(runner, "build_bundle", failing_bundle)
+
+    def test_other_cases_reported(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path / "c.json"))
+        out = tmp_path / "out"
+        summary = run_cases(cfg, DATA / "cases.jsonl", out)
+        # c1 fetches the keyword first and fails; c2 fetches it again, which
+        # ingests in the golden order, so c2 and c3 report as in the golden run
+        assert summary.failures == [("c1", "OSError: [Errno 28] No space left on device")]
+        golden = (DATA / "golden" / "reports.jsonl").read_text().splitlines()
+        assert (out / "reports.jsonl").read_text().splitlines() == golden[1:]
+        failures = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]
+        assert failures == [{"case_id": "c1", "error": "OSError: [Errno 28] No space left on device"}]
+        assert json.loads((out / "manifest.json").read_text())["ended_at"] is not None
+
+    def test_cli_exits_one(self, tmp_path):
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(write_config(tmp_path / "c.json")),
+             "--cases", str(DATA / "cases.jsonl"), "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert "failed c1: OSError" in result.output
+        assert len((out / "reports.jsonl").read_text().splitlines()) == 2
 
 
 class TestConcurrentWorkers:

@@ -6,6 +6,7 @@ import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from radar.agents import default_templates
 from radar.domain import NO_EVIDENCE_ANSWER
 from radar.errors import ProviderError
 from radar.knowledge import FixtureSource, KnowledgeBase
-from radar.providers import ChatResponse, HashingEmbedder, ScriptedChatProvider
+from radar.providers import ChatResponse, HashingEmbedder, HttpEmbedder, ScriptedChatProvider
 from radar.topologies import (
     ProviderBundle,
     Topology,
@@ -339,6 +340,24 @@ class TestRunRadar:
         assert trace.kinds().count("retrieval_error") == 5
         assert "search" not in trace.kinds()
         assert bundle.chat.calls == 2 + 1  # no answer call for a failed retrieval
+
+    def test_non_numeric_http_query_embedding_degrades_to_sentinel(self, corpus_dir):
+        """A live embedder's reply with a non-numeric embedding is a
+        ProviderError, so it fails retrieval instead of the case."""
+
+        class NonNumericReplies:  # stands in for the embedder's requests.Session
+            def post(self, url, json=None, headers=None, timeout=None):
+                return SimpleNamespace(status_code=200, json=lambda: {"embedding": ["a"] * 64})
+
+        kb = self._kb()
+        run_radar(self._bundle(corpus_dir), kb, make_case("warm-up"))  # every keyword now a hit
+        embedder = HttpEmbedder("http://embed.test", dim=64, session=NonNumericReplies())
+        bundle = replace(self._bundle(corpus_dir), embedder=embedder)
+        report, trace = run_radar(bundle, kb, make_case())
+        assert [e.answer for e in report.evidence] == [NO_EVIDENCE_ANSWER] * 5
+        errors = [s.detail["error"] for s in trace.steps if s.step_kind == "retrieval_error"]
+        assert len(errors) == 5
+        assert all(e.startswith("ProviderError: ") for e in errors)
 
     def test_non_finite_chunk_embedding_degrades_to_sentinel(self, corpus_dir):
         """On a cold store every keyword ingests; a chunk vector with a NaN
