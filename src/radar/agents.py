@@ -81,29 +81,39 @@ _ROLE_PRESETS: dict[AgentRole, tuple[float, float, str]] = {
 }
 
 
-class TemplateRegistry:
-    """Loads prompt templates from a directory of .txt files.
+TEMPLATE_DIR = Path(__file__).parent / "templates"
 
+
+class TemplateRegistry:
+    """The prompt templates of one directory of .txt files, read whole when built.
+
+    A directory other than the packaged one must hold every packaged
+    template, so a partial copy fails here, before any agent runs.
     Placeholders are written ``{name}`` and substituted by exact token, so
     JSON braces elsewhere in a template pass through untouched.
     """
 
     def __init__(self, template_dir: str | Path | None = None):
-        self.template_dir = Path(template_dir) if template_dir else Path(__file__).parent / "templates"
+        self.template_dir = Path(template_dir) if template_dir else TEMPLATE_DIR
         if not self.template_dir.is_dir():
             raise ConfigError(f"template directory {self.template_dir} does not exist")
-        self._cache: dict[str, str] = {}
+        try:
+            self._texts = {
+                p.stem: p.read_text(encoding="utf-8") for p in self.template_dir.glob("*.txt")
+            }
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read templates in {self.template_dir}: {exc}") from exc
+        missing = sorted({p.stem for p in TEMPLATE_DIR.glob("*.txt")} - self._texts.keys())
+        if missing:
+            raise ConfigError(f"template directory {self.template_dir} lacks {', '.join(missing)}")
 
     def ids(self) -> list[str]:
-        return sorted(p.stem for p in self.template_dir.glob("*.txt"))
+        return sorted(self._texts)
 
     def get(self, template_id: str) -> str:
-        if template_id not in self._cache:
-            path = self.template_dir / f"{template_id}.txt"
-            if not path.is_file():
-                raise ConfigError(f"prompt template {template_id!r} not found in {self.template_dir}")
-            self._cache[template_id] = path.read_text(encoding="utf-8")
-        return self._cache[template_id]
+        if template_id not in self._texts:
+            raise ConfigError(f"prompt template {template_id!r} not found in {self.template_dir}")
+        return self._texts[template_id]
 
     def render(self, template_id: str, **fields: str) -> str:
         text = self.get(template_id)
@@ -112,14 +122,7 @@ class TemplateRegistry:
         return text
 
 
-_default_registry: TemplateRegistry | None = None
-
-
-def default_templates() -> TemplateRegistry:
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = TemplateRegistry()
-    return _default_registry
+PACKAGED_TEMPLATES = TemplateRegistry()
 
 
 def config_for_role(
@@ -127,21 +130,14 @@ def config_for_role(
     *,
     template_id: str | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    templates: TemplateRegistry | None = None,
 ) -> AgentConfig:
-    """Build an AgentConfig from the role's sampling preset.
-
-    The chosen template must exist in the registry; that is checked here
-    rather than at call time so misconfiguration fails fast.
-    """
+    """Build an AgentConfig from the role's sampling preset."""
     temperature, top_p, preset_template = _ROLE_PRESETS[role]
-    chosen_template = template_id or preset_template
-    (templates or default_templates()).get(chosen_template)
     return AgentConfig(
         role=role,
         temperature=temperature,
         top_p=top_p,
-        prompt_template_id=chosen_template,
+        prompt_template_id=template_id or preset_template,
         max_retries=max_retries,
     )
 
@@ -309,12 +305,11 @@ def initial_diagnosis(
     provider: ChatProvider,
     cfg: AgentConfig,
     case: Case,
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     on_step: StepFn | None = None,
 ) -> CandidateList:
     """Produce the broad list of ten candidate diagnoses for a case."""
-    registry = templates or default_templates()
-    prompt = registry.render(
+    prompt = templates.render(
         cfg.prompt_template_id, caption=case.caption, clinical_data=case.clinical_data
     )
     return ask_structured(provider, cfg, prompt, parse_candidates, on_step)
@@ -325,14 +320,13 @@ def generate_queries(
     cfg: AgentConfig,
     case: Case,
     n: int = DEFAULT_N_QUERIES,
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     on_step: StepFn | None = None,
 ) -> list[QueryPair]:
     """Produce exactly n question-keyword pairs for targeted retrieval."""
     if n <= 0:
         raise ValidationError(f"n must be positive, got {n}")
-    registry = templates or default_templates()
-    prompt = registry.render(
+    prompt = templates.render(
         cfg.prompt_template_id,
         caption=case.caption,
         clinical_data=case.clinical_data,
@@ -356,7 +350,7 @@ def answer_question(
     retrieved: Sequence[ScoredChunk],
     chunk_texts: Mapping[str, str],
     keyword: str = "",
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     on_step: StepFn | None = None,
 ) -> EvidenceAnswer:
     """Answer a question strictly from retrieved chunks, citing their ids.
@@ -366,8 +360,7 @@ def answer_question(
     """
     if not retrieved:
         return no_evidence_answer(question, keyword)
-    registry = templates or default_templates()
-    prompt = registry.render(
+    prompt = templates.render(
         cfg.prompt_template_id,
         question=question,
         chunks=_render_chunks(retrieved, chunk_texts),
@@ -396,12 +389,11 @@ def final_diagnosis(
     candidates: CandidateList,
     evidence: Sequence[EvidenceAnswer],
     trace_id: str = "",
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     on_step: StepFn | None = None,
 ) -> DiagnosisReport:
     """Integrate case, candidates, and evidence into the final 1+4 report."""
-    registry = templates or default_templates()
-    prompt = registry.render(
+    prompt = templates.render(
         cfg.prompt_template_id,
         caption=case.caption,
         clinical_data=case.clinical_data,

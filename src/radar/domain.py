@@ -8,9 +8,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import RadarError, ValidationError
 
 # Answer text used when a question could not be grounded in any retrieved
 # chunk. EvidenceAnswer treats it as the one case where citations may be empty.
@@ -54,65 +54,65 @@ class Case:
     paraphrase_id: int = 0  # 0 = original caption, 1-4 = paraphrase variants
 
     def __post_init__(self) -> None:
-        problems = _case_problems(
-            {
-                "id": self.id,
-                "caption": self.caption,
-                "clinical_data": self.clinical_data,
-                "truth_label": self.truth_label,
-                "paraphrase_id": self.paraphrase_id,
-            }
-        )
+        problems = []
+        for name in ("id", "caption", "truth_label"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value.strip():
+                problems.append(f"{name} empty")
+        if not isinstance(self.clinical_data, str):
+            problems.append("clinical_data not a string")
+        paraphrase = self.paraphrase_id
+        if not isinstance(paraphrase, int) or isinstance(paraphrase, bool) or paraphrase < 0:
+            problems.append("paraphrase_id not a non-negative integer")
         if problems:
             raise ValidationError("invalid case: " + "; ".join(problems), fields=problems)
 
 
-def _case_problems(raw: Mapping[str, Any]) -> list[str]:
-    problems = []
-    for name in ("id", "caption", "truth_label"):
-        value = raw.get(name)
-        if not isinstance(value, str) or not value.strip():
-            problems.append(f"{name} empty")
-    clinical = raw.get("clinical_data", "")
-    if not isinstance(clinical, str):
-        problems.append("clinical_data not a string")
-    paraphrase = raw.get("paraphrase_id", 0)
-    if not isinstance(paraphrase, int) or isinstance(paraphrase, bool) or paraphrase < 0:
-        problems.append("paraphrase_id not a non-negative integer")
-    return problems
-
-
 def validate_case(raw: Mapping[str, Any]) -> Case:
     """Build a Case from a raw record, reporting every violated field at once."""
-    problems = _case_problems(raw)
-    if problems:
-        raise ValidationError("invalid case: " + "; ".join(problems), fields=problems)
     return Case(
-        id=raw["id"],
-        caption=raw["caption"],
+        id=raw.get("id"),
+        caption=raw.get("caption"),
         clinical_data=raw.get("clinical_data", ""),
-        truth_label=raw["truth_label"],
+        truth_label=raw.get("truth_label"),
         paraphrase_id=raw.get("paraphrase_id", 0),
     )
 
 
-def load_cases(path: str | Path) -> list[Case]:
-    """Read cases from a line-delimited JSON file (UTF-8, no BOM)."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.startswith("﻿"):
-        raise ValidationError(f"{path}: case file must be UTF-8 without BOM")
-    cases = []
+def read_jsonl(path: str | Path, error: type[RadarError]) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:line", object)`` for each non-blank line of a JSON-lines file.
+
+    The file must be readable UTF-8 without BOM and each line a JSON object;
+    anything else raises ``error`` naming the file and line, so a loader
+    checks only its own record.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    if text.startswith("\ufeff"):
+        raise error(f"{path}: file must be UTF-8 without BOM")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+            raise error(f"{where}: not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise error(f"{where}: expected a JSON object, got {type(raw).__name__}")
+        yield where, raw
+
+
+def load_cases(path: str | Path) -> list[Case]:
+    """Read cases from a line-delimited JSON file (UTF-8, no BOM)."""
+    cases = []
+    for where, raw in read_jsonl(path, ValidationError):
         try:
             cases.append(validate_case(raw))
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}", fields=exc.fields) from exc
+            raise ValidationError(f"{where}: {exc}", fields=exc.fields) from exc
     return cases
 
 
@@ -210,14 +210,14 @@ class DiagnosisReport:
         object.__setattr__(self, "differentials", tuple(self.differentials))
         object.__setattr__(self, "confidences", tuple(float(c) for c in self.confidences))
         object.__setattr__(self, "evidence", tuple(self.evidence))
-        if not self.primary or not self.primary.strip():
+        if not isinstance(self.primary, str) or not self.primary.strip():
             raise ValidationError("report primary diagnosis is empty")
         if len(self.differentials) != DIFFERENTIAL_COUNT:
             raise ValidationError(
                 f"report must carry exactly {DIFFERENTIAL_COUNT} differentials, "
                 f"got {len(self.differentials)}"
             )
-        if any(not d or not d.strip() for d in self.differentials):
+        if any(not isinstance(d, str) or not d.strip() for d in self.differentials):
             raise ValidationError("report contains an empty differential")
         if len(self.confidences) != DIFFERENTIAL_COUNT + 1:
             raise ValidationError(

@@ -71,7 +71,8 @@ class CorruptionError(RadarError):
 
 
 class FetchError(RadarError):
-    """Fetching documents from an external source failed after retries."""
+    """Fetching documents from an external source failed: at once for a
+    reply that is not a transport failure, else after retries."""
 
 
 class IngestionError(RadarError):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .agents import TemplateRegistry, default_templates, parse_label, parse_structured
-from .domain import DiagnosisReport, canonical_fold
+from .agents import PACKAGED_TEMPLATES, TemplateRegistry, parse_label, parse_structured
+from .domain import DiagnosisReport, canonical_fold, read_jsonl
 from .errors import EvaluationError, RadarError, ValidationError
 from .providers import TEMP_LOW, ChatProvider, user_request
 
@@ -77,12 +77,12 @@ class ProviderNormalizer:
     def __init__(
         self,
         provider: ChatProvider,
-        templates: TemplateRegistry | None = None,
+        templates: TemplateRegistry = PACKAGED_TEMPLATES,
         normalizer_id: str = "provider",
     ):
         self.normalizer_id = normalizer_id
         self._provider = provider
-        self._templates = templates or default_templates()
+        self._templates = templates
 
     def normalize(self, raw: str) -> NormalizedPrediction:
         folded = canonical_fold(raw)
@@ -223,14 +223,13 @@ def aggregate(results: Sequence[EvalResult]) -> AggregateResult:
 def load_truths(path: str | Path) -> dict[str, str]:
     """Read {case_id, truth_label} records from a line-delimited JSON file."""
     truths: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            truths[raw["case_id"]] = raw["truth_label"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise EvaluationError(f"{path}:{lineno}: bad truth record: {exc}") from exc
+    for where, raw in read_jsonl(path, EvaluationError):
+        case_id, label = raw.get("case_id"), raw.get("truth_label")
+        if not isinstance(case_id, str) or not isinstance(label, str):
+            raise EvaluationError(
+                f"{where}: bad truth record: needs string 'case_id' and 'truth_label'"
+            )
+        truths[case_id] = label
     return truths
 
 

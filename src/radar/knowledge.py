@@ -503,8 +503,10 @@ class LiveSource:
                 raise TransportError(f"GET {url} failed: {exc}") from exc
             finally:
                 self._last_request = self._clock()
-        if resp.status_code != 200:
+        if resp.status_code >= 500:
             raise TransportError(f"GET {url} answered {resp.status_code}")
+        if resp.status_code != 200:
+            raise FetchError(f"GET {url} answered {resp.status_code}")
         if cached:
             _write_replacing(cached, lambda p: p.write_text(resp.text, "utf-8"))
         return resp.text

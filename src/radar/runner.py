@@ -24,13 +24,14 @@ from pathlib import Path
 from typing import Any, Literal, NewType, get_args, get_origin, get_type_hints
 
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
-from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS
-from .domain import Case, load_cases
-from .errors import ConfigError, EvaluationError
+from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS, check_window
+from .domain import Case, DiagnosisReport, load_cases, read_jsonl
+from .errors import ConfigError, EvaluationError, RadarError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
 from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
 from .providers import (
     DEFAULT_EMBED_DIM,
+    ChatProvider,
     HashingEmbedder,
     HttpChatProvider,
     HttpEmbedder,
@@ -218,11 +219,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError("http provider needs provider.chat.url")
     if provider.embedder_kind == "http" and not provider.embed.url:
         raise ConfigError("http embedder needs provider.embed.url")
-    if not 0 <= kb.overlap_chars < kb.chunk_chars:
-        raise ConfigError(
-            f"kb.overlap_chars must satisfy 0 <= overlap < chunk, got "
-            f"overlap={kb.overlap_chars}, chunk={kb.chunk_chars}"
-        )
+    check_window(kb.chunk_chars, kb.overlap_chars)
     if source.kind == "fixture":
         if not source.corpus_dir:
             raise ConfigError("fixture source needs kb.source.corpus_dir")
@@ -250,25 +247,25 @@ def load_run_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def build_bundle(cfg: RunConfig) -> ProviderBundle:
-    api_key = os.environ.get(API_KEY_ENV)
-    timeout_s = cfg.provider.timeouts_ms / 1000.0
-
+def build_chat(cfg: RunConfig) -> ChatProvider:
     if cfg.provider.kind == "scripted":
-        chat = scripted_provider_from_file(cfg.provider.script_path)
-    else:
-        chat = HttpChatProvider(
-            cfg.provider.chat.url,
-            api_key=api_key,
-            model=cfg.provider.model,
-            timeout_s=timeout_s,
-        )
+        return scripted_provider_from_file(cfg.provider.script_path)
+    return HttpChatProvider(
+        cfg.provider.chat.url,
+        api_key=os.environ.get(API_KEY_ENV),
+        model=cfg.provider.model,
+        timeout_s=cfg.provider.timeouts_ms / 1000.0,
+    )
 
+
+def build_bundle(cfg: RunConfig) -> ProviderBundle:
+    chat = build_chat(cfg)
     if cfg.provider.embedder_kind == "hashing":
         embedder = HashingEmbedder(dim=cfg.provider.dim)
     else:
         embedder = HttpEmbedder(
-            cfg.provider.embed.url, dim=cfg.provider.dim, api_key=api_key, timeout_s=timeout_s
+            cfg.provider.embed.url, dim=cfg.provider.dim, api_key=os.environ.get(API_KEY_ENV),
+            timeout_s=cfg.provider.timeouts_ms / 1000.0,
         )
 
     src = cfg.kb.source
@@ -303,7 +300,7 @@ def build_knowledge_base(cfg: RunConfig) -> KnowledgeBase:
 def build_normalizer(cfg: RunConfig) -> Normalizer:
     table = load_synonyms(cfg.eval.synonym_table) if cfg.eval.synonym_table else {}
     if cfg.eval.normalizer_kind == "provider":
-        return ProviderNormalizer(build_bundle(cfg).chat)
+        return ProviderNormalizer(build_chat(cfg), TemplateRegistry(cfg.agents.template_dir))
     return DictionaryNormalizer(table)
 
 
@@ -380,6 +377,7 @@ def _execute_case(cfg, bundle, kb, templates, case: Case):
 def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> RunSummary:
     """Execute the configured topology over every case and write run outputs."""
     cases = load_cases(cases_path)
+    templates = TemplateRegistry(cfg.agents.template_dir)
     bundle = build_bundle(cfg)
     if isinstance(bundle.chat, ScriptedChatProvider) and bundle.chat.remaining and (
         cfg.topology is Topology.RADAR or cfg.workers > 1
@@ -395,13 +393,9 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     (out_dir / "traces").mkdir(exist_ok=True)
 
     kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
-    templates = TemplateRegistry(cfg.agents.template_dir)
 
     run_id = uuid.uuid4().hex[:12]
-    digest = content_digest(
-        cfg.agents.template_dir or (Path(__file__).parent / "templates"),
-        cfg.kb.source.corpus_dir,
-    )
+    digest = content_digest(templates.template_dir, cfg.kb.source.corpus_dir)
     started = time.time()
     _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, None)
 
@@ -446,14 +440,20 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
 
 
 def load_reports(run_dir: str | Path) -> list[tuple[str, dict]]:
-    """Read (case_id, raw report dict) pairs from a run directory."""
+    """Read (case_id, raw report dict) pairs from a run directory.
+
+    Each line must hold a string ``case_id`` and a well-formed report.
+    """
     path = Path(run_dir) / "reports.jsonl"
     if not path.is_file():
         raise EvaluationError(f"{run_dir} has no reports.jsonl")
     out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
+    for where, raw in read_jsonl(path, EvaluationError):
+        try:
+            DiagnosisReport.from_dict(raw)
+        except (RadarError, KeyError, TypeError, ValueError) as exc:
+            raise EvaluationError(f"{where}: bad report: {type(exc).__name__}: {exc}") from exc
+        if not isinstance(raw.get("case_id"), str):
+            raise EvaluationError(f"{where}: bad report: no string 'case_id'")
         out.append((raw["case_id"], raw))
     return out

@@ -21,11 +21,11 @@ from .agents import (
     AgentConfig,
     AgentRole,
     Parser,
+    PACKAGED_TEMPLATES,
     TemplateRegistry,
     answer_question,
     ask_structured,
     config_for_role,
-    default_templates,
     final_diagnosis,
     generate_queries,
     initial_diagnosis,
@@ -185,15 +185,14 @@ def _ask(
 
 def _diagnose(
     chat: ChatProvider, trace: RunTrace, step_kind: str, case: Case,
-    registry: TemplateRegistry, max_retries: int,
+    templates: TemplateRegistry, max_retries: int,
 ) -> DiagnosisReport:
     """One doctor's report on the bare case: the single topology's report and
     the challenger's draft."""
     cfg = config_for_role(
-        AgentRole.FINAL_DOCTOR, template_id="single_doctor", max_retries=max_retries,
-        templates=registry,
+        AgentRole.FINAL_DOCTOR, template_id="single_doctor", max_retries=max_retries
     )
-    prompt = registry.render(
+    prompt = templates.render(
         cfg.prompt_template_id, caption=case.caption, clinical_data=case.clinical_data
     )
     return _ask(chat, trace, step_kind, cfg, prompt)
@@ -207,13 +206,12 @@ def _diagnose(
 def run_single(
     providers: ProviderBundle,
     case: Case,
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """One doctor call, no candidates, no evidence."""
     trace = RunTrace(_trace_id(Topology.SINGLE, case), Topology.SINGLE, case.id)
-    registry = templates or default_templates()
-    report = _diagnose(providers.chat, trace, "diagnose", case, registry, max_retries)
+    report = _diagnose(providers.chat, trace, "diagnose", case, templates, max_retries)
     return report, trace
 
 
@@ -273,7 +271,7 @@ def run_collaborative(
     case: Case,
     n_agents: int = DEFAULT_COLLAB_AGENTS,
     max_rounds: int = DEFAULT_COLLAB_ROUNDS,
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Independent assessments, then discussion rounds until primaries agree.
@@ -285,8 +283,7 @@ def run_collaborative(
     if n_agents < 2:
         raise ValidationError(f"collaboration needs at least 2 agents, got {n_agents}")
     trace = RunTrace(_trace_id(Topology.COLLABORATIVE, case), Topology.COLLABORATIVE, case.id)
-    registry = templates or default_templates()
-    role_cfg = functools.partial(config_for_role, max_retries=max_retries, templates=registry)
+    role_cfg = functools.partial(config_for_role, max_retries=max_retries)
     initial_cfg = role_cfg(AgentRole.COLLABORATOR)
     revise_cfg = role_cfg(AgentRole.COLLABORATOR, template_id="collaborator_revise")
 
@@ -295,7 +292,7 @@ def run_collaborative(
 
     reports = []
     for idx in range(n_agents):
-        prompt = registry.render(
+        prompt = templates.render(
             initial_cfg.prompt_template_id,
             caption=case.caption,
             clinical_data=case.clinical_data,
@@ -308,7 +305,7 @@ def run_collaborative(
         revised = []
         for idx in range(n_agents):
             peers = [r.to_dict() for j, r in enumerate(reports) if j != idx]
-            prompt = registry.render(
+            prompt = templates.render(
                 revise_cfg.prompt_template_id,
                 caption=case.caption,
                 clinical_data=case.clinical_data,
@@ -338,19 +335,18 @@ def run_collaborative(
 def run_challenger(
     providers: ProviderBundle,
     case: Case,
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Draft, adversarial critique, one revision. Empty critique keeps the draft."""
     trace = RunTrace(_trace_id(Topology.CHALLENGER, case), Topology.CHALLENGER, case.id)
-    registry = templates or default_templates()
-    role_cfg = functools.partial(config_for_role, max_retries=max_retries, templates=registry)
+    role_cfg = functools.partial(config_for_role, max_retries=max_retries)
     challenger_cfg = role_cfg(AgentRole.CHALLENGER)
     revise_cfg = role_cfg(AgentRole.FINAL_DOCTOR, template_id="doctor_revise")
 
-    draft = _diagnose(providers.chat, trace, "draft", case, registry, max_retries)
+    draft = _diagnose(providers.chat, trace, "draft", case, templates, max_retries)
     draft_json = json.dumps(draft.to_dict(), indent=2)
-    prompt = registry.render(
+    prompt = templates.render(
         challenger_cfg.prompt_template_id,
         caption=case.caption,
         clinical_data=case.clinical_data,
@@ -360,7 +356,7 @@ def run_challenger(
     if not objections:
         return draft, trace
 
-    prompt = registry.render(
+    prompt = templates.render(
         revise_cfg.prompt_template_id,
         caption=case.caption,
         clinical_data=case.clinical_data,
@@ -428,7 +424,7 @@ def run_radar(
     case: Case,
     n_queries: int = DEFAULT_N_QUERIES,
     top_k: int = RETRIEVAL_TOP_K,
-    templates: TemplateRegistry | None = None,
+    templates: TemplateRegistry = PACKAGED_TEMPLATES,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Hypotheses, targeted queries, cached retrieval, grounded answers, final report.
@@ -451,9 +447,8 @@ def run_radar(
     if providers.embedder is None or providers.source is None:
         raise ValidationError("the retrieval topology needs an embedder and a document source")
     trace = RunTrace(_trace_id(Topology.RADAR, case), Topology.RADAR, case.id)
-    registry = templates or default_templates()
 
-    role_cfg = functools.partial(config_for_role, max_retries=max_retries, templates=registry)
+    role_cfg = functools.partial(config_for_role, max_retries=max_retries)
     init_cfg = role_cfg(AgentRole.INITIAL_DOCTOR)
     query_cfg = role_cfg(AgentRole.QUERY_GENERATOR)
     answer_cfg = role_cfg(AgentRole.ANSWER_GENERATOR)
@@ -468,19 +463,19 @@ def run_radar(
         return _Stage(kind, role, part, pool.submit(call, part, on_step))
 
     def ask_candidates(part: RunTrace, on_step) -> CandidateList:
-        candidates = initial_diagnosis(providers.chat, init_cfg, case, registry, on_step)
+        candidates = initial_diagnosis(providers.chat, init_cfg, case, templates, on_step)
         part.annotate_last({"n_candidates": len(candidates.candidates)})
         return candidates
 
     def ask_queries(part: RunTrace, on_step) -> list[QueryPair]:
-        pairs = generate_queries(providers.chat, query_cfg, case, n_queries, registry, on_step)
+        pairs = generate_queries(providers.chat, query_cfg, case, n_queries, templates, on_step)
         part.annotate_last({"n_pairs": len(pairs)})
         return pairs
 
     def ask_answer(pair: QueryPair, scored, chunk_texts, part: RunTrace, on_step) -> EvidenceAnswer:
         answer = answer_question(
             providers.chat, answer_cfg, pair.question, scored, chunk_texts, pair.keyword,
-            registry, on_step,
+            templates, on_step,
         )
         if not scored:
             part.add("answer", AgentRole.ANSWER_GENERATOR.value, pair.question, answer.answer,
@@ -536,6 +531,6 @@ def run_radar(
 
     ask = functools.partial(
         final_diagnosis, providers.chat, final_cfg, case, candidates, evidence, trace.trace_id,
-        registry,
+        templates,
     )
     return _step(trace, "final_diagnosis", AgentRole.FINAL_DOCTOR, ask), trace

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import functools
 import json
+import shutil
 
 import pytest
 
 from radar import agents
 from radar.agents import (
     AgentConfig,
+    PACKAGED_TEMPLATES,
+    TEMPLATE_DIR,
     AgentRole,
     TemplateRegistry,
     answer_question,
     ask_structured,
     config_for_role,
-    default_templates,
     final_diagnosis,
     generate_queries,
     initial_diagnosis,
@@ -241,18 +243,21 @@ class TestConfigForRole:
         assert config_for_role(AgentRole.ANSWER_GENERATOR).temperature == TEMP_LOW
         assert config_for_role(AgentRole.FINAL_DOCTOR).temperature == TEMP_MID
 
-    def test_missing_template_rejected(self):
-        with pytest.raises(ConfigError):
-            config_for_role(AgentRole.FINAL_DOCTOR, template_id="not_a_template")
-
     def test_overrides(self):
         assert config_for_role(AgentRole.FINAL_DOCTOR, max_retries=0).max_retries == 0
 
 
+def copy_templates(dest, skip=()):
+    """A template directory holding every packaged template but ``skip``."""
+    shutil.copytree(TEMPLATE_DIR, dest)
+    for template_id in skip:
+        (dest / f"{template_id}.txt").unlink()
+    return dest
+
+
 class TestTemplateRegistry:
     def test_placeholders_substituted_braces_preserved(self):
-        registry = default_templates()
-        rendered = registry.render(
+        rendered = PACKAGED_TEMPLATES.render(
             "initial_doctor", caption="CAPTION-X", clinical_data="CLINICAL-Y"
         )
         assert "CAPTION-X" in rendered
@@ -261,13 +266,41 @@ class TestTemplateRegistry:
 
     def test_missing_template(self):
         with pytest.raises(ConfigError):
-            default_templates().get("does_not_exist")
+            PACKAGED_TEMPLATES.get("does_not_exist")
+
+    def test_every_template_the_code_names_is_packaged(self):
+        named = {template for _, _, template in agents._ROLE_PRESETS.values()}
+        named |= {"single_doctor", "collaborator_revise", "doctor_revise", "normalize_label"}
+        assert named <= set(PACKAGED_TEMPLATES.ids())
 
     def test_custom_directory(self, tmp_path):
-        (tmp_path / "greet.txt").write_text("hello {caption}")
-        registry = TemplateRegistry(tmp_path)
+        templates = copy_templates(tmp_path / "templates")
+        (templates / "greet.txt").write_text("hello {caption}")
+        registry = TemplateRegistry(templates)
         assert registry.render("greet", caption="world") == "hello world"
-        assert registry.ids() == ["greet"]
+        assert registry.ids() == sorted(PACKAGED_TEMPLATES.ids() + ["greet"])
+        assert registry.get("final_doctor") == PACKAGED_TEMPLATES.get("final_doctor")
+
+    def test_custom_directory_reads_whole_when_built(self, tmp_path):
+        templates = copy_templates(tmp_path / "templates")
+        registry = TemplateRegistry(templates)
+        (templates / "final_doctor.txt").write_text("edited after the build")
+        assert registry.get("final_doctor") == PACKAGED_TEMPLATES.get("final_doctor")
+
+    def test_partial_directory_rejected_when_built(self, tmp_path):
+        templates = copy_templates(tmp_path / "templates", skip={"final_doctor"})
+        with pytest.raises(ConfigError, match="lacks final_doctor"):
+            TemplateRegistry(templates)
+
+    def test_unreadable_template_rejected_when_built(self, tmp_path):
+        templates = copy_templates(tmp_path / "templates")
+        (templates / "final_doctor.txt").write_bytes(b"\xff\xfe not utf-8")
+        with pytest.raises(ConfigError, match="cannot read templates"):
+            TemplateRegistry(templates)
+
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="does not exist"):
+            TemplateRegistry(tmp_path / "nope")
 
 
 class TestInitialDiagnosis:

@@ -97,6 +97,28 @@ class TestValidateCase:
         with pytest.raises(ValidationError, match="BOM"):
             load_cases(path)
 
+    GOOD_CASE = b'{"id": "c1", "caption": "a", "truth_label": "t"}\n'
+
+    @pytest.mark.parametrize("content, where, problem, fields", [
+        (None, "", "cannot read", []),
+        (b"\xff\xfe not utf-8\n", "", "cannot read", []),
+        (GOOD_CASE + b'{"id": "c2"\n', ":2", "not valid JSON", []),
+        (GOOD_CASE + b"[1, 2]\n", ":2", "expected a JSON object, got list", []),
+        (GOOD_CASE + b'"c2"\n', ":2", "expected a JSON object, got str", []),
+        (GOOD_CASE + b'{"id": "", "caption": "x", "truth_label": "y"}\n', ":2",
+         "invalid case: id empty", ["id empty"]),
+        (b'{"id": "c1", "caption": "a", "truth_label": "t", "paraphrase_id": "1"}\n', ":1",
+         "paraphrase_id not a non-negative integer", ["paraphrase_id not a non-negative integer"]),
+    ], ids=["missing", "not-utf8", "not-json", "array", "string", "empty-id", "string-paraphrase"])
+    def test_load_cases_names_the_fault(self, tmp_path, content, where, problem, fields):
+        path = tmp_path / "cases.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValidationError, match=problem) as exc_info:
+            load_cases(path)
+        assert f"{path}{where}" in str(exc_info.value)
+        assert exc_info.value.fields == fields
+
 
 class TestCandidateList:
     TEN = tuple(f"diagnosis {i}" for i in range(10))

@@ -208,6 +208,27 @@ class TestFileLoaders:
         with pytest.raises(EvaluationError):
             load_truths(path)
 
+    GOOD_TRUTH = b'{"case_id": "c1", "truth_label": "glioma"}\n'
+
+    @pytest.mark.parametrize("content, where, problem", [
+        (None, "", "cannot read"),
+        (b"\xff\xfe not utf-8\n", "", "cannot read"),
+        ("\ufeff".encode() + GOOD_TRUTH, "", "without BOM"),
+        (GOOD_TRUTH + b'{"case_id": "c2",\n', ":2", "not valid JSON"),
+        (GOOD_TRUTH + b'["c2", "glioma"]\n', ":2", "expected a JSON object, got list"),
+        (GOOD_TRUTH + b'{"case_id": "c2"}\n', ":2", "bad truth record"),
+        (GOOD_TRUTH + b'{"case_id": 2, "truth_label": "glioma"}\n', ":2", "bad truth record"),
+        (GOOD_TRUTH + b'{"case_id": "c2", "truth_label": null}\n', ":2", "bad truth record"),
+    ], ids=["missing", "not-utf8", "bom", "not-json", "array", "no-label", "int-case-id",
+            "null-label"])
+    def test_truths_name_the_fault(self, tmp_path, content, where, problem):
+        path = tmp_path / "truth.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(EvaluationError, match=problem) as exc_info:
+            load_truths(path)
+        assert f"{path}{where}" in str(exc_info.value)
+
     def test_synonyms(self, tmp_path):
         path = tmp_path / "syn.json"
         path.write_text('{"gbm": "glioblastoma"}')

@@ -543,8 +543,9 @@ class TestHtmlToText:
 class _PageSession:
     """Serves canned HTML per URL and records request order."""
 
-    def __init__(self, pages):
+    def __init__(self, pages, missing_status=404):
         self.pages = pages
+        self.missing_status = missing_status
         self.urls = []
 
     def get(self, url, timeout=None):
@@ -556,7 +557,7 @@ class _PageSession:
                 self.text = text
 
         if url not in self.pages:
-            return Resp(404, "")
+            return Resp(self.missing_status, "")
         return Resp(200, self.pages[url])
 
 
@@ -633,13 +634,25 @@ class TestLiveSource:
         source = LiveSource(self.BASE, delay_ms=10, cache_dir=tmp_path)
         assert source.delay_s == pytest.approx(1.0)
 
-    def test_http_error_is_transport(self, tmp_path):
+    def test_not_found_is_a_fetch_error_after_one_get(self):
         session = _PageSession({})
-        source = LiveSource(
-            self.BASE, session=session, sleep=lambda _: None, clock=lambda: 0.0
-        )
-        with pytest.raises(TransportError):
+        gate, backoff = [], []
+        source = LiveSource(self.BASE, session=session, sleep=gate.append, clock=lambda: 0.0)
+        with pytest.raises(FetchError, match="answered 404"):
+            fetch_documents(source, "glioblastoma", sleep=backoff.append)
+        assert len(session.urls) == 1
+        assert (gate, backoff) == ([], [])
+
+    def test_server_error_is_transport_and_retried(self):
+        session = _PageSession({}, missing_status=503)
+        gate, backoff = [], []
+        source = LiveSource(self.BASE, session=session, sleep=gate.append, clock=lambda: 0.0)
+        with pytest.raises(TransportError, match="answered 503"):
             source.fetch("glioblastoma")
+        with pytest.raises(FetchError, match="answered 503"):
+            fetch_documents(source, "glioblastoma", sleep=backoff.append)
+        assert len(session.urls) == 1 + 3
+        assert backoff == [1.0, 2.0]
 
     def test_network_exception_is_transport(self):
         class ExplodingSession:

@@ -11,8 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from radar import runner
+from radar.agents import TEMPLATE_DIR
 from radar.cli import main
-from radar.errors import ConfigError
+from radar.errors import ConfigError, EvaluationError
+from radar.providers import TEMP_LOW, request_fingerprint, user_request
 from radar.runner import (
     AgentSettings,
     Endpoint,
@@ -409,11 +411,10 @@ class TestCaseIsolation:
 
 class TestConcurrentWorkers:
     def test_keyed_script_runs_in_parallel_and_keeps_input_order(self, tmp_path):
-        from radar.agents import default_templates
+        from radar.agents import PACKAGED_TEMPLATES
         from radar.domain import load_cases
         from radar.providers import request_fingerprint, user_request
 
-        registry = default_templates()
         reply = json.dumps(
             {
                 "primary": "glioblastoma",
@@ -423,7 +424,7 @@ class TestConcurrentWorkers:
         )
         entries = []
         for case in load_cases(DATA / "cases.jsonl"):
-            prompt = registry.render(
+            prompt = PACKAGED_TEMPLATES.render(
                 "single_doctor", caption=case.caption, clinical_data=case.clinical_data
             )
             entries.append(
@@ -569,6 +570,131 @@ class TestCliRun:
         assert result.exit_code == 1
         assert len((out / "reports.jsonl").read_text().splitlines()) == 2
         assert (out / "failures.jsonl").is_file()
+
+
+class TestTemplateDirectory:
+    """A run reads its template directory whole before the first case, and
+    the provider normalizer renders from it too."""
+
+    def test_partial_directory_exits_two_before_any_case(self, tmp_path):
+        templates = tmp_path / "templates"
+        shutil.copytree(TEMPLATE_DIR, templates)
+        (templates / "final_doctor.txt").unlink()
+        config = write_config(tmp_path / "c.json", **{"agents.template_dir": str(templates)})
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "lacks final_doctor" in result.output
+        assert not (out / "reports.jsonl").exists()
+
+    def test_provider_normalizer_renders_the_configured_template(self, tmp_path, monkeypatch):
+        templates = tmp_path / "templates"
+        shutil.copytree(TEMPLATE_DIR, templates)
+        (templates / "normalize_label.txt").write_text("Name the term {label} canonically.")
+        request = user_request("Name the term GBM canonically.", temperature=TEMP_LOW)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([{
+            "fingerprint": request_fingerprint(request),
+            "content": json.dumps({"canonical": "Glioblastoma"}),
+        }]))
+        config = write_config(
+            tmp_path / "c.json",
+            **{"agents.template_dir": str(templates), "eval.normalizer_kind": "provider",
+               "provider.script_path": str(script)},
+        )
+
+        def no_source(*args, **kwargs):
+            raise AssertionError("the normalizer built a document source")
+
+        monkeypatch.setattr(runner, "FixtureSource", no_source)
+        prediction = runner.build_normalizer(load_run_config(config)).normalize("GBM")
+        assert (prediction.canonical, prediction.degraded) == ("glioblastoma", False)
+
+
+GOLDEN_REPORT = json.loads((DATA / "golden" / "reports.jsonl").read_text().splitlines()[0])
+
+
+def report_line(**changes) -> bytes:
+    """The first golden report line with keys replaced, or dropped where None."""
+    raw = {**GOLDEN_REPORT, **changes}
+    return json.dumps({k: v for k, v in raw.items() if v is not None}).encode() + b"\n"
+
+
+class TestLoadReports:
+    @pytest.mark.parametrize("line, problem", [
+        (b'{"case_id": "c2",\n', "not valid JSON"),
+        (b'["c2"]\n', "expected a JSON object, got list"),
+        (report_line(primary=None), "bad report: KeyError: 'primary'"),
+        (report_line(primary=5), "bad report: ValidationError"),
+        (report_line(confidences="abc"), "bad report: ValueError"),
+        (report_line(differentials=7), "bad report: TypeError"),
+        (report_line(evidence=[1]), "bad report: TypeError"),
+        (report_line(case_id=None), "bad report: no string 'case_id'"),
+        (report_line(case_id=3), "bad report: no string 'case_id'"),
+    ], ids=["not-json", "array", "no-primary", "int-primary", "string-confidences",
+            "int-differentials", "int-evidence", "no-case-id", "int-case-id"])
+    def test_names_the_faulty_line(self, tmp_path, line, problem):
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(report_line() + line)
+        with pytest.raises(EvaluationError, match=re.escape(problem)) as exc_info:
+            load_reports(tmp_path)
+        assert f"{path}:2" in str(exc_info.value)
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(b"\xff\xfe not utf-8\n")
+        with pytest.raises(EvaluationError, match=f"cannot read {re.escape(str(path))}"):
+            load_reports(tmp_path)
+
+
+class TestMalformedInputsExitOne:
+    """A malformed JSON-lines input ends the command with exit 1 and a
+    message naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("name, content", [
+        ("truth.jsonl", None),
+        ("truth.jsonl", b"\xff\xfe not utf-8\n"),
+        ("reports.jsonl", report_line(primary=None)),
+        ("reports.jsonl", b"not json\n"),
+        ("reports.jsonl", b"[1]\n"),
+        ("reports.jsonl", report_line(confidences="abc")),
+    ], ids=["truth-missing", "truth-not-utf8", "report-no-primary", "report-not-json",
+            "report-array", "report-string-confidences"])
+    def test_eval(self, tmp_path, name, content):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(DATA / "golden" / "reports.jsonl", run_dir / "reports.jsonl")
+        shutil.copy(DATA / "truth.jsonl", tmp_path / "truth.jsonl")
+        target = run_dir / name if name == "reports.jsonl" else tmp_path / name
+        target.unlink()
+        if content is not None:
+            target.write_bytes(content)
+        result = CliRunner().invoke(
+            main,
+            ["eval", "--run", str(run_dir), "--truth", str(tmp_path / "truth.jsonl"),
+             "--out", str(tmp_path / "eval.json")],
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert str(target) in result.output
+
+    @pytest.mark.parametrize("content", [b"[1, 2]\n", b"\xff\xfe not utf-8\n"],
+                             ids=["array-line", "not-utf8"])
+    def test_run(self, tmp_path, content):
+        cases = tmp_path / "cases.jsonl"
+        cases.write_bytes(content)
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(write_config(tmp_path / "c.json")),
+             "--cases", str(cases), "--out", str(tmp_path / "run")],
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert str(cases) in result.output
 
 
 class TestCliEval:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from radar import topologies
-from radar.agents import default_templates
+from radar.agents import PACKAGED_TEMPLATES
 from radar.domain import NO_EVIDENCE_ANSWER
 from radar.errors import ProviderError
 from radar.knowledge import FixtureSource, KnowledgeBase
@@ -188,8 +188,10 @@ RADAR_TEMPLATES = ("initial_doctor", "query_generator", "answer_generator", "fin
 
 def template_of(prompt: str) -> str:
     """The pipeline template a prompt was rendered from, by its fixed opening."""
-    registry = default_templates()
-    matches = [t for t in RADAR_TEMPLATES if prompt.startswith(registry.get(t).split("{", 1)[0])]
+    matches = [
+        t for t in RADAR_TEMPLATES
+        if prompt.startswith(PACKAGED_TEMPLATES.get(t).split("{", 1)[0])
+    ]
     assert len(matches) == 1, prompt[:80]
     return matches[0]
 
