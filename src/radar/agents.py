@@ -26,6 +26,7 @@ from .domain import (
     DiagnosisReport,
     EvidenceAnswer,
     QueryPair,
+    is_json_number,
     no_evidence_answer,
 )
 from .errors import AgentOutputError, ConfigError, ParseError, ValidationError
@@ -230,8 +231,7 @@ def parse_report(
     _require(isinstance(differentials, list)
              and all(isinstance(d, str) and d.strip() for d in differentials),
              "missing 'differentials' string array", pos)
-    _require(isinstance(confidences, list)
-             and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in confidences),
+    _require(isinstance(confidences, list) and all(map(is_json_number, confidences)),
              "missing numeric 'confidences' array", pos)
     return DiagnosisReport(primary, differentials, confidences, evidence, trace_id)
 

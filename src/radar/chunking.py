@@ -44,6 +44,12 @@ class Document:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "section", Section(self.section))
+        wrong = [n for n in ("doc_id", "keyword", "title", "body", "source_url")
+                 if not isinstance(getattr(self, n), str)]
+        if wrong:
+            raise ValidationError(
+                f"document {self.doc_id!r}: {', '.join(wrong)} not a string", fields=wrong
+            )
         if not self.doc_id:
             raise ValidationError("document id is empty")
         if not self.body:

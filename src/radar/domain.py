@@ -43,6 +43,23 @@ def canonical_fold(label: str) -> str:
     return " ".join("".join(out).split())
 
 
+def is_json_int(value: Any) -> bool:
+    """Whether a parsed JSON value is an integer; ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value: Any) -> bool:
+    """Whether a parsed JSON value is a number; ``true`` is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_array(value: Any, name: str) -> tuple:
+    """A parsed JSON array as a tuple, so a string is not read as its characters."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a JSON array, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Case:
     """One patient record: image caption, clinical data, and ground truth."""
@@ -62,7 +79,7 @@ class Case:
         if not isinstance(self.clinical_data, str):
             problems.append("clinical_data not a string")
         paraphrase = self.paraphrase_id
-        if not isinstance(paraphrase, int) or isinstance(paraphrase, bool) or paraphrase < 0:
+        if not is_json_int(paraphrase) or paraphrase < 0:
             problems.append("paraphrase_id not a non-negative integer")
         if problems:
             raise ValidationError("invalid case: " + "; ".join(problems), fields=problems)
@@ -79,30 +96,48 @@ def validate_case(raw: Mapping[str, Any]) -> Case:
     )
 
 
-def read_jsonl(path: str | Path, error: type[RadarError]) -> Iterator[tuple[str, dict]]:
-    """Yield ``("path:line", object)`` for each non-blank line of a JSON-lines file.
-
-    The file must be readable UTF-8 without BOM and each line a JSON object;
-    anything else raises ``error`` naming the file and line, so a loader
-    checks only its own record.
-    """
+def _read_text(path: str | Path, error: type[RadarError]) -> str:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
     if text.startswith("\ufeff"):
         raise error(f"{path}: file must be UTF-8 without BOM")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    return text
+
+
+def _parse(text: str, where: str | Path, error: type[RadarError], expect: type) -> Any:
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
+        raise error(f"{where}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, expect):
+        kind = "array" if expect is list else "object"
+        raise error(f"{where}: expected a JSON {kind}, got {type(raw).__name__}")
+    return raw
+
+
+def read_json(path: str | Path, error: type[RadarError], expect: type = dict) -> Any:
+    """Read a whole JSON file whose top level is ``expect`` (dict or list).
+
+    The file must be readable UTF-8 without BOM and valid JSON of that type;
+    anything else raises ``error`` naming the file, so a loader checks only
+    its own content.
+    """
+    return _parse(_read_text(path, error), path, error, expect)
+
+
+def read_jsonl(path: str | Path, error: type[RadarError]) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:line", object)`` for each non-blank line of a JSON-lines file.
+
+    The file is read as ``read_json`` reads one and each line must be a JSON
+    object; anything else raises ``error`` naming the file and line.
+    """
+    for lineno, line in enumerate(_read_text(path, error).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"{where}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise error(f"{where}: expected a JSON object, got {type(raw).__name__}")
-        yield where, raw
+        yield where, _parse(line, where, error, dict)
 
 
 def load_cases(path: str | Path) -> list[Case]:
@@ -165,6 +200,8 @@ class EvidenceAnswer:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "supporting_chunk_ids", tuple(self.supporting_chunk_ids))
+        if not all(isinstance(c, str) for c in self.supporting_chunk_ids):
+            raise ValidationError(f"chunk ids must be strings, got {self.supporting_chunk_ids}")
         if not self.supporting_chunk_ids and self.answer != NO_EVIDENCE_ANSWER:
             raise ValidationError(
                 "evidence answer has no supporting chunks but is not the "
@@ -184,7 +221,7 @@ class EvidenceAnswer:
         return cls(
             question=raw["question"],
             answer=raw["answer"],
-            supporting_chunk_ids=tuple(raw["supporting_chunk_ids"]),
+            supporting_chunk_ids=_json_array(raw["supporting_chunk_ids"], "supporting_chunk_ids"),
             keyword=raw.get("keyword", ""),
         )
 
@@ -208,7 +245,13 @@ class DiagnosisReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "differentials", tuple(self.differentials))
-        object.__setattr__(self, "confidences", tuple(float(c) for c in self.confidences))
+        confidences = tuple(self.confidences)
+        if not all(map(is_json_number, confidences)):
+            raise ValidationError(f"confidences must be numbers, got {list(confidences)}")
+        for c in confidences:  # before float(), which overflows on a huge integer
+            if not 0.0 <= c <= 1.0:
+                raise ValidationError(f"confidence {c} outside [0, 1]")
+        object.__setattr__(self, "confidences", tuple(map(float, confidences)))
         object.__setattr__(self, "evidence", tuple(self.evidence))
         if not isinstance(self.primary, str) or not self.primary.strip():
             raise ValidationError("report primary diagnosis is empty")
@@ -224,9 +267,6 @@ class DiagnosisReport:
                 f"report must carry exactly {DIFFERENTIAL_COUNT + 1} confidences, "
                 f"got {len(self.confidences)}"
             )
-        for c in self.confidences:
-            if not 0.0 <= c <= 1.0:
-                raise ValidationError(f"confidence {c} outside [0, 1]")
         for earlier, later in zip(self.confidences, self.confidences[1:]):
             if later > earlier:
                 raise ValidationError(
@@ -249,10 +289,11 @@ class DiagnosisReport:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "DiagnosisReport":
+        evidence = _json_array(raw.get("evidence", []), "evidence")
         return cls(
             primary=raw["primary"],
-            differentials=tuple(raw["differentials"]),
-            confidences=tuple(raw["confidences"]),
-            evidence=tuple(EvidenceAnswer.from_dict(e) for e in raw.get("evidence", [])),
+            differentials=_json_array(raw["differentials"], "differentials"),
+            confidences=_json_array(raw["confidences"], "confidences"),
+            evidence=tuple(EvidenceAnswer.from_dict(e) for e in evidence),
             trace_id=raw.get("trace_id", ""),
         )

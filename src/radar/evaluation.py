@@ -7,7 +7,6 @@ scale.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from .agents import PACKAGED_TEMPLATES, TemplateRegistry, parse_label, parse_structured
-from .domain import DiagnosisReport, canonical_fold, read_jsonl
+from .domain import DiagnosisReport, canonical_fold, read_json, read_jsonl
 from .errors import EvaluationError, RadarError, ValidationError
 from .providers import TEMP_LOW, ChatProvider, user_request
 
@@ -235,10 +234,8 @@ def load_truths(path: str | Path) -> dict[str, str]:
 
 def load_synonyms(path: str | Path) -> dict[str, str]:
     """Read a synonym table: a JSON object of folded-raw to canonical."""
-    try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EvaluationError(f"cannot read synonym table {path}: {exc}") from exc
-    if not isinstance(table, dict):
-        raise EvaluationError(f"synonym table {path} must be a JSON object")
-    return {str(k): str(v) for k, v in table.items()}
+    table = read_json(path, EvaluationError)
+    for key, value in table.items():
+        if not isinstance(value, str):
+            raise EvaluationError(f"{path}: synonym {key!r} must map to a string, got {value!r}")
+    return table

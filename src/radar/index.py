@@ -180,7 +180,10 @@ class FlatIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "FlatIndex":
-        data = Path(path).read_bytes()
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise CorruptionError(f"cannot read {path}: {exc}") from exc
         if len(data) < _HEADER.size:
             raise CorruptionError(f"{path}: file shorter than the header")
         magic, version, dim, count = _HEADER.unpack_from(data, 0)
@@ -206,14 +209,17 @@ class FlatIndex:
                 (kw_len,) = _U16.unpack_from(data, kw_at)
                 vec_at = kw_at + 2 + kw_len
                 matrix[i] = np.frombuffer(data, "<f4", dim, vec_at)
+                cid = data[offset + 2 : kw_at].decode("utf-8")
+                keyword = data[kw_at + 2 : vec_at].decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptionError(f"{path}: id or keyword not UTF-8 at byte {offset}") from None
             except (struct.error, ValueError):
                 raise CorruptionError(f"{path}: truncated at byte {offset}") from None
-            cid = data[offset + 2 : kw_at].decode("utf-8")
             if cid in id_set:
                 raise CorruptionError(f"{path}: duplicate chunk id {cid}")
             id_set.add(cid)
             ids.append(cid)
-            keywords.append(data[kw_at + 2 : vec_at].decode("utf-8"))
+            keywords.append(keyword)
             offset = vec_at + vec_bytes
         if offset != len(data):
             raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")

@@ -38,7 +38,7 @@ from .chunking import (
     embed_chunks,
     segment,
 )
-from .domain import canonical_fold
+from .domain import canonical_fold, is_json_int, is_json_number, read_json
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -110,6 +110,12 @@ class FetchLogEntry:
     keyword: str
     timestamp: float
     doc_count: int
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.keyword, str) and is_json_number(self.timestamp)
+                and is_json_int(self.doc_count)):
+            raise ValidationError(f"fetch log entry needs a string keyword, a numeric "
+                                  f"timestamp and an integer doc_count, got {self}")
 
 
 def fetch_documents(
@@ -317,23 +323,25 @@ class KnowledgeBase:
         canonical decimal ordinal and a window inside that document's body.
         """
         store_dir = Path(store_dir)
-        try:
-            meta = json.loads((store_dir / META_FILENAME).read_text(encoding="utf-8"))
-            raw_docs = json.loads((store_dir / DOCS_FILENAME).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptionError(f"cannot load knowledge base from {store_dir}: {exc}") from exc
+        meta = read_json(store_dir / META_FILENAME, CorruptionError)
+        raw_docs = read_json(store_dir / DOCS_FILENAME, CorruptionError)
         index = FlatIndex.load(store_dir / INDEX_FILENAME)
         try:
-            kb = cls(chunk_chars=meta["chunk_chars"], overlap_chars=meta["overlap_chars"], index=index)
+            window = meta["chunk_chars"], meta["overlap_chars"]
+            if not all(map(is_json_int, window)):
+                raise TypeError(f"chunk_chars and overlap_chars must be integers, got {window}")
+            kb = cls(chunk_chars=window[0], overlap_chars=window[1], index=index)
             keywords = meta.get("fetched_keywords", [])
             if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
                 raise TypeError(f"fetched_keywords must be a list of strings, got {keywords!r}")
             kb.fetched_keywords = set(keywords)
+            entries = meta.get("fetch_log", [])
+            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+                raise TypeError(f"fetch_log must be a list of objects, got {entries!r}")
             kb.fetch_log = [
-                FetchLogEntry(e["keyword"], e["timestamp"], e["doc_count"])
-                for e in meta.get("fetch_log", [])
+                FetchLogEntry(e["keyword"], e["timestamp"], e["doc_count"]) for e in entries
             ]
-        except (KeyError, TypeError, ConfigError) as exc:
+        except (KeyError, TypeError, ConfigError, ValidationError) as exc:
             raise CorruptionError(
                 f"{store_dir}: bad {META_FILENAME}: {type(exc).__name__}: {exc}"
             ) from exc
@@ -376,9 +384,9 @@ class FixtureSource:
         self._by_keyword: dict[str, list[Document]] = {}
         for path in sorted(self.corpus_dir.glob("*.json")):
             try:
-                doc = Document.from_dict(json.loads(path.read_text(encoding="utf-8")))
+                doc = Document.from_dict(read_json(path, ConfigError))
                 folded = canonical_fold(doc.keyword)
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            except (KeyError, ValueError, ValidationError) as exc:
                 raise ConfigError(f"bad corpus document {path}: {exc}") from exc
             self._by_keyword.setdefault(folded, []).append(doc)
 

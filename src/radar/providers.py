@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 import numpy as np
 import requests
 
+from .domain import read_json
 from .errors import (
     ConfigError,
     ProviderError,
@@ -197,12 +197,7 @@ class ScriptedChatProvider:
 def scripted_provider_from_file(path: str | Path) -> ScriptedChatProvider:
     """Load a script file: a JSON array of {fingerprint?: str, content: str}."""
     path = Path(path)
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read script file {path}: {exc}") from exc
-    if not isinstance(entries, list):
-        raise ConfigError(f"script file {path} must hold a JSON array")
+    entries = read_json(path, ConfigError, expect=list)
     ordered: list[str] = []
     keyed: dict[str, str] = {}
     for i, entry in enumerate(entries):
@@ -212,7 +207,9 @@ def scripted_provider_from_file(path: str | Path) -> ScriptedChatProvider:
         if not isinstance(content, str):
             raise ConfigError(f"script file {path} entry {i} content must be a string")
         if "fingerprint" in entry:
-            keyed[str(entry["fingerprint"])] = content
+            if not isinstance(entry["fingerprint"], str):
+                raise ConfigError(f"script file {path} entry {i} fingerprint must be a string")
+            keyed[entry["fingerprint"]] = content
         else:
             ordered.append(content)
     return ScriptedChatProvider(script=ordered, keyed=keyed, provider_id=f"scripted:{path.name}")

@@ -25,7 +25,7 @@ from typing import Any, Literal, NewType, get_args, get_origin, get_type_hints
 
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
 from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS, check_window
-from .domain import Case, DiagnosisReport, load_cases, read_jsonl
+from .domain import Case, DiagnosisReport, is_json_int, load_cases, read_json, read_jsonl
 from .errors import ConfigError, EvaluationError, RadarError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
 from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
@@ -137,17 +137,13 @@ def _key_paths(cls: type = RunConfig, prefix: str = "") -> list[str]:
     return paths
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_str(value: Any) -> bool:
     return isinstance(value, str)
 
 
 # The JSON type each scalar field type accepts: (what to call it, test).
 _JSON_TYPES = {
-    int: ("an integer", _is_int),
+    int: ("an integer", is_json_int),
     str: ("a string", _is_str),
     ConfigPath: ("a path string", _is_str),
     tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v))),
@@ -200,12 +196,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     path must exist at load time.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+    raw = read_json(path, ConfigError)
     cfg = _read(RunConfig, raw, path.absolute().parent)  # so a snapshot reloads from anywhere
 
     # Checks that span several keys, or look at the file system.
@@ -445,8 +436,6 @@ def load_reports(run_dir: str | Path) -> list[tuple[str, dict]]:
     Each line must hold a string ``case_id`` and a well-formed report.
     """
     path = Path(run_dir) / "reports.jsonl"
-    if not path.is_file():
-        raise EvaluationError(f"{run_dir} has no reports.jsonl")
     out = []
     for where, raw in read_jsonl(path, EvaluationError):
         try:

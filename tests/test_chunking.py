@@ -53,6 +53,15 @@ class TestDocumentJson:
         raw = make_document("d", section=Section.CASE).to_dict()
         assert raw["section"] == "case" and type(raw["section"]) is str
 
+    @pytest.mark.parametrize("field, value", [
+        ("doc_id", 5), ("keyword", None), ("title", 3), ("body", ["text"]), ("source_url", 1),
+    ])
+    def test_text_fields_must_be_strings(self, field, value):
+        raw = {**make_document("d").to_dict(), field: value}
+        with pytest.raises(ValidationError, match=f"{field} not a string") as exc_info:
+            Document.from_dict(raw)
+        assert exc_info.value.fields == [field]
+
 
 class TestSegment:
     def test_single_chunk_when_body_fits(self):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +17,14 @@ from radar.domain import (
     canonical_fold,
     load_cases,
     no_evidence_answer,
+    read_json,
     validate_case,
 )
-from radar.errors import ValidationError
+from radar.errors import ConfigError, CorruptionError, EvaluationError, ValidationError
+from radar.evaluation import load_synonyms
+from radar.knowledge import FixtureSource, KnowledgeBase
+from radar.providers import scripted_provider_from_file
+from radar.runner import load_run_config
 
 
 class TestCanonicalFold:
@@ -225,3 +233,96 @@ class TestDiagnosisReport:
             trace_id="radar-c1",
         )
         assert DiagnosisReport.from_dict(report.to_dict()) == report
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.update(differentials="bcde"),
+        lambda raw: raw.update(confidences="abcde"),
+        lambda raw: raw.update(evidence="ab"),
+        lambda raw: raw["evidence"][0].update(supporting_chunk_ids="ab"),
+        lambda raw: raw["confidences"].__setitem__(0, "0.6"),
+        lambda raw: raw["confidences"].__setitem__(4, False),
+        lambda raw: raw["evidence"][0]["supporting_chunk_ids"].append(7),
+        lambda raw: raw["confidences"].__setitem__(0, 10**400),
+    ], ids=["string-differentials", "string-confidences", "string-evidence", "string-chunk-ids",
+            "string-confidence", "bool-confidence", "int-chunk-id", "huge-int-confidence"])
+    def test_from_dict_checks_rather_than_converts(self, edit):
+        evidence = (EvidenceAnswer("q", "ans", ("x",), "k"),)
+        raw = DiagnosisReport("p", ("a", "b", "c", "d"), (0.6, 0.2, 0.1, 0.1, 0.0),
+                              evidence).to_dict()
+        edit(raw)
+        with pytest.raises(ValidationError):
+            DiagnosisReport.from_dict(raw)
+
+
+def _store_file(name):
+    def make(tmp_path):
+        KnowledgeBase(dim=8).save(tmp_path / "store")
+        return tmp_path / "store" / name
+    return make
+
+
+def _corpus_file(tmp_path):
+    (tmp_path / "corpus").mkdir()
+    return tmp_path / "corpus" / "doc.json"
+
+
+# Each whole-file JSON read: (path of the file to spoil, the read, its error,
+# its top-level type).
+JSON_READS = {
+    "config": (lambda tmp: tmp / "config.json", load_run_config, ConfigError, dict),
+    "synonyms": (lambda tmp: tmp / "syn.json", load_synonyms, EvaluationError, dict),
+    "script": (lambda tmp: tmp / "script.json", scripted_provider_from_file, ConfigError, list),
+    "meta": (_store_file("meta.json"), lambda p: KnowledgeBase.load(p.parent),
+             CorruptionError, dict),
+    "documents": (_store_file("documents.json"), lambda p: KnowledgeBase.load(p.parent),
+                  CorruptionError, dict),
+    "corpus": (_corpus_file, lambda p: FixtureSource(p.parent), ConfigError, dict),
+}
+
+JSON_FAULTS = {
+    "missing": lambda path, top: path.unlink(missing_ok=True),
+    "directory": lambda path, top: path.unlink(missing_ok=True) or path.mkdir(),
+    "not-utf8": lambda path, top: path.write_bytes(b"\xff\xfe"),
+    "bom": lambda path, top: path.write_bytes("\ufeff".encode() + top),
+    "not-json": lambda path, top: path.write_bytes(top[:1] + b"not json"),
+    "wrong-type": lambda path, top: path.write_bytes(b"{}" if top == b"[]" else b"[]"),
+}
+
+FAULT_MESSAGES = {
+    "missing": "cannot read", "directory": "cannot read", "not-utf8": "cannot read",
+    "bom": "without BOM", "not-json": "not valid JSON", "wrong-type": "expected a JSON",
+}
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("read, fault", [
+        (read, fault) for read in JSON_READS for fault in JSON_FAULTS
+        if (read, fault) != ("corpus", "missing")  # a corpus file is read only when listed
+    ])
+    def test_every_json_read_names_the_file(self, tmp_path, read, fault):
+        where, load, error, top = JSON_READS[read]
+        path = where(tmp_path)
+        JSON_FAULTS[fault](path, b"[]" if top is list else b"{}")
+        with pytest.raises(error, match=FAULT_MESSAGES[fault]) as exc_info:
+            load(path)
+        assert str(path) in str(exc_info.value)
+
+    @pytest.mark.parametrize("content, expect, message", [
+        (b"[1]", dict, "expected a JSON object, got list"),
+        (b'{"a": 1}', list, "expected a JSON array, got dict"),
+        (b'"text"', dict, "expected a JSON object, got str"),
+        (b"{", dict, "not valid JSON"),
+        (b"1" * 5000, dict, "not valid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, list, "not valid JSON"),
+    ], ids=["array", "object", "string", "truncated", "long-integer", "deep-nesting"])
+    def test_read_json_wording_is_read_jsonl_wording(self, tmp_path, content, expect, message):
+        path = tmp_path / "f.json"
+        path.write_bytes(content)
+        with pytest.raises(EvaluationError, match=re.escape(f"{path}: {message}")):
+            read_json(path, EvaluationError, expect=expect)
+
+    @pytest.mark.parametrize("content, expect", [(b'{"a": [1]}', dict), (b"[{}]", list)])
+    def test_read_json_returns_the_value(self, tmp_path, content, expect):
+        path = tmp_path / "f.json"
+        path.write_bytes(content)
+        assert read_json(path, EvaluationError, expect=expect) == json.loads(content)

@@ -239,3 +239,10 @@ class TestFileLoaders:
         path.write_text('["gbm"]')
         with pytest.raises(EvaluationError):
             load_synonyms(path)
+
+    @pytest.mark.parametrize("value", [None, 3, ["glioblastoma"], {"a": "b"}])
+    def test_synonym_values_must_be_strings(self, tmp_path, value):
+        path = tmp_path / "syn.json"
+        path.write_text(json.dumps({"gbm": "glioblastoma", "a": value}))
+        with pytest.raises(EvaluationError, match="synonym 'a' must map to a string"):
+            load_synonyms(path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import struct
 import sys
 import threading
@@ -392,4 +393,24 @@ class TestPersistence:
             + record(b"bad", (bad, 0.0))
         )
         with pytest.raises(CorruptionError, match="non-finite vector for chunk bad"):
+            FlatIndex.load(path)
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_file_is_corruption(self, tmp_path, make):
+        path = tmp_path / "index.rdrx"
+        make(path)
+        with pytest.raises(CorruptionError, match=f"cannot read {re.escape(str(path))}"):
+            FlatIndex.load(path)
+
+    @pytest.mark.parametrize("cid, keyword", [(b"\xff\xfe", b"kw"), (b"ok", b"\xff\xfe")],
+                             ids=["id", "keyword"])
+    def test_non_utf8_id_or_keyword_is_corruption(self, tmp_path, cid, keyword):
+        path = tmp_path / "bytes.rdrx"
+        path.write_bytes(
+            struct.pack("<4sIIQ", b"RDRX", 1, 2, 1)
+            + struct.pack("<H", len(cid)) + cid + struct.pack("<H", len(keyword)) + keyword
+            + struct.pack("<2f", 1.0, 0.0)
+        )
+        with pytest.raises(CorruptionError, match="not UTF-8"):
             FlatIndex.load(path)

@@ -125,7 +125,12 @@ class TestFixtureSource:
         lambda doc: doc.update(doc_id=""),
         lambda doc: doc.update(keyword=None),
         lambda doc: doc.pop("source_url"),
-    ], ids=["empty-body", "empty-doc_id", "null-keyword", "no-source_url"])
+        lambda doc: doc.update(doc_id=5),
+        lambda doc: doc.update(title=3),
+        lambda doc: doc.update(body=["text"]),
+        lambda doc: doc.update(source_url=1),
+    ], ids=["empty-body", "empty-doc_id", "null-keyword", "no-source_url", "int-doc_id",
+            "int-title", "array-body", "int-source_url"])
     def test_invalid_document_is_a_config_error_naming_the_file(self, corpus_dir, edit):
         path = corpus_dir / "gbm-case-2.json"
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -439,7 +444,13 @@ class TestPersistence:
         lambda docs: docs["gbm-case-2"].update(doc_id=""),
         lambda docs: docs["gbm-case-2"].update(section="letter"),
         lambda docs: docs.update({"gbm-case-2": ["not", "an", "object"]}),
-    ], ids=["no-body", "no-source_url", "empty-body", "empty-doc_id", "bad-section", "array"])
+        lambda docs: docs["gbm-case-2"].update(doc_id=5),
+        lambda docs: docs["gbm-case-2"].update(keyword=None),
+        lambda docs: docs["gbm-case-2"].update(title=3),
+        lambda docs: docs["gbm-case-2"].update(body=["text"]),
+        lambda docs: docs["gbm-case-2"].update(source_url=1),
+    ], ids=["no-body", "no-source_url", "empty-body", "empty-doc_id", "bad-section", "array",
+            "int-doc_id", "null-keyword", "int-title", "array-body", "int-source_url"])
     def test_load_rejects_an_invalid_stored_document(self, tmp_path, corpus_dir, edit):
         kb = fresh_kb()
         kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
@@ -456,8 +467,23 @@ class TestPersistence:
         (lambda meta: meta.update(fetch_log=[{"keyword": "glioma"}]), "timestamp"),
         (lambda meta: meta.update(fetched_keywords="glioma"), "fetched_keywords"),
         (lambda meta: meta.update(fetched_keywords=["glioma", 3]), "fetched_keywords"),
+        (lambda meta: meta.update(chunk_chars=True), "chunk_chars"),
+        (lambda meta: meta.update(overlap_chars=200.0), "overlap_chars"),
+        (lambda meta: meta.update(fetch_log="glioma"), "fetch_log"),
+        (lambda meta: meta.update(fetch_log=[{"keyword": "glioma", "timestamp": "x",
+                                              "doc_count": None}]), "fetch log entry"),
+        (lambda meta: meta.update(fetch_log=[{"keyword": 3, "timestamp": 1.5,
+                                              "doc_count": 10}]), "fetch log entry"),
+        (lambda meta: meta.update(fetch_log=[{"keyword": "glioma", "timestamp": True,
+                                              "doc_count": 10}]), "fetch log entry"),
+        (lambda meta: meta.update(fetch_log=[{"keyword": "glioma", "timestamp": 1.5,
+                                              "doc_count": 1.0}]), "fetch log entry"),
+        (lambda meta: meta.update(fetch_log=["glioma"]), "fetch_log"),
     ], ids=["no-chunk_chars", "no-overlap_chars", "overlap-too-large", "fetch_log-entry",
-            "fetched_keywords-string", "fetched_keywords-non-string"])
+            "fetched_keywords-string", "fetched_keywords-non-string", "bool-chunk_chars",
+            "float-overlap_chars", "fetch_log-string", "fetch_log-string-timestamp",
+            "fetch_log-int-keyword", "fetch_log-bool-timestamp", "fetch_log-float-doc_count",
+            "fetch_log-string-entry"])
     def test_load_rejects_a_bad_meta_file(self, tmp_path, edit, named):
         store = tmp_path / "store"
         fresh_kb().save(store)

@@ -120,6 +120,13 @@ class TestScriptedProvider:
         with pytest.raises(ConfigError):
             scripted_provider_from_file(path)
 
+    @pytest.mark.parametrize("fingerprint", [5, None, ["f"]])
+    def test_from_file_fingerprint_must_be_a_string(self, tmp_path, fingerprint):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"fingerprint": fingerprint, "content": "X"}]))
+        with pytest.raises(ConfigError, match="entry 0 fingerprint must be a string"):
+            scripted_provider_from_file(path)
+
 
 def independent_buckets(text: str, dim: int = 384) -> list[tuple[int, float]]:
     """The published hashing scheme, recomputed without the embedder."""

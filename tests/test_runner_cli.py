@@ -630,13 +630,21 @@ class TestLoadReports:
         (b'["c2"]\n', "expected a JSON object, got list"),
         (report_line(primary=None), "bad report: KeyError: 'primary'"),
         (report_line(primary=5), "bad report: ValidationError"),
-        (report_line(confidences="abc"), "bad report: ValueError"),
-        (report_line(differentials=7), "bad report: TypeError"),
+        (report_line(confidences="abc"), "bad report: ValidationError: confidences must be"),
+        (report_line(differentials=7), "bad report: ValidationError: differentials must be"),
         (report_line(evidence=[1]), "bad report: TypeError"),
         (report_line(case_id=None), "bad report: no string 'case_id'"),
         (report_line(case_id=3), "bad report: no string 'case_id'"),
+        (report_line(differentials="bcde"), "bad report: ValidationError: differentials must be"),
+        (report_line(confidences=["0.62", 0.15, 0.1, 0.08, 0.05]),
+         "bad report: ValidationError: confidences must be numbers"),
+        (report_line(confidences=[0.62, 0.15, 0.1, 0.08, False]),
+         "bad report: ValidationError: confidences must be numbers"),
+        (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "supporting_chunk_ids": "ab"}]),
+         "bad report: ValidationError: supporting_chunk_ids must be"),
     ], ids=["not-json", "array", "no-primary", "int-primary", "string-confidences",
-            "int-differentials", "int-evidence", "no-case-id", "int-case-id"])
+            "int-differentials", "int-evidence", "no-case-id", "int-case-id",
+            "string-differentials", "string-confidence", "bool-confidence", "string-chunk-ids"])
     def test_names_the_faulty_line(self, tmp_path, line, problem):
         path = tmp_path / "reports.jsonl"
         path.write_bytes(report_line() + line)
@@ -682,6 +690,24 @@ class TestMalformedInputsExitOne:
         assert result.exit_code == 1, result.output
         assert str(target) in result.output
 
+    @pytest.mark.parametrize("line", [
+        report_line(differentials="bcde"),
+        report_line(confidences=[0.62, 0.15, 0.1, 0.08, False]),
+        report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "supporting_chunk_ids": "ab"}]),
+    ], ids=["string-differentials", "bool-confidence", "string-chunk-ids"])
+    def test_eval_names_the_line_of_a_converted_report(self, tmp_path, line):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "reports.jsonl").write_bytes(report_line() + line)
+        result = CliRunner().invoke(
+            main,
+            ["eval", "--run", str(run_dir), "--truth", str(DATA / "truth.jsonl"),
+             "--out", str(tmp_path / "eval.json")],
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert f"{run_dir / 'reports.jsonl'}:2" in result.output
+
     @pytest.mark.parametrize("content", [b"[1, 2]\n", b"\xff\xfe not utf-8\n"],
                              ids=["array-line", "not-utf8"])
     def test_run(self, tmp_path, content):
@@ -695,6 +721,51 @@ class TestMalformedInputsExitOne:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output
         assert str(cases) in result.output
+
+
+class TestUnreadableInputsExitCleanly:
+    """A JSON input that cannot be read ends the command with its exit code
+    and a message naming the file, not a traceback."""
+
+    def _assert_clean_exit(self, result, code, path):
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == code, result.output
+        assert str(path) in result.output
+        assert "Traceback" not in result.output
+
+    def test_run_config_not_utf8_exits_two(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xff\xfe")
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(tmp_path / "run")],
+        )
+        self._assert_clean_exit(result, 2, config)
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_synonyms_not_utf8_exits_one(self, tmp_path):
+        synonyms = tmp_path / "syn.json"
+        synonyms.write_bytes(b"\xff\xfe")
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(DATA / "golden" / "reports.jsonl", run_dir / "reports.jsonl")
+        result = CliRunner().invoke(
+            main,
+            ["eval", "--run", str(run_dir), "--truth", str(DATA / "truth.jsonl"),
+             "--out", str(tmp_path / "eval.json"), "--synonyms", str(synonyms)],
+        )
+        self._assert_clean_exit(result, 1, synonyms)
+
+    def test_kb_stats_without_index_file_exits_two(self, tmp_path):
+        config = write_config(tmp_path / "c.json", **{"kb.store_dir": str(tmp_path / "store")})
+        fetch = CliRunner().invoke(
+            main, ["kb", "fetch", "--keyword", "glioblastoma", "--config", str(config)]
+        )
+        assert fetch.exit_code == 0, fetch.output
+        (tmp_path / "store" / "index.rdrx").unlink()
+        result = CliRunner().invoke(main, ["kb", "stats", "--config", str(config)])
+        self._assert_clean_exit(result, 2, tmp_path / "store" / "index.rdrx")
 
 
 class TestCliEval:
