@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from .domain import DiagnosisReport
-from .errors import ConfigError, EvaluationError, RadarError
+from .errors import ConfigError, CorruptionError, EvaluationError, FormatError, RadarError
 from .evaluation import DictionaryNormalizer, aggregate, evaluate_run, load_synonyms, load_truths
 from .knowledge import KnowledgeBase
 from .runner import (
@@ -32,6 +32,9 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+
+# A store that cannot be loaded is refused like a bad config, before any output.
+STORE_OR_CONFIG_ERRORS = (ConfigError, CorruptionError, FormatError)
 
 
 @click.group()
@@ -67,7 +70,7 @@ def cmd_run(config_path: str, cases_path: str, out_dir: str, topology: str | Non
         sys.exit(EXIT_CONFIG)
     try:
         summary = run_cases(cfg, cases_path, out_dir)
-    except ConfigError as exc:
+    except STORE_OR_CONFIG_ERRORS as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except RadarError as exc:
@@ -155,7 +158,7 @@ def kb_fetch(keywords: tuple[str, ...], config_path: str) -> None:
             raise ConfigError("kb fetch needs kb.store_dir in the config")
         bundle = build_bundle(cfg)
         kb = build_knowledge_base(cfg)
-    except ConfigError as exc:
+    except STORE_OR_CONFIG_ERRORS as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     status = EXIT_OK

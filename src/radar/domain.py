@@ -199,6 +199,10 @@ class EvidenceAnswer:
     keyword: str
 
     def __post_init__(self) -> None:
+        wrong = [n for n in ("question", "answer", "keyword")
+                 if not isinstance(getattr(self, n), str)]
+        if wrong:
+            raise ValidationError(f"evidence {', '.join(wrong)} not a string", fields=wrong)
         object.__setattr__(self, "supporting_chunk_ids", tuple(self.supporting_chunk_ids))
         if not all(isinstance(c, str) for c in self.supporting_chunk_ids):
             raise ValidationError(f"chunk ids must be strings, got {self.supporting_chunk_ids}")
@@ -255,6 +259,8 @@ class DiagnosisReport:
         object.__setattr__(self, "evidence", tuple(self.evidence))
         if not isinstance(self.primary, str) or not self.primary.strip():
             raise ValidationError("report primary diagnosis is empty")
+        if not isinstance(self.trace_id, str):
+            raise ValidationError(f"report trace_id must be a string, got {self.trace_id!r}")
         if len(self.differentials) != DIFFERENTIAL_COUNT:
             raise ValidationError(
                 f"report must carry exactly {DIFFERENTIAL_COUNT} differentials, "

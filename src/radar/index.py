@@ -1,15 +1,49 @@
 """Exact flat dense-vector index with cosine top-k search and persistence.
 
 Entries are unit-normalized float32 vectors, so cosine similarity reduces to
-a dot product. Search is a full scan scored in float64; ties break by
-insertion order, which keeps result sequences reproducible.
+a dot product. A row's score is its canonical float64 score,
+``np.dot(row.astype(np.float64), q)`` with ``q`` the float64 query divided
+by its norm: it depends on nothing but the row and the query, so identical
+rows score identically wherever they sit. Ties break by insertion order,
+which keeps result sequences reproducible.
 
-Storage is one contiguous float64 matrix whose rows are the exact float64
-widenings of the float32 vectors; it is both the store and the scan matrix.
+Storage is one contiguous float32 matrix, the same numbers the file holds.
 Its capacity grows by amortized doubling, so an insert appends rows in place
 and never invalidates the matrix a search reads. Searchers read a snapshot
-of the first ``count`` rows, which later appends never touch. The file
-format below is unchanged: vectors are persisted as float32.
+of the first ``count`` rows, which later appends never touch.
+
+Search scans in float32 and rescores in float64. One float32 product
+``s32 = matrix @ float32(q)`` scores every row; with ``m = min(k, count)``
+and ``kth`` the m-th largest of ``s32``, every row with
+``s32 >= kth - 2 * eps`` is a candidate, and only the candidates get their
+canonical score. A stable sort of the candidates by canonical score then
+gives the same ids, order and scores as a canonical full scan.
+
+The bound ``eps``. Let ``u = 2**-24`` (float32 unit roundoff), ``d`` the
+dim, ``tau = UNIT_NORM_TOLERANCE``, ``x`` a row with ``|x| <= 1 + tau``
+(insert and load both reject any other) and ``c = dot64(x, q)`` its
+canonical score. Then ``|s32 - c| <= E`` with
+
+    E = (1 + tau) * (u + gamma_d) * (1 + u) + d * 2**-53 * (1 + tau) + d * 2**-148
+
+where ``u`` covers rounding ``q`` to float32, ``gamma_d = d*u / (1 - d*u)``
+covers the float32 product: d products and sums in any order, with or
+without FMA, including the rounding of the result; ``d * 2**-53`` covers the
+float64 canonical score and ``d * 2**-148`` underflow. For ``d <= 2**20``,
+``gamma_d <= 1.07 * d * u``, so ``E < (1.1 * d + 2) * u``. With
+``eps = (d + 2) * 2**-23 = 2 * (d + 2) * u``, ``2 * eps`` exceeds ``2 * E``
+by more than the one rounding of ``kth - 2 * eps`` to float32 (at most
+``1.3 * u``), so the computed threshold is at most ``kth - 2 * E``.
+
+Completeness. Let ``j`` be a row of the canonical top m and ``T`` the m rows
+with the largest ``s32``. If ``j`` is not in ``T``, some ``i`` in ``T`` is
+not in the canonical top m, so ``c_i <= c_j``, and
+
+    s32_j >= c_j - E >= c_i - E >= s32_i - 2 * E >= kth - 2 * E,
+
+so ``j`` is a candidate. The candidates hold the canonical top m, so their
+first m in (score, position) order are exactly it. The candidate set is
+usually m rows or one more; identical rows all become candidates.
 
 File format (all integers little-endian):
     magic  "RDRX" (4 bytes)
@@ -45,6 +79,7 @@ MAGIC = b"RDRX"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _U16 = struct.Struct("<H")
+_PARTS_PER_WRITE = 4096
 
 
 @dataclass(frozen=True)
@@ -70,7 +105,8 @@ class FlatIndex:
         self._ids: list[str] = []
         self._keywords: list[str] = []
         self._id_set: set[str] = set()
-        self._matrix = np.empty((0, dim), dtype=np.float64)  # rows [0, count) are live
+        self._matrix = np.empty((0, dim), dtype="<f4")  # rows [0, count) are live
+        self._slack = (dim + 2) * 2.0**-22  # 2 * eps, see the module docstring
         self._lock = threading.Lock()
 
     @property
@@ -85,7 +121,7 @@ class FlatIndex:
     def entries(self) -> list[tuple[str, np.ndarray, str]]:
         """Snapshot of (chunk_id, float32 vector, keyword) in insertion order."""
         with self._lock:
-            rows = self._matrix[: len(self._ids)].astype(np.float32)
+            rows = self._matrix[: len(self._ids)].copy()
             return list(zip(self._ids, rows, self._keywords))
 
     def __contains__(self, chunk_id: str) -> bool:
@@ -120,7 +156,7 @@ class FlatIndex:
                 batch.add(cid)
             n, end = len(self._ids), len(self._ids) + len(ids)
             if end > self._matrix.shape[0]:
-                grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim), np.float64)
+                grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim), "<f4")
                 grown[:n] = self._matrix[:n]
                 self._matrix = grown
             if rows:
@@ -130,7 +166,7 @@ class FlatIndex:
             self._id_set |= batch
 
     def search_top_k(self, query: Sequence[float] | np.ndarray, k: int) -> list[ScoredChunk]:
-        """Exact top-k by cosine similarity; ties keep insertion order."""
+        """Exact top-k by canonical score; ties keep insertion order."""
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         q = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -147,15 +183,17 @@ class FlatIndex:
                 return []
             matrix = self._matrix[:n]
             ids, keywords = self._ids, self._keywords  # append-only: [0, n) is stable
-        neg = -(matrix @ (q / qnorm))
-        # Every row scoring at least the k-th best enters a stable sort, so
-        # ties keep insertion order exactly as a full stable argsort would.
-        # `~(neg > kth)` rather than `neg <= kth` also keeps NaN scores.
+        q = q / qnorm
+        scan = matrix @ q.astype(np.float32)
         m = min(k, n)
-        kth = np.partition(neg, m - 1)[m - 1]
-        tied_or_better = np.flatnonzero(~(neg > kth))
-        order = tied_or_better[np.argsort(neg[tied_or_better], kind="stable")[:m]]
-        return [ScoredChunk(ids[i], float(-neg[i]), keywords[i]) for i in order.tolist()]
+        kth = np.partition(scan, n - m)[n - m]
+        candidates = np.flatnonzero(scan >= kth - self._slack).tolist()
+        scores = [np.dot(matrix[i].astype(np.float64), q) for i in candidates]
+        # The candidates are in insertion order, so a stable sort keeps ties so.
+        best = np.argsort(np.negative(scores), kind="stable")[:m].tolist()
+        return [
+            ScoredChunk(ids[candidates[j]], float(scores[j]), keywords[candidates[j]]) for j in best
+        ]
 
     # -- persistence --------------------------------------------------------
 
@@ -165,7 +203,7 @@ class FlatIndex:
         with self._lock:
             n = len(self._ids)
             parts = [_HEADER.pack(MAGIC, VERSION, self.dim, n)]
-            vectors = memoryview(self._matrix[:n].astype("<f4").reshape(-1)).cast("B")
+            vectors = memoryview(self._matrix[:n].reshape(-1)).cast("B")
             for i, (cid, kw) in enumerate(zip(self._ids, self._keywords)):
                 cid_b = cid.encode("utf-8")
                 kw_b = kw.encode("utf-8")
@@ -176,7 +214,11 @@ class FlatIndex:
                 parts.append(_U16.pack(len(kw_b)))
                 parts.append(kw_b)
                 parts.append(vectors[i * vec_bytes : (i + 1) * vec_bytes])
-        path.write_bytes(b"".join(parts))
+        # Joined a slice at a time: one whole-file join would hold the file
+        # twice in memory, and single small writes cost more than the joins.
+        with path.open("wb") as fh:
+            for start in range(0, len(parts), _PARTS_PER_WRITE):
+                fh.write(b"".join(parts[start : start + _PARTS_PER_WRITE]))
 
     @classmethod
     def load(cls, path: str | Path) -> "FlatIndex":
@@ -199,7 +241,7 @@ class FlatIndex:
         if count * (4 + vec_bytes) > len(data) - _HEADER.size:
             raise CorruptionError(f"{path}: truncated, {count} records cannot fit")
         index = cls(dim)
-        index._matrix = matrix = np.empty((count, dim), dtype=np.float64)
+        index._matrix = matrix = np.empty((count, dim), dtype="<f4")
         ids, keywords, id_set = index._ids, index._keywords, index._id_set
         offset = _HEADER.size
         for i in range(count):
@@ -223,9 +265,12 @@ class FlatIndex:
             offset = vec_at + vec_bytes
         if offset != len(data):
             raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")
-        # A row sum of float32 values cannot overflow float64, so it is
-        # finite exactly when every component is; no matrix-sized temporary.
-        finite = np.isfinite(matrix.sum(axis=1))
-        if not finite.all():
-            raise CorruptionError(f"{path}: non-finite vector for chunk {ids[int(np.argmin(finite))]}")
+        # Search's error bound needs unit rows, as insert checks; a unit norm
+        # is also finite. The buffered float64 cast makes no matrix-sized copy.
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+        bad = np.flatnonzero(~is_unit_norm(norms))
+        if bad.size:
+            i = int(bad[0])
+            what = "non-finite vector" if not np.isfinite(norms[i]) else f"vector norm {norms[i]}"
+            raise CorruptionError(f"{path}: {what} for chunk {ids[i]}")
         return index

@@ -379,11 +379,10 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
             f"script {cfg.provider.script_path} has unkeyed entries; they replay only "
             "with workers=1 and a topology other than radar"
         )
+    kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "traces").mkdir(exist_ok=True)
-
-    kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
 
     run_id = uuid.uuid4().hex[:12]
     digest = content_digest(templates.template_dir, cfg.kb.source.corpus_dir)

@@ -8,8 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radar.chunking import Chunk
+from radar.chunking import Chunk, EmbeddedChunk
 from radar.errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -115,20 +117,18 @@ class TestSearchTopK:
         hits = index.search_top_k(np.array([1.0, 0.0]), 2)
         assert [h.chunk_id for h in hits] == ["later-wins-nothing", "duplicate"]
 
-    def test_matches_brute_force_oracle(self):
+    @pytest.mark.parametrize("dim, count", [(8, 100), (3, 2000), (64, 700), (384, 3000)])
+    def test_matches_brute_force_oracle(self, dim, count):
+        # Ids, order and scores equal the canonical full scan bit for bit.
         rng = np.random.default_rng(42)
-        index = FlatIndex(8)
-        chunks = []
-        for i in range(100):
-            vec = rng.normal(size=8)
-            chunks.append(unit_chunk(f"c{i}", vec))
-        index.insert(chunks, "kw")
-        query = rng.normal(size=8)
-        hits = index.search_top_k(query, 7)
-        expected = brute_force_ids(index.entries(), query, 7)
-        assert [h.chunk_id for h in hits] == [cid for cid, _ in expected]
-        for hit, (_, score) in zip(hits, expected):
-            assert hit.score == pytest.approx(score, abs=1e-9)
+        index = FlatIndex(dim)
+        index.insert([unit_chunk(f"c{i}", rng.normal(size=dim)) for i in range(count)], "kw")
+        for query in rng.normal(size=(5, dim)):
+            for k in (1, 7, 40):
+                hits = index.search_top_k(query, k)
+                assert [(h.chunk_id, h.score) for h in hits] == brute_force_ids(
+                    index.entries(), query, k
+                )
 
     def test_scores_non_increasing(self):
         rng = np.random.default_rng(3)
@@ -221,6 +221,85 @@ class TestGrowth:
         assert "n0" not in index
         index.save(tmp_path / "after.rdrx")
         assert (tmp_path / "after.rdrx").read_bytes() == (tmp_path / "before.rdrx").read_bytes()
+
+
+def exact_chunk(chunk_id: str, vector: np.ndarray) -> EmbeddedChunk:
+    """An embedded chunk holding exactly these float32 components."""
+    return EmbeddedChunk(Chunk(chunk_id, "doc", 0, "xx", (0, 2)), vector.astype(np.float32))
+
+
+class TestCanonicalScores:
+    """A score is the float64 dot of the stored float32 row with the unit
+    query, whatever the row's position, the row count or the other rows."""
+
+    def test_identical_rows_keep_insertion_order_wherever_they_sit(self):
+        # A BLAS product over the whole matrix scores a row by its lane in the
+        # kernel, so identical rows at these positions came back reordered.
+        rng = np.random.default_rng(7)
+        dim = 384
+        pool = unit_rows(rng, 5000, dim)
+        for trial in range(12):
+            n = int(rng.integers(9, 5001))
+            tie = unit_rows(rng, 1, dim)[0]
+            positions = sorted(rng.choice(n - 1, size=7, replace=False).tolist()) + [n - 1]
+            rows = pool[:n].copy()
+            rows[positions] = tie
+            index = FlatIndex(dim)
+            index.insert([unit_chunk(f"c{i}", rows[i]) for i in range(n)], "kw")
+            query = tie + 0.01 * rng.normal(size=dim)
+            found = index.search_top_k(query, 8)
+            assert [h.chunk_id for h in found] == [f"c{p}" for p in positions], (trial, n)
+            assert len({h.score for h in found}) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 17, 64, 384]),
+           before=st.integers(0, 400), after=st.integers(0, 400))
+    def test_a_rows_score_depends_only_on_the_row_and_query(self, seed, dim, before, after):
+        rng = np.random.default_rng(seed)
+        target = unit_chunk("target", rng.normal(size=dim))
+        query = rng.normal(size=dim)
+        alone = FlatIndex(dim)
+        alone.insert([target], "kw")
+        (expected,) = alone.search_top_k(query, 1)
+        others = [unit_chunk(f"r{i}", row) for i, row in enumerate(unit_rows(rng, before + after, dim))]
+        index = FlatIndex(dim)
+        index.insert(others[:before] + [target] + others[before:], "kw")
+        found = {h.chunk_id: h.score for h in index.search_top_k(query, before + after + 1)}
+        assert found["target"] == expected.score
+
+    def test_near_ties_a_few_ulps_apart_match_the_canonical_scan(self):
+        # Rows a few float32 ulps from one vector score within float32
+        # rounding of each other, so the float32 scan alone orders them wrong.
+        rng = np.random.default_rng(13)
+        dim = 384
+        base = unit_chunk("base", rng.normal(size=dim)).vector
+        toward = (np.float32(np.inf), np.float32(-np.inf))
+        rows = []
+        for _ in range(300):
+            row = base.copy()
+            for j in rng.choice(dim, size=6, replace=False):
+                for _ in range(int(rng.integers(1, 4))):
+                    row[j] = np.nextafter(row[j], toward[int(rng.integers(2))])
+            rows.append(row)
+        rows += list(unit_rows(rng, 700, dim).astype(np.float32))
+        order = rng.permutation(len(rows))
+        index = FlatIndex(dim)
+        index.insert([exact_chunk(f"c{i}", rows[i]) for i in order], "kw")
+        query = base + 1e-3 * rng.normal(size=dim)
+
+        matrix = np.array([row for _, row, _ in index.entries()])
+        q = query / np.linalg.norm(query)
+        scan = matrix @ q.astype(np.float32)
+        scan_top = np.argsort(-scan, kind="stable")[:50].tolist()
+        canonical = brute_force_ids(index.entries(), query, 50)
+        ids = index.chunk_ids()
+        assert [ids[i] for i in scan_top] != [cid for cid, _ in canonical]
+
+        for k in (1, 5, 10, 50, 299, 301):
+            hits = index.search_top_k(query, k)
+            assert [(h.chunk_id, h.score) for h in hits] == brute_force_ids(
+                index.entries(), query, k
+            )
 
 
 class TestConcurrency:
@@ -378,10 +457,13 @@ class TestPersistence:
         with pytest.raises(CorruptionError):
             FlatIndex.load(path)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_vector_in_file_is_corruption(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, problem", [
+        (float("nan"), "non-finite vector"), (float("inf"), "non-finite vector"),
+        (float("-inf"), "non-finite vector"), (0.5, "vector norm 0.5"),
+    ])
+    def test_non_unit_vector_in_file_is_corruption(self, tmp_path, bad, problem):
         # Written by hand: save() can never produce such a file, because
-        # insert() rejects non-finite vectors.
+        # insert() rejects vectors that are not unit length.
         def record(cid, vector):
             return (struct.pack("<H", len(cid)) + cid + struct.pack("<H", 2) + b"kw"
                     + struct.pack("<2f", *vector))
@@ -392,7 +474,7 @@ class TestPersistence:
             + record(b"good", (1.0, 0.0))
             + record(b"bad", (bad, 0.0))
         )
-        with pytest.raises(CorruptionError, match="non-finite vector for chunk bad"):
+        with pytest.raises(CorruptionError, match=f"{problem} for chunk bad"):
             FlatIndex.load(path)
 
     @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from radar import runner
+from radar import knowledge, runner
 from radar.agents import TEMPLATE_DIR
 from radar.cli import main
 from radar.errors import ConfigError, EvaluationError
@@ -339,6 +340,22 @@ class TestRunCases:
         assert manifest["case_count"] == 3
         assert manifest["ended_at"] is not None
 
+    def test_golden_store_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # The store a golden run saves, with its fetch-log time fixed: any
+        # change to the store files' format or content shows here.
+        monkeypatch.setattr(knowledge.time, "time", lambda: 1_700_000_000.0)
+        store = tmp_path / "store"
+        cfg = load_run_config(write_config(tmp_path / "c.json", **{"kb.store_dir": str(store)}))
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "out").all_ok
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in store.iterdir()
+        }
+        assert digests == {
+            "documents.json": "83c5497365743c05a3264c6180374414e31d3afe1bc710c2a8a84e955090fa9f",
+            "index.rdrx": "57276e258dec36dbbd38642db225e7f5e14ad3358db3bc6c2ffcd4b86ea61a6d",
+            "meta.json": "e5f60d3d3701312cba69fe4ef7ae818a7270ef0463ae5b62cccdb4b1a459040d",
+        }
+
     def test_exhausted_script_fails_one_case(self, tmp_path):
         script = json.loads((DATA / "scripts" / "golden_radar.json").read_text())
         truncated = tmp_path / "short.json"
@@ -642,9 +659,15 @@ class TestLoadReports:
          "bad report: ValidationError: confidences must be numbers"),
         (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "supporting_chunk_ids": "ab"}]),
          "bad report: ValidationError: supporting_chunk_ids must be"),
+        (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "answer": 5, "question": ["x"]}]),
+         "bad report: ValidationError: evidence question, answer not a string"),
+        (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "keyword": None}]),
+         "bad report: ValidationError: evidence keyword not a string"),
+        (report_line(trace_id=7), "bad report: ValidationError: report trace_id must be a string"),
     ], ids=["not-json", "array", "no-primary", "int-primary", "string-confidences",
             "int-differentials", "int-evidence", "no-case-id", "int-case-id",
-            "string-differentials", "string-confidence", "bool-confidence", "string-chunk-ids"])
+            "string-differentials", "string-confidence", "bool-confidence", "string-chunk-ids",
+            "non-string-evidence-text", "null-keyword", "int-trace-id"])
     def test_names_the_faulty_line(self, tmp_path, line, problem):
         path = tmp_path / "reports.jsonl"
         path.write_bytes(report_line() + line)
@@ -694,7 +717,9 @@ class TestMalformedInputsExitOne:
         report_line(differentials="bcde"),
         report_line(confidences=[0.62, 0.15, 0.1, 0.08, False]),
         report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "supporting_chunk_ids": "ab"}]),
-    ], ids=["string-differentials", "bool-confidence", "string-chunk-ids"])
+        report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "answer": 5, "question": ["x"]}],
+                    trace_id=7),
+    ], ids=["string-differentials", "bool-confidence", "string-chunk-ids", "non-string-text"])
     def test_eval_names_the_line_of_a_converted_report(self, tmp_path, line):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -757,15 +782,23 @@ class TestUnreadableInputsExitCleanly:
         )
         self._assert_clean_exit(result, 1, synonyms)
 
-    def test_kb_stats_without_index_file_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("command", [
+        ["run", "--cases", str(DATA / "cases.jsonl"), "--out", "{run}"],
+        ["kb", "fetch", "--keyword", "glioma"],
+        ["kb", "stats"],
+    ], ids=["run", "kb-fetch", "kb-stats"])
+    def test_store_without_index_file_exits_two(self, tmp_path, command):
         config = write_config(tmp_path / "c.json", **{"kb.store_dir": str(tmp_path / "store")})
         fetch = CliRunner().invoke(
             main, ["kb", "fetch", "--keyword", "glioblastoma", "--config", str(config)]
         )
         assert fetch.exit_code == 0, fetch.output
         (tmp_path / "store" / "index.rdrx").unlink()
-        result = CliRunner().invoke(main, ["kb", "stats", "--config", str(config)])
+        args = [arg.format(run=tmp_path / "run") for arg in command]
+        result = CliRunner().invoke(main, args + ["--config", str(config)])
         self._assert_clean_exit(result, 2, tmp_path / "store" / "index.rdrx")
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "store" / "index.rdrx").exists()
 
 
 class TestCliEval:
