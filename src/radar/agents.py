@@ -26,6 +26,7 @@ from .domain import (
     DiagnosisReport,
     EvidenceAnswer,
     QueryPair,
+    encode,
     is_json_number,
     no_evidence_answer,
 )
@@ -375,7 +376,7 @@ def answer_question(
 def _render_evidence(evidence: Sequence[EvidenceAnswer]) -> str:
     if not evidence:
         return "(no retrieved evidence)"
-    return json.dumps([e.to_dict() for e in evidence], indent=2, ensure_ascii=False)
+    return json.dumps([encode(e) for e in evidence], indent=2, ensure_ascii=False)
 
 
 def _render_candidates(candidates: CandidateList) -> str:

@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .domain import json_default
 from .errors import ConfigError, DegenerateVectorError, EmbeddingError, ValidationError
 from .providers import Embedder, embed_text
 
@@ -38,38 +39,22 @@ class Document:
     doc_id: str
     keyword: str
     section: Section
-    title: str
+    title: str = json_default("")
     body: str
     source_url: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "section", Section(self.section))
-        wrong = [n for n in ("doc_id", "keyword", "title", "body", "source_url")
-                 if not isinstance(getattr(self, n), str)]
-        if wrong:
-            raise ValidationError(
-                f"document {self.doc_id!r}: {', '.join(wrong)} not a string", fields=wrong
-            )
         if not self.doc_id:
             raise ValidationError("document id is empty")
+        if not self.keyword:
+            raise ValidationError(f"document {self.doc_id} has an empty keyword")
         if not self.body:
             raise ValidationError(f"document {self.doc_id} has an empty body")
 
     def to_dict(self) -> dict[str, str]:
         """The JSON form of a corpus file and of a stored document."""
         return {**vars(self), "section": self.section.value}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Document":
-        """Read the JSON form; ``title`` may be absent and defaults to empty."""
-        return cls(
-            doc_id=raw["doc_id"],
-            keyword=raw["keyword"],
-            section=raw["section"],
-            title=raw.get("title", ""),
-            body=raw["body"],
-            source_url=raw["source_url"],
-        )
 
 
 @dataclass(frozen=True)

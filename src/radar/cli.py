@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .domain import DiagnosisReport
+from .domain import DiagnosisReport, encode
 from .errors import ConfigError, CorruptionError, EvaluationError, FormatError, RadarError
 from .evaluation import DictionaryNormalizer, aggregate, evaluate_run, load_synonyms, load_truths
 from .knowledge import KnowledgeBase
@@ -132,7 +132,7 @@ def cmd_eval(run_dirs: tuple[str, ...], truth_path: str, out_path: str,
         click.echo(f"{r.run_id:<24} {r.n_cases:>6} {r.top1 * 100:>8.2f} {r.top5 * 100:>8.2f}")
     if len(results) > 1:
         agg = aggregate(results)
-        payload["aggregate"] = agg.to_dict()
+        payload["aggregate"] = encode(agg)
         click.echo(
             f"{'aggregate':<24} {agg.n_runs:>6} "
             f"{agg.mean_top1:>5.2f} ± {agg.std_top1:.2f} "

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from .agents import PACKAGED_TEMPLATES, TemplateRegistry, parse_label, parse_structured
-from .domain import DiagnosisReport, canonical_fold, read_json, read_jsonl
+from .domain import DiagnosisReport, canonical_fold, encode, read_json, read_records
 from .errors import EvaluationError, RadarError, ValidationError
 from .providers import TEMP_LOW, ChatProvider, user_request
 
@@ -127,16 +127,7 @@ class EvalResult:
             raise ValidationError(f"top1 {self.top1} cannot exceed top5 {self.top5}")
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "n_cases": self.n_cases,
-            "top1": self.top1,
-            "top5": self.top5,
-            "per_case": [
-                {"case_id": s.case_id, "top1_hit": s.top1_hit, "top5_hit": s.top5_hit}
-                for s in self.per_case
-            ],
-        }
+        return encode(self)
 
 
 @dataclass(frozen=True)
@@ -146,15 +137,6 @@ class AggregateResult:
     mean_top5: float
     std_top5: float
     n_runs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_top1": self.mean_top1,
-            "std_top1": self.std_top1,
-            "mean_top5": self.mean_top5,
-            "std_top5": self.std_top5,
-            "n_runs": self.n_runs,
-        }
 
 
 def score_case(
@@ -219,17 +201,18 @@ def aggregate(results: Sequence[EvalResult]) -> AggregateResult:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TruthRecord:
+    """One line of a truth file."""
+
+    case_id: str
+    truth_label: str
+
+
 def load_truths(path: str | Path) -> dict[str, str]:
-    """Read {case_id, truth_label} records from a line-delimited JSON file."""
-    truths: dict[str, str] = {}
-    for where, raw in read_jsonl(path, EvaluationError):
-        case_id, label = raw.get("case_id"), raw.get("truth_label")
-        if not isinstance(case_id, str) or not isinstance(label, str):
-            raise EvaluationError(
-                f"{where}: bad truth record: needs string 'case_id' and 'truth_label'"
-            )
-        truths[case_id] = label
-    return truths
+    """Read {case_id, truth_label} records, one case id each, from a JSON-lines file."""
+    records = read_records(path, TruthRecord, EvaluationError, "case_id", ": bad truth record")
+    return {truth.case_id: truth.truth_label for _, truth in records}
 
 
 def load_synonyms(path: str | Path) -> dict[str, str]:

@@ -38,7 +38,7 @@ from .chunking import (
     embed_chunks,
     segment,
 )
-from .domain import canonical_fold, is_json_int, is_json_number, read_json
+from .domain import canonical_fold, decode, encode, read_json
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -111,11 +111,18 @@ class FetchLogEntry:
     timestamp: float
     doc_count: int
 
+
+@dataclass(frozen=True)
+class StoreMeta:
+    """The JSON form of a store's ``meta.json``."""
+
+    chunk_chars: int
+    overlap_chars: int
+    fetched_keywords: tuple[str, ...] = ()
+    fetch_log: tuple[FetchLogEntry, ...] = ()
+
     def __post_init__(self) -> None:
-        if not (isinstance(self.keyword, str) and is_json_number(self.timestamp)
-                and is_json_int(self.doc_count)):
-            raise ValidationError(f"fetch log entry needs a string keyword, a numeric "
-                                  f"timestamp and an integer doc_count, got {self}")
+        check_window(self.chunk_chars, self.overlap_chars)
 
 
 def fetch_documents(
@@ -302,18 +309,10 @@ class KnowledgeBase:
             lambda p: p.write_text(json.dumps(docs, sort_keys=True, ensure_ascii=False), "utf-8"),
         )
         _write_replacing(store_dir / INDEX_FILENAME, self.index.save)
-        meta = {
-            "chunk_chars": self.chunk_chars,
-            "overlap_chars": self.overlap_chars,
-            "fetched_keywords": sorted(self.fetched_keywords),
-            "fetch_log": [
-                {"keyword": e.keyword, "timestamp": e.timestamp, "doc_count": e.doc_count}
-                for e in self.fetch_log
-            ],
-        }
-        _write_replacing(
-            store_dir / META_FILENAME, lambda p: p.write_text(json.dumps(meta, sort_keys=True), "utf-8")
-        )
+        meta = encode(StoreMeta(self.chunk_chars, self.overlap_chars,
+                                tuple(sorted(self.fetched_keywords)), tuple(self.fetch_log)))
+        _write_replacing(store_dir / META_FILENAME,
+                         lambda p: p.write_text(json.dumps(meta, sort_keys=True), "utf-8"))
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
@@ -323,36 +322,16 @@ class KnowledgeBase:
         canonical decimal ordinal and a window inside that document's body.
         """
         store_dir = Path(store_dir)
-        meta = read_json(store_dir / META_FILENAME, CorruptionError)
+        meta = decode(StoreMeta, read_json(store_dir / META_FILENAME, CorruptionError),
+                      f"{store_dir}: bad {META_FILENAME}", CorruptionError, unknown="ignore")
         raw_docs = read_json(store_dir / DOCS_FILENAME, CorruptionError)
-        index = FlatIndex.load(store_dir / INDEX_FILENAME)
-        try:
-            window = meta["chunk_chars"], meta["overlap_chars"]
-            if not all(map(is_json_int, window)):
-                raise TypeError(f"chunk_chars and overlap_chars must be integers, got {window}")
-            kb = cls(chunk_chars=window[0], overlap_chars=window[1], index=index)
-            keywords = meta.get("fetched_keywords", [])
-            if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-                raise TypeError(f"fetched_keywords must be a list of strings, got {keywords!r}")
-            kb.fetched_keywords = set(keywords)
-            entries = meta.get("fetch_log", [])
-            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-                raise TypeError(f"fetch_log must be a list of objects, got {entries!r}")
-            kb.fetch_log = [
-                FetchLogEntry(e["keyword"], e["timestamp"], e["doc_count"]) for e in entries
-            ]
-        except (KeyError, TypeError, ConfigError, ValidationError) as exc:
-            raise CorruptionError(
-                f"{store_dir}: bad {META_FILENAME}: {type(exc).__name__}: {exc}"
-            ) from exc
+        kb = cls(chunk_chars=meta.chunk_chars, overlap_chars=meta.overlap_chars,
+                 index=FlatIndex.load(store_dir / INDEX_FILENAME))
+        kb.fetched_keywords = set(meta.fetched_keywords)
+        kb.fetch_log = list(meta.fetch_log)
         for doc_id, raw in raw_docs.items():
-            try:
-                doc = Document.from_dict(raw)
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise CorruptionError(
-                    f"{store_dir}: stored document {doc_id!r} is invalid: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
+            doc = decode(Document, raw, f"{store_dir}: stored document {doc_id!r}",
+                         CorruptionError, unknown="ignore")
             kb.doc_store[doc.doc_id] = doc
         unnamed = [cid for cid in kb.index.chunk_ids() if kb._window(cid) is None]
         if unnamed:
@@ -383,12 +362,9 @@ class FixtureSource:
         self._fail = {canonical_fold(k) for k in fail_keywords}
         self._by_keyword: dict[str, list[Document]] = {}
         for path in sorted(self.corpus_dir.glob("*.json")):
-            try:
-                doc = Document.from_dict(read_json(path, ConfigError))
-                folded = canonical_fold(doc.keyword)
-            except (KeyError, ValueError, ValidationError) as exc:
-                raise ConfigError(f"bad corpus document {path}: {exc}") from exc
-            self._by_keyword.setdefault(folded, []).append(doc)
+            doc = decode(Document, read_json(path, ConfigError), f"bad corpus document {path}",
+                         ConfigError, unknown="ignore")
+            self._by_keyword.setdefault(canonical_fold(doc.keyword), []).append(doc)
 
     def fetch(self, keyword: str) -> list[Document]:
         folded = canonical_fold(keyword)

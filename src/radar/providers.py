@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 import numpy as np
 import requests
 
-from .domain import read_json
+from .domain import decode, read_json
 from .errors import (
     ConfigError,
     ProviderError,
@@ -194,24 +194,26 @@ class ScriptedChatProvider:
         )
 
 
+@dataclass(frozen=True)
+class ScriptEntry:
+    """One script-file entry; without a fingerprint it answers in arrival order."""
+
+    content: str
+    fingerprint: str = ""
+
+
 def scripted_provider_from_file(path: str | Path) -> ScriptedChatProvider:
     """Load a script file: a JSON array of {fingerprint?: str, content: str}."""
     path = Path(path)
-    entries = read_json(path, ConfigError, expect=list)
     ordered: list[str] = []
     keyed: dict[str, str] = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "content" not in entry:
-            raise ConfigError(f"script file {path} entry {i} needs a 'content' key")
-        content = entry["content"]
-        if not isinstance(content, str):
-            raise ConfigError(f"script file {path} entry {i} content must be a string")
-        if "fingerprint" in entry:
-            if not isinstance(entry["fingerprint"], str):
-                raise ConfigError(f"script file {path} entry {i} fingerprint must be a string")
-            keyed[entry["fingerprint"]] = content
+    for i, raw in enumerate(read_json(path, ConfigError, expect=list)):
+        entry = decode(ScriptEntry, raw, f"script file {path} entry {i}", ConfigError,
+                       unknown="ignore")
+        if entry.fingerprint:
+            keyed[entry.fingerprint] = entry.content
         else:
-            ordered.append(content)
+            ordered.append(entry.content)
     return ScriptedChatProvider(script=ordered, keyed=keyed, provider_id=f"scripted:{path.name}")
 
 

@@ -12,21 +12,19 @@ manifest and traces.
 from __future__ import annotations
 
 import concurrent.futures
-import difflib
 import hashlib
 import json
 import os
 import time
 import uuid
-from dataclasses import asdict, dataclass, field, is_dataclass
-from enum import Enum, EnumMeta
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Literal, NewType, get_args, get_origin, get_type_hints
+from typing import Any, Literal, NewType, get_args, get_type_hints
 
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
 from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS, check_window
-from .domain import Case, DiagnosisReport, is_json_int, load_cases, read_json, read_jsonl
-from .errors import ConfigError, EvaluationError, RadarError
+from .domain import Case, DiagnosisReport, decode, encode, load_cases, read_json, read_records
+from .errors import ConfigError, EvaluationError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
 from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
 from .providers import (
@@ -119,85 +117,33 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """The documented nested shape, which ``load_run_config`` reads back."""
-        return asdict(self, dict_factory=lambda items: {k: _json_value(v) for k, v in items})
+        return encode(self)
 
 
-def _json_value(value: Any) -> Any:
-    if isinstance(value, Enum):
-        return value.value
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _key_paths(cls: type = RunConfig, prefix: str = "") -> list[str]:
-    paths = []
-    for key, tp in get_type_hints(cls).items():
-        paths.append(prefix + key)
+def _resolve_paths(settings: Any, base: Path) -> Any:
+    """``settings`` with each set ``ConfigPath`` key resolved against ``base``."""
+    changes = {}
+    for key, tp in get_type_hints(type(settings)).items():
+        value = getattr(settings, key)
         if is_dataclass(tp):
-            paths += _key_paths(tp, f"{prefix}{key}.")
-    return paths
-
-
-def _is_str(value: Any) -> bool:
-    return isinstance(value, str)
-
-
-# The JSON type each scalar field type accepts: (what to call it, test).
-_JSON_TYPES = {
-    int: ("an integer", is_json_int),
-    str: ("a string", _is_str),
-    ConfigPath: ("a path string", _is_str),
-    tuple[str, ...]: ("a list of strings", lambda v: isinstance(v, list) and all(map(_is_str, v))),
-}
-
-
-def _read(tp: Any, value: Any, base: Path, path: str = "") -> Any:
-    """Check a JSON value against the field type ``tp`` at key ``path`` and
-    convert it; a settings dataclass is read key by key, and a key it leaves
-    out keeps its default."""
-    if is_dataclass(tp):  # a section; null counts as absent
-        if value is None:
-            return tp()
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {path!r} must be an object")
-        types = get_type_hints(tp)
-        prefix = path + "." if path else ""
-        for key in value:
-            if key not in types:
-                guess = difflib.get_close_matches(prefix + key, _key_paths(), n=1)
-                hint = f"; did you mean {guess[0]!r}?" if guess else ""
-                raise ConfigError(f"unknown config key {prefix + key!r}{hint}")
-        return tp(**{key: _read(types[key], v, base, prefix + key) for key, v in value.items()})
-    if type(None) in get_args(tp):  # an optional key
-        if value is None:
-            return None
-        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
-    if get_origin(tp) is Literal or isinstance(tp, EnumMeta):
-        choices = get_args(tp) or tuple(member.value for member in tp)
-        if value not in choices:
-            raise ConfigError(
-                f"config key {path!r} must be one of {', '.join(map(json.dumps, choices))}, "
-                f"got {json.dumps(value)}"
-            )
-        return tp(value) if isinstance(tp, EnumMeta) else value
-    expected, accepts = _JSON_TYPES[tp]
-    if not accepts(value):
-        raise ConfigError(f"config key {path!r} must be {expected}, got {json.dumps(value)}")
-    if tp is ConfigPath:
-        return str(base / value)
-    return tuple(value) if isinstance(value, list) else value
+            changes[key] = _resolve_paths(value, base)
+        elif value is not None and ConfigPath in (tp, *get_args(tp)):
+            changes[key] = str(base / value)
+    return replace(settings, **changes)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON run configuration.
 
     Only the nested shape that ``RunConfig.to_dict`` writes is read, so a
-    manifest's config snapshot loads back to an equal config. Relative paths
-    are resolved against the config file's directory, and every referenced
-    path must exist at load time.
+    manifest's config snapshot loads back to an equal config; an unknown key
+    is an error that names the closest known one. Relative paths are
+    resolved against the config file's directory, and every referenced path
+    must exist at load time.
     """
     path = Path(path)
-    raw = read_json(path, ConfigError)
-    cfg = _read(RunConfig, raw, path.absolute().parent)  # so a snapshot reloads from anywhere
+    cfg = decode(RunConfig, read_json(path, ConfigError), str(path), ConfigError)
+    cfg = _resolve_paths(cfg, path.absolute().parent)  # so a snapshot reloads from anywhere
 
     # Checks that span several keys, or look at the file system.
     provider, kb, source = cfg.provider, cfg.kb, cfg.kb.source
@@ -429,19 +375,15 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     )
 
 
-def load_reports(run_dir: str | Path) -> list[tuple[str, dict]]:
-    """Read (case_id, raw report dict) pairs from a run directory.
+@dataclass(frozen=True)
+class ReportLine(DiagnosisReport):
+    """One line of `reports.jsonl`: a report and its case id."""
 
-    Each line must hold a string ``case_id`` and a well-formed report.
-    """
-    path = Path(run_dir) / "reports.jsonl"
-    out = []
-    for where, raw in read_jsonl(path, EvaluationError):
-        try:
-            DiagnosisReport.from_dict(raw)
-        except (RadarError, KeyError, TypeError, ValueError) as exc:
-            raise EvaluationError(f"{where}: bad report: {type(exc).__name__}: {exc}") from exc
-        if not isinstance(raw.get("case_id"), str):
-            raise EvaluationError(f"{where}: bad report: no string 'case_id'")
-        out.append((raw["case_id"], raw))
-    return out
+    case_id: str = field(kw_only=True)
+
+
+def load_reports(run_dir: str | Path) -> list[tuple[str, dict]]:
+    """Read (case_id, raw report dict) pairs, one per case id, from a run directory."""
+    records = read_records(Path(run_dir) / "reports.jsonl", ReportLine, EvaluationError,
+                           "case_id", ": bad report")
+    return [(line.case_id, raw) for raw, line in records]

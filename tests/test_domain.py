@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radar.chunking import Document, Section
 from radar.domain import (
     NO_EVIDENCE_ANSWER,
     CandidateList,
@@ -15,16 +17,24 @@ from radar.domain import (
     EvidenceAnswer,
     QueryPair,
     canonical_fold,
+    decode,
+    encode,
     load_cases,
     no_evidence_answer,
     read_json,
     validate_case,
 )
 from radar.errors import ConfigError, CorruptionError, EvaluationError, ValidationError
-from radar.evaluation import load_synonyms
-from radar.knowledge import FixtureSource, KnowledgeBase
-from radar.providers import scripted_provider_from_file
-from radar.runner import load_run_config
+from radar.evaluation import TruthRecord, load_synonyms
+from radar.knowledge import FetchLogEntry, FixtureSource, KnowledgeBase, StoreMeta
+from radar.providers import ScriptEntry, scripted_provider_from_file
+from radar.runner import (
+    KbSettings,
+    ReportLine,
+    RunConfig,
+    SourceSettings,
+    load_run_config,
+)
 
 
 class TestCanonicalFold:
@@ -116,8 +126,19 @@ class TestValidateCase:
         (GOOD_CASE + b'{"id": "", "caption": "x", "truth_label": "y"}\n', ":2",
          "invalid case: id empty", ["id empty"]),
         (b'{"id": "c1", "caption": "a", "truth_label": "t", "paraphrase_id": "1"}\n', ":1",
-         "paraphrase_id not a non-negative integer", ["paraphrase_id not a non-negative integer"]),
-    ], ids=["missing", "not-utf8", "not-json", "array", "string", "empty-id", "string-paraphrase"])
+         "key 'paraphrase_id' must be an integer, got \"1\"", ["paraphrase_id"]),
+        (GOOD_CASE + b'{"id": "sub/c2", "caption": "x", "truth_label": "y"}\n', ":2",
+         "invalid case: id not usable as a file name", ["id not usable as a file name"]),
+        (GOOD_CASE + b'{"id": "../../c2", "caption": "x", "truth_label": "y"}\n', ":2",
+         "invalid case: id not usable as a file name", ["id not usable as a file name"]),
+        (GOOD_CASE + b'{"id": "..", "caption": "x", "truth_label": "y"}\n', ":2",
+         "invalid case: id not usable as a file name", ["id not usable as a file name"]),
+        (GOOD_CASE + b'{"id": ".", "caption": "x", "truth_label": "y"}\n', ":2",
+         "invalid case: id not usable as a file name", ["id not usable as a file name"]),
+        (GOOD_CASE + b'{"id": "c\\u00002", "caption": "x", "truth_label": "y"}\n', ":2",
+         "invalid case: id not usable as a file name", ["id not usable as a file name"]),
+    ], ids=["missing", "not-utf8", "not-json", "array", "string", "empty-id", "string-paraphrase",
+            "slash-id", "dot-dot-path-id", "dot-dot-id", "dot-id", "nul-id"])
     def test_load_cases_names_the_fault(self, tmp_path, content, where, problem, fields):
         path = tmp_path / "cases.jsonl"
         if content is not None:
@@ -126,6 +147,14 @@ class TestValidateCase:
             load_cases(path)
         assert f"{path}{where}" in str(exc_info.value)
         assert exc_info.value.fields == fields
+
+    def test_load_cases_names_both_lines_of_a_repeated_id(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_bytes(self.GOOD_CASE + b'{"id": "c2", "caption": "b", "truth_label": "u"}\n'
+                         + self.GOOD_CASE)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}:3: id 'c1' already appears at {path}:1")):
+            load_cases(path)
 
 
 class TestCandidateList:
@@ -234,23 +263,10 @@ class TestDiagnosisReport:
         )
         assert DiagnosisReport.from_dict(report.to_dict()) == report
 
-    @pytest.mark.parametrize("edit", [
-        lambda raw: raw.update(differentials="bcde"),
-        lambda raw: raw.update(confidences="abcde"),
-        lambda raw: raw.update(evidence="ab"),
-        lambda raw: raw["evidence"][0].update(supporting_chunk_ids="ab"),
-        lambda raw: raw["confidences"].__setitem__(0, "0.6"),
-        lambda raw: raw["confidences"].__setitem__(4, False),
-        lambda raw: raw["evidence"][0]["supporting_chunk_ids"].append(7),
-        lambda raw: raw["confidences"].__setitem__(0, 10**400),
-    ], ids=["string-differentials", "string-confidences", "string-evidence", "string-chunk-ids",
-            "string-confidence", "bool-confidence", "int-chunk-id", "huge-int-confidence"])
-    def test_from_dict_checks_rather_than_converts(self, edit):
-        evidence = (EvidenceAnswer("q", "ans", ("x",), "k"),)
-        raw = DiagnosisReport("p", ("a", "b", "c", "d"), (0.6, 0.2, 0.1, 0.1, 0.0),
-                              evidence).to_dict()
-        edit(raw)
-        with pytest.raises(ValidationError):
+    def test_huge_integer_confidence_is_rejected(self):
+        raw = DiagnosisReport("p", ("a", "b", "c", "d"), (0.6, 0.2, 0.1, 0.1, 0.0)).to_dict()
+        raw["confidences"][0] = 10**400  # an integer, but one no float holds
+        with pytest.raises(ValidationError, match="outside"):
             DiagnosisReport.from_dict(raw)
 
 
@@ -326,3 +342,205 @@ class TestReadJson:
         path = tmp_path / "f.json"
         path.write_bytes(content)
         assert read_json(path, EvaluationError, expect=expect) == json.loads(content)
+
+
+# ---------------------------------------------------------------------------
+# decode: every record read from a file
+# ---------------------------------------------------------------------------
+
+# One JSON value of each type, by name.
+JSON_VALUES = {"null": None, "boolean": True, "integer": 7, "fraction": 0.5, "string": "text",
+               "array": [], "object": {}}
+STRING, INTEGER, NUMBER, ARRAY, OBJECT = ({"string"}, {"integer"}, {"integer", "fraction"},
+                                          {"array"}, {"object"})
+CHOICE: set[str] = set()  # "text" is none of the choices, so every value is rejected
+NULLABLE_STRING, SECTION = STRING | {"null"}, OBJECT | {"null"}  # a null section is absent
+
+EVIDENCE = EvidenceAnswer("q", "the lesion enhances", ("d1:0", "d1:1"), "enhancement")
+REPORT = DiagnosisReport("glioma", ("a", "b", "c", "d"), (0.6, 0.2, 0.1, 0.06, 0.04), (EVIDENCE,),
+                         "radar-c1")
+REPORT_FIELDS = {
+    "primary": STRING, "differentials": ARRAY, "differentials.0": STRING,
+    "confidences": ARRAY, "confidences.0": NUMBER, "evidence": ARRAY, "evidence.0": OBJECT,
+    "evidence.0.question": STRING, "evidence.0.answer": STRING, "evidence.0.keyword": STRING,
+    "evidence.0.supporting_chunk_ids": ARRAY, "evidence.0.supporting_chunk_ids.0": STRING,
+    "trace_id": STRING,
+}
+FETCH_LOG_ENTRY = FetchLogEntry("glioma", 1_700_000_000.5, 10)
+CONFIG = RunConfig(kb=KbSettings(source=SourceSettings(fail_keywords=("broken term",))))
+
+# Each decoded record type: (an instance, the error its reader raises, the
+# JSON types each key path accepts, how unknown keys are handled).
+RECORDS = {
+    "case": (Case("c1", "caption", "clinical", "glioma", 2), ValidationError,
+             {"id": STRING, "caption": STRING, "clinical_data": STRING, "truth_label": STRING,
+              "paraphrase_id": INTEGER}, "ignore"),
+    "document": (Document("d1", "glioma", Section.CASE, "title", "body", "https://x.test/d1"),
+                 CorruptionError,
+                 {"doc_id": STRING, "keyword": STRING, "section": CHOICE, "title": STRING,
+                  "body": STRING, "source_url": STRING}, "ignore"),
+    "evidence": (EVIDENCE, ValidationError,
+                 {k.removeprefix("evidence.0."): v for k, v in REPORT_FIELDS.items()
+                  if k.startswith("evidence.0.")}, "ignore"),
+    "report": (REPORT, ValidationError, REPORT_FIELDS, "ignore"),
+    "report-line": (ReportLine(**vars(REPORT), case_id="c1"), EvaluationError,
+                    {**REPORT_FIELDS, "case_id": STRING}, "ignore"),
+    "fetch-log-entry": (FETCH_LOG_ENTRY, CorruptionError,
+                        {"keyword": STRING, "timestamp": NUMBER, "doc_count": INTEGER}, "ignore"),
+    "store-meta": (StoreMeta(1000, 200, ("glioma",), (FETCH_LOG_ENTRY,)), CorruptionError,
+                   {"chunk_chars": INTEGER, "overlap_chars": INTEGER, "fetched_keywords": ARRAY,
+                    "fetched_keywords.0": STRING, "fetch_log": ARRAY, "fetch_log.0": OBJECT,
+                    "fetch_log.0.keyword": STRING, "fetch_log.0.timestamp": NUMBER,
+                    "fetch_log.0.doc_count": INTEGER}, "ignore"),
+    "script-entry": (ScriptEntry("reply", "f00d"), ConfigError,
+                     {"content": STRING, "fingerprint": STRING}, "ignore"),
+    "truth": (TruthRecord("c1", "glioma"), EvaluationError,
+              {"case_id": STRING, "truth_label": STRING}, "ignore"),
+    "config": (CONFIG, ConfigError, {
+        "topology": CHOICE, "seed": INTEGER, "workers": INTEGER,
+        "provider": SECTION, "provider.kind": CHOICE, "provider.script_path": NULLABLE_STRING,
+        "provider.chat": SECTION, "provider.chat.url": NULLABLE_STRING,
+        "provider.embed": SECTION, "provider.embed.url": NULLABLE_STRING,
+        "provider.timeouts_ms": INTEGER, "provider.model": NULLABLE_STRING,
+        "provider.embedder_kind": CHOICE, "provider.dim": INTEGER,
+        "kb": SECTION, "kb.chunk_chars": INTEGER, "kb.overlap_chars": INTEGER,
+        "kb.store_dir": NULLABLE_STRING, "kb.source": SECTION, "kb.source.kind": CHOICE,
+        "kb.source.corpus_dir": NULLABLE_STRING, "kb.source.fail_keywords": ARRAY,
+        "kb.source.fail_keywords.0": STRING, "kb.source.base_url": NULLABLE_STRING,
+        "kb.source.delay_ms": INTEGER, "kb.source.cache_dir": NULLABLE_STRING,
+        "agents": SECTION, "agents.n_queries": INTEGER, "agents.max_retries": INTEGER,
+        "agents.template_dir": NULLABLE_STRING, "eval": SECTION,
+        "eval.normalizer_kind": CHOICE, "eval.synonym_table": NULLABLE_STRING,
+    }, "reject"),
+}
+
+
+def _json_form(record) -> dict:
+    return json.loads(json.dumps(encode(record)))
+
+
+def _replace(raw, path: str, value):
+    *parents, last = path.split(".")
+    for key in parents:
+        raw = raw[int(key)] if isinstance(raw, list) else raw[key]
+    raw[int(last) if isinstance(raw, list) else last] = value
+
+
+class TestDecodeTable:
+    def test_every_key_of_every_record_is_in_the_table(self):
+        def paths(value, prefix=""):
+            if isinstance(value, dict):
+                items = value.items()
+            elif isinstance(value, list):
+                items = list(enumerate(value))[:1]
+            else:
+                return []
+            return [p for key, item in items
+                    for p in (f"{prefix}{key}", *paths(item, f"{prefix}{key}."))]
+        for name, (record, _, accepts, _) in RECORDS.items():
+            assert sorted(paths(_json_form(record))) == sorted(accepts), name
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_the_json_form_reads_back(self, name):
+        record, error, _, unknown = RECORDS[name]
+        assert decode(type(record), _json_form(record), "r", error, unknown=unknown) == record
+
+    @pytest.mark.parametrize("name, path", [
+        (name, path) for name, (_, _, accepts, _) in RECORDS.items() for path in accepts
+    ])
+    def test_a_value_of_another_json_type_is_named(self, name, path):
+        record, error, accepts, unknown = RECORDS[name]
+        for kind, value in JSON_VALUES.items():
+            if kind in accepts[path]:
+                continue
+            raw = _json_form(record)
+            _replace(raw, path, value)
+            with pytest.raises(error) as exc_info:
+                decode(type(record), raw, "where", error, unknown=unknown)
+            assert str(exc_info.value).startswith(f"where: key {path!r} must be "), kind
+            if error is ValidationError:
+                assert exc_info.value.fields == [path]
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_a_missing_required_key_is_named(self, name):
+        record, error, accepts, unknown = RECORDS[name]
+        required = [f.name for f in dataclasses.fields(record) if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING and not f.metadata]
+        for key in required:
+            raw = _json_form(record)
+            del raw[key]
+            with pytest.raises(error, match=re.escape(f"where: key {key!r} is missing")):
+                decode(type(record), raw, "where", error, unknown=unknown)
+
+    @pytest.mark.parametrize("value", list(JSON_VALUES.values())[:-1],
+                             ids=list(JSON_VALUES)[:-1])
+    def test_a_record_must_be_an_object(self, value):
+        with pytest.raises(CorruptionError, match="where: must be an object, got "):
+            decode(FetchLogEntry, value, "where", CorruptionError)
+
+    def test_unknown_keys_are_ignored_or_named(self):
+        raw = {**_json_form(FETCH_LOG_ENTRY), "extra": 1}
+        assert decode(FetchLogEntry, raw, "r", CorruptionError, unknown="ignore") == FETCH_LOG_ENTRY
+        with pytest.raises(CorruptionError, match="where: key 'extra' is unknown"):
+            decode(FetchLogEntry, raw, "where", CorruptionError)
+
+    def test_an_invariant_fault_keeps_the_records_fields(self):
+        with pytest.raises(ValidationError) as exc_info:
+            decode(Case, {"id": "", "caption": "", "truth_label": "t"}, "where", ValidationError)
+        assert str(exc_info.value) == "where: invalid case: id empty; caption empty"
+        assert exc_info.value.fields == ["id empty", "caption empty"]
+
+    def test_a_nested_invariant_fault_names_its_key(self):
+        raw = _json_form(REPORT)
+        raw["evidence"][0]["supporting_chunk_ids"] = []
+        with pytest.raises(EvaluationError, match="where: key 'evidence.0' is invalid: evidence"):
+            decode(DiagnosisReport, raw, "where", EvaluationError, unknown="ignore")
+
+
+NONEMPTY = st.text(min_size=1).filter(str.strip)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+EVIDENCE_ANSWERS = st.one_of(
+    st.builds(EvidenceAnswer, st.text(), st.text(), st.lists(st.text(), min_size=1).map(tuple),
+              st.text()),
+    st.builds(no_evidence_answer, st.text(), st.text()),
+)
+REPORT_ARGS = dict(
+    primary=NONEMPTY,
+    differentials=st.lists(NONEMPTY, min_size=4, max_size=4).map(tuple),
+    confidences=st.lists(st.floats(0, 1), min_size=5, max_size=5).map(
+        lambda c: tuple(sorted(c, reverse=True))),
+    evidence=st.lists(EVIDENCE_ANSWERS, max_size=3).map(tuple),
+    trace_id=st.text(),
+)
+FETCH_LOG_ENTRIES = st.builds(FetchLogEntry, st.text(), FLOATS, st.integers())
+ROUND_TRIPS = {
+    "case": st.builds(
+        Case, st.text(st.characters(blacklist_characters="/\0"), min_size=1).filter(
+            lambda s: s.strip() and s not in (".", "..")),
+        NONEMPTY, st.text(), NONEMPTY, st.integers(min_value=0)),
+    "document": st.builds(Document, st.text(min_size=1), st.text(min_size=1),
+                          st.sampled_from(Section), st.text(), st.text(min_size=1), st.text()),
+    "evidence": EVIDENCE_ANSWERS,
+    "report": st.builds(DiagnosisReport, **REPORT_ARGS),
+    "report-line": st.builds(ReportLine, **REPORT_ARGS, case_id=st.text()),
+    "fetch-log-entry": FETCH_LOG_ENTRIES,
+    "store-meta": st.integers(1, 10**6).flatmap(lambda chunk: st.builds(
+        StoreMeta, st.just(chunk), st.integers(0, chunk - 1),
+        st.lists(st.text()).map(tuple), st.lists(FETCH_LOG_ENTRIES).map(tuple))),
+    "script-entry": st.builds(ScriptEntry, st.text(), st.text()),
+    "truth": st.builds(TruthRecord, st.text(), st.text()),
+    "config": st.from_type(RunConfig),
+}
+
+
+def test_round_trips_cover_every_record():
+    assert ROUND_TRIPS.keys() == RECORDS.keys()
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_decode_reads_back_the_json_form(name, data):
+    record = data.draw(ROUND_TRIPS[name])
+    _, error, _, unknown = RECORDS[name]
+    assert decode(type(record), _json_form(record), "r", error, unknown=unknown) == record

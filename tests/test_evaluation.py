@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,14 @@ class TestFileLoaders:
         with pytest.raises(EvaluationError, match=problem) as exc_info:
             load_truths(path)
         assert f"{path}{where}" in str(exc_info.value)
+
+    def test_a_repeated_case_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        path.write_bytes(self.GOOD_TRUTH + b'{"case_id": "c2", "truth_label": "lymphoma"}\n'
+                         + b'{"case_id": "c1", "truth_label": "meningioma"}\n')
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"{path}:3: case_id 'c1' already appears at {path}:1")):
+            load_truths(path)
 
     def test_synonyms(self, tmp_path):
         path = tmp_path / "syn.json"

@@ -471,13 +471,13 @@ class TestPersistence:
         (lambda meta: meta.update(overlap_chars=200.0), "overlap_chars"),
         (lambda meta: meta.update(fetch_log="glioma"), "fetch_log"),
         (lambda meta: meta.update(fetch_log=[{"keyword": "glioma", "timestamp": "x",
-                                              "doc_count": None}]), "fetch log entry"),
+                                              "doc_count": None}]), "'fetch_log.0.timestamp'"),
         (lambda meta: meta.update(fetch_log=[{"keyword": 3, "timestamp": 1.5,
-                                              "doc_count": 10}]), "fetch log entry"),
+                                              "doc_count": 10}]), "'fetch_log.0.keyword'"),
         (lambda meta: meta.update(fetch_log=[{"keyword": "glioma", "timestamp": True,
-                                              "doc_count": 10}]), "fetch log entry"),
+                                              "doc_count": 10}]), "'fetch_log.0.timestamp'"),
         (lambda meta: meta.update(fetch_log=[{"keyword": "glioma", "timestamp": 1.5,
-                                              "doc_count": 1.0}]), "fetch log entry"),
+                                              "doc_count": 1.0}]), "'fetch_log.0.doc_count'"),
         (lambda meta: meta.update(fetch_log=["glioma"]), "fetch_log"),
     ], ids=["no-chunk_chars", "no-overlap_chars", "overlap-too-large", "fetch_log-entry",
             "fetched_keywords-string", "fetched_keywords-non-string", "bool-chunk_chars",

@@ -124,7 +124,7 @@ class TestScriptedProvider:
     def test_from_file_fingerprint_must_be_a_string(self, tmp_path, fingerprint):
         path = tmp_path / "script.json"
         path.write_text(json.dumps([{"fingerprint": fingerprint, "content": "X"}]))
-        with pytest.raises(ConfigError, match="entry 0 fingerprint must be a string"):
+        with pytest.raises(ConfigError, match="entry 0: key 'fingerprint' must be a string"):
             scripted_provider_from_file(path)
 
 

@@ -185,29 +185,30 @@ class TestConfigValues:
     """Each value is checked against its field's JSON type, and a wrong one is
     a configuration error that names the key."""
 
+    # (key, bad value, the key path the message names)
     BAD_VALUES = [
-        ("provider.dim", "large"),
-        ("kb.source.delay_ms", None),
-        ("kb.source.fail_keywords", None),
-        ("kb.source.fail_keywords", "abc"),
-        ("kb.source.fail_keywords", ["ok", 3]),
-        ("kb.chunk_chars", 1000.0),
-        ("workers", "2"),
-        ("seed", True),
-        ("provider.kind", None),
-        ("eval.normalizer_kind", "thesaurus"),
-        ("provider.chat.url", 7),
-        ("kb.store_dir", 5),
+        ("provider.dim", "large", "provider.dim"),
+        ("kb.source.delay_ms", None, "kb.source.delay_ms"),
+        ("kb.source.fail_keywords", None, "kb.source.fail_keywords"),
+        ("kb.source.fail_keywords", "abc", "kb.source.fail_keywords"),
+        ("kb.source.fail_keywords", ["ok", 3], "kb.source.fail_keywords.1"),
+        ("kb.chunk_chars", 1000.0, "kb.chunk_chars"),
+        ("workers", "2", "workers"),
+        ("seed", True, "seed"),
+        ("provider.kind", None, "provider.kind"),
+        ("eval.normalizer_kind", "thesaurus", "eval.normalizer_kind"),
+        ("provider.chat.url", 7, "provider.chat.url"),
+        ("kb.store_dir", 5, "kb.store_dir"),
     ]
 
-    @pytest.mark.parametrize("key, value", BAD_VALUES)
-    def test_wrong_type_names_the_key(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key, value, named", BAD_VALUES)
+    def test_wrong_type_names_the_key(self, tmp_path, key, value, named):
         path = write_config(tmp_path / "c.json", **{key: value})
-        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        with pytest.raises(ConfigError, match=re.escape(repr(named))):
             load_run_config(path)
 
-    @pytest.mark.parametrize("key, value", BAD_VALUES)
-    def test_wrong_type_exits_two(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key, value, named", BAD_VALUES)
+    def test_wrong_type_exits_two(self, tmp_path, key, value, named):
         config = write_config(tmp_path / "c.json", **{key: value})
         result = CliRunner().invoke(
             main,
@@ -215,7 +216,7 @@ class TestConfigValues:
              "--out", str(tmp_path / "run")],
         )
         assert result.exit_code == 2, result.output
-        assert repr(key) in result.output
+        assert repr(named) in result.output
 
     def test_null_is_the_default_where_allowed(self, tmp_path):
         path = write_config(
@@ -645,25 +646,25 @@ class TestLoadReports:
     @pytest.mark.parametrize("line, problem", [
         (b'{"case_id": "c2",\n', "not valid JSON"),
         (b'["c2"]\n', "expected a JSON object, got list"),
-        (report_line(primary=None), "bad report: KeyError: 'primary'"),
-        (report_line(primary=5), "bad report: ValidationError"),
-        (report_line(confidences="abc"), "bad report: ValidationError: confidences must be"),
-        (report_line(differentials=7), "bad report: ValidationError: differentials must be"),
-        (report_line(evidence=[1]), "bad report: TypeError"),
-        (report_line(case_id=None), "bad report: no string 'case_id'"),
-        (report_line(case_id=3), "bad report: no string 'case_id'"),
-        (report_line(differentials="bcde"), "bad report: ValidationError: differentials must be"),
+        (report_line(primary=None), "bad report: key 'primary' is missing"),
+        (report_line(primary=5), "bad report: key 'primary' must be a string, got 5"),
+        (report_line(confidences="abc"), "bad report: key 'confidences' must be an array"),
+        (report_line(differentials=7), "bad report: key 'differentials' must be an array"),
+        (report_line(evidence=[1]), "bad report: key 'evidence.0' must be an object, got 1"),
+        (report_line(case_id=None), "bad report: key 'case_id' is missing"),
+        (report_line(case_id=3), "bad report: key 'case_id' must be a string, got 3"),
+        (report_line(differentials="bcde"), "bad report: key 'differentials' must be an array"),
         (report_line(confidences=["0.62", 0.15, 0.1, 0.08, 0.05]),
-         "bad report: ValidationError: confidences must be numbers"),
+         "bad report: key 'confidences.0' must be a number"),
         (report_line(confidences=[0.62, 0.15, 0.1, 0.08, False]),
-         "bad report: ValidationError: confidences must be numbers"),
+         "bad report: key 'confidences.4' must be a number, got false"),
         (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "supporting_chunk_ids": "ab"}]),
-         "bad report: ValidationError: supporting_chunk_ids must be"),
+         "bad report: key 'evidence.0.supporting_chunk_ids' must be an array"),
         (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "answer": 5, "question": ["x"]}]),
-         "bad report: ValidationError: evidence question, answer not a string"),
+         "bad report: key 'evidence.0.question' must be a string"),
         (report_line(evidence=[{**GOLDEN_REPORT["evidence"][0], "keyword": None}]),
-         "bad report: ValidationError: evidence keyword not a string"),
-        (report_line(trace_id=7), "bad report: ValidationError: report trace_id must be a string"),
+         "bad report: key 'evidence.0.keyword' must be a string, got null"),
+        (report_line(trace_id=7), "bad report: key 'trace_id' must be a string, got 7"),
     ], ids=["not-json", "array", "no-primary", "int-primary", "string-confidences",
             "int-differentials", "int-evidence", "no-case-id", "int-case-id",
             "string-differentials", "string-confidence", "bool-confidence", "string-chunk-ids",
@@ -674,6 +675,13 @@ class TestLoadReports:
         with pytest.raises(EvaluationError, match=re.escape(problem)) as exc_info:
             load_reports(tmp_path)
         assert f"{path}:2" in str(exc_info.value)
+
+    def test_a_repeated_case_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        path.write_bytes(report_line() + report_line(case_id="c2") + report_line())
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"{path}:3: case_id 'c1' already appears at {path}:1")):
+            load_reports(tmp_path)
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "reports.jsonl"
@@ -693,8 +701,11 @@ class TestMalformedInputsExitOne:
         ("reports.jsonl", b"not json\n"),
         ("reports.jsonl", b"[1]\n"),
         ("reports.jsonl", report_line(confidences="abc")),
+        ("truth.jsonl", b'{"case_id": "c1", "truth_label": "glioma"}\n' * 2),
+        ("reports.jsonl", report_line() * 2),
     ], ids=["truth-missing", "truth-not-utf8", "report-no-primary", "report-not-json",
-            "report-array", "report-string-confidences"])
+            "report-array", "report-string-confidences", "truth-repeated-id",
+            "report-repeated-id"])
     def test_eval(self, tmp_path, name, content):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -746,6 +757,32 @@ class TestMalformedInputsExitOne:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output
         assert str(cases) in result.output
+
+
+class TestCaseIds:
+    """A case id names its trace file, and no two cases share one: a case file
+    that breaks either rule ends `radar run` with exit 1 before any output."""
+
+    @pytest.mark.parametrize("second_id, problem", [
+        ("sub/c1", "{cases}:2: invalid case: id not usable as a file name"),
+        ("../../escaped", "{cases}:2: invalid case: id not usable as a file name"),
+        ("c1", "{cases}:2: id 'c1' already appears at {cases}:1"),
+    ], ids=["slash", "parent-path", "repeated"])
+    def test_run_rejects_the_case_file_before_any_output(self, tmp_path, second_id, problem):
+        lines = (DATA / "cases.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "id": second_id})
+        cases = tmp_path / "cases.jsonl"
+        cases.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        runs = tmp_path / "runs"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(write_config(tmp_path / "c.json")), "--cases", str(cases),
+             "--out", str(runs / "a" / "run")],
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert problem.format(cases=cases) in result.output
+        assert not runs.exists()
 
 
 class TestUnreadableInputsExitCleanly:
