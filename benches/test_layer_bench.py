@@ -10,22 +10,33 @@ directory):
 - `load_run_config` on the golden config;
 - `parse_structured` on a report reply wrapped in prose and a code fence;
 - `canonical_fold` on one label;
-- `segment` of a 10,000-character body into 1000/200-character windows.
+- `segment` of a 10,000-character body into 1000/200-character windows;
+- the corpus pass of a run's set-up: `FixtureSource` over a 4,150-file
+  corpus, feeding the content digest as it reads;
+- `KnowledgeBase.save` of a 15,000-row store, clean (nothing ingested since
+  its last save) and changed (one keyword with no documents ingested).
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from radar.agents import parse_report, parse_structured
-from radar.chunking import Document, segment
+from radar.chunking import Document, EmbeddedChunk, segment
 from radar.domain import canonical_fold, decode
 from radar.errors import CorruptionError
+from radar.knowledge import FixtureSource, KnowledgeBase
 from radar.runner import load_run_config
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 N_DOCUMENTS = 8_000
+N_CORPUS_FILES = 4_150  # the cold_ingest benchmark corpus's size
+STORE_ROWS = 15_000
 
 
 def corpus_like_documents(count: int) -> list[dict]:
@@ -81,3 +92,57 @@ def test_segment_10k_body(benchmark):
                    "https://ref.test/a/d1")
     chunks = benchmark(segment, doc, 1000, 200)
     assert len(chunks) == 13  # windows start every 800 characters, the last at 9600
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("corpus")
+    for raw in corpus_like_documents(N_CORPUS_FILES):
+        name = raw["doc_id"].replace(":", "-") + ".json"
+        (directory / name).write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    return directory
+
+
+def test_corpus_pass(benchmark, corpus):
+    def read_corpus():
+        digest = hashlib.sha256()
+        return FixtureSource(corpus, digest=digest), digest.hexdigest()
+
+    source, _ = benchmark.pedantic(read_corpus, rounds=7, warmup_rounds=1)
+    assert len(source.fetch("term 7")) == sum(i % 500 == 7 for i in range(N_CORPUS_FILES))
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory) -> tuple[KnowledgeBase, Path]:
+    """A saved store of STORE_ROWS rows over corpus-like documents."""
+    kb = KnowledgeBase(dim=384)
+    rng = np.random.default_rng(0)
+    for raw in corpus_like_documents(N_DOCUMENTS):
+        doc = decode(Document, raw, "document", CorruptionError)
+        chunks = segment(doc, 1000, 200)
+        rows = rng.normal(size=(len(chunks), 384))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        kb.doc_store[doc.doc_id] = doc
+        kb.index.insert([EmbeddedChunk(chunk, row.astype(np.float32))
+                         for chunk, row in zip(chunks, rows)], doc.keyword)
+        if kb.index.count >= STORE_ROWS:
+            break
+    directory = tmp_path_factory.mktemp("store")
+    kb.save(directory)
+    return kb, directory
+
+
+def test_save_clean_store(benchmark, store):
+    kb, directory = store
+    benchmark.pedantic(kb.save, args=(directory,), rounds=7, warmup_rounds=1)
+
+
+def test_save_changed_store(benchmark, store):
+    kb, directory = store
+    misses = iter(range(1_000))
+
+    def one_miss():  # a keyword with no documents: a fetch-log entry to persist
+        kb.ingest(f"absent term {next(misses)}", [], embedder=None)
+        return (directory,), {}
+
+    benchmark.pedantic(kb.save, setup=one_miss, rounds=7, warmup_rounds=1)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .domain import DiagnosisReport, encode
+from .domain import encode
 from .errors import ConfigError, CorruptionError, EvaluationError, FormatError, RadarError
 from .evaluation import DictionaryNormalizer, aggregate, evaluate_run, load_synonyms, load_truths
 from .knowledge import KnowledgeBase
@@ -21,8 +21,8 @@ from .runner import (
     build_bundle,
     build_knowledge_base,
     build_normalizer,
-    load_reports,
     load_run_config,
+    report_records,
     run_cases,
 )
 from .topologies import Topology
@@ -114,8 +114,7 @@ def cmd_eval(run_dirs: tuple[str, ...], truth_path: str, out_path: str,
         truths = load_truths(truth_path)
         results = []
         for run_dir in run_dirs:
-            raw_reports = load_reports(run_dir)
-            reports = [(cid, DiagnosisReport.from_dict(raw)) for cid, raw in raw_reports]
+            reports = [(line.case_id, line) for _, line in report_records(run_dir)]
             results.append(
                 evaluate_run(reports, truths, normalizer, run_id=Path(run_dir).name)
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import difflib
 import functools
 import json
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -244,10 +245,50 @@ def validate_case(raw: Mapping[str, Any]) -> Case:
     return decode(Case, raw, "case", ValidationError, unknown="ignore")
 
 
-def _read_text(path: str | Path, error: type[RadarError]) -> str:
+def walk_files(root: str | Path, digest: Any = None) -> Iterator[tuple[str, bytes]]:
+    """Yield ``(relative path, bytes)`` for every file under ``root``, reading each once.
+
+    The files are those ``Path(root).rglob("*")`` lists and ``is_file`` accepts:
+    hidden files and symlinks to files are included, symlinked directories are
+    not followed, and a directory that may not be listed is skipped. They come
+    in ``sorted(Path)`` order, by the tuple of path parts, so ``a/b.json``
+    precedes ``a-b.json``. With a ``digest`` (a hashlib object), each file's
+    record (its relative path in UTF-8, a NUL byte, its bytes, a 0x01 byte) is
+    added to it as the file is read. An unreadable file raises its ``OSError``.
+    """
+    def walk(directory: str, prefix: str) -> Iterator[tuple[str, bytes]]:
+        try:
+            with os.scandir(directory) as it:
+                entries = sorted(it, key=lambda entry: entry.name)
+        except PermissionError:
+            return
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                yield from walk(entry.path, prefix + entry.name + "/")
+            elif entry.is_file():
+                with open(entry.path, "rb", buffering=0) as f:
+                    data = f.readall()
+                name = prefix + entry.name
+                if digest is not None:
+                    digest.update(name.encode("utf-8") + b"\x00")
+                    digest.update(data)
+                    digest.update(b"\x01")
+                yield name, data
+
+    return walk(os.fspath(root), "")
+
+
+def _read_bytes(path: str | Path, error: type[RadarError]) -> bytes:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def _decode_text(data: bytes, path: str | Path, error: type[RadarError]) -> str:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
     if text.startswith("\ufeff"):
         raise error(f"{path}: file must be UTF-8 without BOM")
@@ -265,14 +306,23 @@ def _parse(text: str, where: str | Path, error: type[RadarError], expect: type) 
     return raw
 
 
-def read_json(path: str | Path, error: type[RadarError], expect: type = dict) -> Any:
-    """Read a whole JSON file whose top level is ``expect`` (dict or list).
+def parse_json(data: bytes, path: str | Path, error: type[RadarError], expect: type = dict) -> Any:
+    """The JSON value of the bytes of file ``path``, whose top level is ``expect``.
 
-    The file must be readable UTF-8 without BOM and valid JSON of that type;
+    The bytes must be UTF-8 without BOM and valid JSON of that type;
     anything else raises ``error`` naming the file, so a loader checks only
     its own content.
     """
-    return _parse(_read_text(path, error), path, error, expect)
+    return _parse(_decode_text(data, path, error), path, error, expect)
+
+
+def read_json(path: str | Path, error: type[RadarError], expect: type = dict) -> Any:
+    """Read a whole JSON file whose top level is ``expect`` (dict or list).
+
+    The file must be readable and hold what ``parse_json`` accepts; anything
+    else raises ``error`` naming the file.
+    """
+    return parse_json(_read_bytes(path, error), path, error, expect)
 
 
 def read_records(path: str | Path, tp: type, error: type[RadarError], id_key: str,
@@ -285,7 +335,8 @@ def read_records(path: str | Path, tp: type, error: type[RadarError], id_key: st
     ``what``.
     """
     seen: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path, error).splitlines(), start=1):
+    text = _decode_text(_read_bytes(path, error), path, error)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"

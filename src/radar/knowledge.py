@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 from urllib.parse import quote, urljoin
 
 import requests
@@ -38,7 +38,7 @@ from .chunking import (
     embed_chunks,
     segment,
 )
-from .domain import canonical_fold, decode, encode, read_json
+from .domain import canonical_fold, decode, encode, parse_json, read_json, walk_files
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -193,6 +193,7 @@ class KnowledgeBase:
         self.doc_store: dict[str, Document] = {}
         self.fetched_keywords: set[str] = set()
         self.fetch_log: list[FetchLogEntry] = []
+        self._saved_in: Path | None = None  # the store directory that holds all of this store
         self._state_lock = threading.Lock()
         self._keyword_locks: dict[str, threading.Lock] = {}
 
@@ -289,6 +290,7 @@ class KnowledgeBase:
                 raise
             self.fetched_keywords.add(folded)
             self.fetch_log.append(FetchLogEntry(keyword, time.time(), len(docs)))
+            self._saved_in = None
         return len(embedded)
 
     # -- persistence ---------------------------------------------------------
@@ -298,8 +300,13 @@ class KnowledgeBase:
 
         Documents are only ever added, so a save that dies part way leaves a
         store that loads: every index id still names a stored document.
+        Nothing is written when no ingest has committed since this store was
+        loaded from or last saved to ``store_dir``; any other directory is
+        written in full.
         """
-        store_dir = Path(store_dir)
+        store_dir = Path(store_dir).absolute()
+        if store_dir == self._saved_in:
+            return
         store_dir.mkdir(parents=True, exist_ok=True)
         docs = {doc_id: d.to_dict() for doc_id, d in self.doc_store.items()}
         # The JSON text lives only inside its write, so the documents' text
@@ -313,6 +320,7 @@ class KnowledgeBase:
                                 tuple(sorted(self.fetched_keywords)), tuple(self.fetch_log)))
         _write_replacing(store_dir / META_FILENAME,
                          lambda p: p.write_text(json.dumps(meta, sort_keys=True), "utf-8"))
+        self._saved_in = store_dir
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
@@ -338,6 +346,7 @@ class KnowledgeBase:
             raise CorruptionError(
                 f"{store_dir}: index ids name no chunk of a stored document: {unnamed[:5]}"
             )
+        kb._saved_in = store_dir.absolute()
         return kb
 
 
@@ -349,22 +358,42 @@ class KnowledgeBase:
 class FixtureSource:
     """Reads a corpus directory of one-JSON-file-per-document fixtures.
 
-    Each file holds {doc_id, keyword, section, title, body, source_url}.
-    Documents are served for keywords that fold-match theirs, in filename
-    order. Keywords listed in ``fail_keywords`` raise FetchError instead,
-    which makes degradation paths exercisable from configuration alone.
+    Each ``*.json`` file directly in the directory holds {doc_id, keyword,
+    section, title, body, source_url}. Documents are served for keywords
+    that fold-match theirs, in filename order. Keywords listed in
+    ``fail_keywords`` raise FetchError instead, which makes degradation
+    paths exercisable from configuration alone.
+
+    Every file under the directory is read once, by ``walk_files``; with a
+    ``digest``, each file's record is added to it as it is read, so the
+    run's content digest costs no second read.
     """
 
-    def __init__(self, corpus_dir: str | Path, fail_keywords: tuple[str, ...] = ()):
+    def __init__(self, corpus_dir: str | Path, fail_keywords: tuple[str, ...] = (),
+                 digest: Any = None):
         self.corpus_dir = Path(corpus_dir)
         if not self.corpus_dir.is_dir():
             raise ConfigError(f"corpus directory {self.corpus_dir} does not exist")
         self._fail = {canonical_fold(k) for k in fail_keywords}
         self._by_keyword: dict[str, list[Document]] = {}
-        for path in sorted(self.corpus_dir.glob("*.json")):
-            doc = decode(Document, read_json(path, ConfigError), f"bad corpus document {path}",
-                         ConfigError, unknown="ignore")
-            self._by_keyword.setdefault(canonical_fold(doc.keyword), []).append(doc)
+        folded: dict[str, str] = {}  # each distinct keyword is folded once
+        try:
+            with os.scandir(self.corpus_dir) as entries:
+                unread = sorted(e.name for e in entries if e.name.endswith(".json")
+                                and not e.is_file())
+            if unread:
+                raise ConfigError(f"cannot read {self.corpus_dir / unread[0]}: not a regular file")
+            for name, data in walk_files(self.corpus_dir, digest):
+                if "/" in name or not name.endswith(".json"):
+                    continue
+                path = os.path.join(self.corpus_dir, name)
+                doc = decode(Document, parse_json(data, path, ConfigError),
+                             f"bad corpus document {path}", ConfigError, unknown="ignore")
+                if doc.keyword not in folded:
+                    folded[doc.keyword] = canonical_fold(doc.keyword)
+                self._by_keyword.setdefault(folded[doc.keyword], []).append(doc)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {exc.filename}: {exc}") from exc
 
     def fetch(self, keyword: str) -> list[Document]:
         folded = canonical_fold(keyword)

@@ -19,11 +19,20 @@ import time
 import uuid
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Literal, NewType, get_args, get_type_hints
+from typing import Any, Iterator, Literal, NewType, get_args, get_type_hints
 
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
 from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS, check_window
-from .domain import Case, DiagnosisReport, decode, encode, load_cases, read_json, read_records
+from .domain import (
+    Case,
+    DiagnosisReport,
+    decode,
+    encode,
+    load_cases,
+    read_json,
+    read_records,
+    walk_files,
+)
 from .errors import ConfigError, EvaluationError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
 from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
@@ -195,7 +204,8 @@ def build_chat(cfg: RunConfig) -> ChatProvider:
     )
 
 
-def build_bundle(cfg: RunConfig) -> ProviderBundle:
+def build_bundle(cfg: RunConfig, digest: Any = None) -> ProviderBundle:
+    """The run's providers; a fixture source adds its corpus files' records to ``digest``."""
     chat = build_chat(cfg)
     if cfg.provider.embedder_kind == "hashing":
         embedder = HashingEmbedder(dim=cfg.provider.dim)
@@ -207,7 +217,7 @@ def build_bundle(cfg: RunConfig) -> ProviderBundle:
 
     src = cfg.kb.source
     if src.kind == "fixture":
-        source = FixtureSource(src.corpus_dir, fail_keywords=src.fail_keywords)
+        source = FixtureSource(src.corpus_dir, fail_keywords=src.fail_keywords, digest=digest)
     else:
         source = LiveSource(src.base_url, delay_ms=src.delay_ms, cache_dir=src.cache_dir)
     return ProviderBundle(chat=chat, embedder=embedder, source=source)
@@ -247,17 +257,16 @@ def build_normalizer(cfg: RunConfig) -> Normalizer:
 
 
 def content_digest(*dirs: str | Path | None) -> str:
-    """Stable digest over the names and bytes of every file in the given dirs."""
+    """Stable digest over the names and bytes of every file in the given dirs.
+
+    A run computes the same value while it reads its inputs: the template
+    records first, then the corpus records its fixture source reads.
+    """
     h = hashlib.sha256()
     for d in dirs:
-        if not d:
-            continue
-        root = Path(d)
-        for f in sorted(p for p in root.rglob("*") if p.is_file()):
-            h.update(str(f.relative_to(root)).encode("utf-8"))
-            h.update(b"\x00")
-            h.update(f.read_bytes())
-            h.update(b"\x01")
+        if d:
+            for _ in walk_files(d, h):  # each file read adds its record to h
+                pass
     return h.hexdigest()
 
 
@@ -315,7 +324,10 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     """Execute the configured topology over every case and write run outputs."""
     cases = load_cases(cases_path)
     templates = TemplateRegistry(cfg.agents.template_dir)
-    bundle = build_bundle(cfg)
+    inputs = hashlib.sha256()  # the content digest of the templates and the corpus read
+    for _ in walk_files(templates.template_dir, inputs):
+        pass
+    bundle = build_bundle(cfg, inputs)
     if isinstance(bundle.chat, ScriptedChatProvider) and bundle.chat.remaining and (
         cfg.topology is Topology.RADAR or cfg.workers > 1
     ):
@@ -331,7 +343,7 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     (out_dir / "traces").mkdir(exist_ok=True)
 
     run_id = uuid.uuid4().hex[:12]
-    digest = content_digest(templates.template_dir, cfg.kb.source.corpus_dir)
+    digest = inputs.hexdigest()
     started = time.time()
     _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, None)
 
@@ -382,8 +394,12 @@ class ReportLine(DiagnosisReport):
     case_id: str = field(kw_only=True)
 
 
+def report_records(run_dir: str | Path) -> Iterator[tuple[dict, ReportLine]]:
+    """Yield (raw object, decoded line), one per case id, from a run's reports.jsonl."""
+    return read_records(Path(run_dir) / "reports.jsonl", ReportLine, EvaluationError,
+                        "case_id", ": bad report")
+
+
 def load_reports(run_dir: str | Path) -> list[tuple[str, dict]]:
     """Read (case_id, raw report dict) pairs, one per case id, from a run directory."""
-    records = read_records(Path(run_dir) / "reports.jsonl", ReportLine, EvaluationError,
-                           "case_id", ": bad report")
-    return [(line.case_id, raw) for raw, line in records]
+    return [(line.case_id, raw) for raw, line in report_records(run_dir)]

@@ -112,3 +112,33 @@ def corpus_dir(tmp_path: Path) -> Path:
 @pytest.fixture
 def fixture_data_dir() -> Path:
     return DATA_DIR
+
+
+def make_edge_tree(root: Path) -> Path:
+    """A corpus-like tree whose files test a tree walk: ``root/tree`` holds a
+    nested directory whose string order and path-part order disagree
+    (``a/b.json`` beside ``a-b.json``), a non-JSON file, hidden files, a
+    symlink to a file, a symlinked directory and a dangling symlink."""
+    outside = root / "outside"
+    (outside / "sub").mkdir(parents=True)
+    (outside / "target.json").write_text('{"linked": "file"}', encoding="utf-8")
+    (outside / "sub" / "inside.json").write_text('{"linked": "directory"}', encoding="utf-8")
+    tree = root / "tree"
+    (tree / "a" / "c").mkdir(parents=True)
+    (tree / ".hidden-dir").mkdir()
+    files = {
+        "a/b.json": b'{"nested": 1}',
+        "a/c/deep.txt": b"deep",
+        "a-b.json": b'{"dashed": 1}',
+        "a.json": b'{"plain": 1}',
+        "B.json": b'{"upper": 1}',
+        "notes.txt": b"not json \xff",
+        ".hidden.json": b'{"hidden": 1}',
+        ".hidden-dir/x.json": b"{}",
+    }
+    for name, data in files.items():
+        (tree / name).write_bytes(data)
+    (tree / "linked-file.json").symlink_to(outside / "target.json")
+    (tree / "linked-dir").symlink_to(outside / "sub", target_is_directory=True)
+    (tree / "dangling.json").symlink_to(root / "absent.json")
+    return tree

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -23,6 +24,7 @@ from radar.domain import (
     no_evidence_answer,
     read_json,
     validate_case,
+    walk_files,
 )
 from radar.errors import ConfigError, CorruptionError, EvaluationError, ValidationError
 from radar.evaluation import TruthRecord, load_synonyms
@@ -35,6 +37,8 @@ from radar.runner import (
     SourceSettings,
     load_run_config,
 )
+
+from conftest import make_edge_tree
 
 
 class TestCanonicalFold:
@@ -342,6 +346,35 @@ class TestReadJson:
         path = tmp_path / "f.json"
         path.write_bytes(content)
         assert read_json(path, EvaluationError, expect=expect) == json.loads(content)
+
+
+class TestWalkFiles:
+    """The one tree walk: the files ``rglob`` finds, in ``sorted(Path)`` order."""
+
+    def test_same_files_bytes_and_order_as_sorted_rglob(self, tmp_path):
+        tree = make_edge_tree(tmp_path)
+        expected = sorted(p for p in tree.rglob("*") if p.is_file())
+        walked = list(walk_files(tree))
+        assert [name for name, _ in walked] == [str(p.relative_to(tree)) for p in expected]
+        assert [data for _, data in walked] == [p.read_bytes() for p in expected]
+
+    def test_order_is_by_path_parts_not_by_string(self, tmp_path):
+        names = [name for name, _ in walk_files(make_edge_tree(tmp_path))]
+        assert names.index("a/b.json") < names.index("a-b.json")
+        assert "a-b.json" < "a/b.json"  # plain string order would swap them
+
+    def test_hidden_files_and_file_links_but_no_directory_link(self, tmp_path):
+        names = {name for name, _ in walk_files(make_edge_tree(tmp_path))}
+        assert {".hidden.json", ".hidden-dir/x.json", "linked-file.json"} <= names
+        assert not any(name.startswith("linked-dir") for name in names)
+        assert "dangling.json" not in names
+
+    def test_the_digest_gets_each_record_as_its_file_is_read(self, tmp_path):
+        tree = make_edge_tree(tmp_path)
+        digest = hashlib.sha256()
+        records = b"".join(name.encode() + b"\0" + data + b"\1"
+                           for name, data in walk_files(tree, digest))
+        assert digest.hexdigest() == hashlib.sha256(records).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import os
 import pathlib
 import re
 import sys
@@ -30,6 +32,7 @@ from radar.knowledge import (
     fetch_documents,
     html_to_text,
 )
+from radar.domain import walk_files
 from radar.index import FlatIndex
 from radar.providers import HashingEmbedder
 
@@ -119,6 +122,41 @@ class TestFixtureSource:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ConfigError):
             FixtureSource(tmp_path / "absent")
+
+    def test_serves_only_the_json_files_directly_in_the_directory(self, corpus_dir):
+        (corpus_dir / "notes.txt").write_text("not a document", encoding="utf-8")
+        (corpus_dir / "nested").mkdir()
+        (corpus_dir / "gbm-case-0.json").rename(corpus_dir / "nested" / "gbm-case-0.json")
+        docs = FixtureSource(corpus_dir).fetch("glioblastoma")
+        assert [d.doc_id for d in docs] == [f"gbm-article-{i}" for i in range(5)] + [
+            f"gbm-case-{i}" for i in range(1, 5)]
+
+    def test_a_dangling_json_link_cannot_be_read(self, corpus_dir):
+        (corpus_dir / "gone.json").symlink_to(corpus_dir / "absent.json")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read {corpus_dir / 'gone.json'}")):
+            FixtureSource(corpus_dir)
+
+    def test_folds_each_distinct_keyword_once(self, corpus_dir, monkeypatch):
+        folded = []
+        fold = knowledge.canonical_fold
+
+        def counted_fold(label):
+            folded.append(label)
+            return fold(label)
+
+        monkeypatch.setattr(knowledge, "canonical_fold", counted_fold)
+        FixtureSource(corpus_dir)
+        assert sorted(folded) == ["glioblastoma", "tuberous sclerosis"]
+
+    def test_adds_every_file_it_reads_to_the_digest(self, corpus_dir):
+        (corpus_dir / "nested").mkdir()
+        (corpus_dir / "nested" / "notes.txt").write_text("read, digested, not served")
+        digest = hashlib.sha256(b"templates first")
+        FixtureSource(corpus_dir, digest=digest)
+        expected = hashlib.sha256(b"templates first")
+        for _ in walk_files(corpus_dir, expected):
+            pass
+        assert digest.hexdigest() == expected.hexdigest()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(body=""),
@@ -521,6 +559,62 @@ class TestPersistence:
         assert loaded.index.count in (first_rows, kb.index.count)
         for cid in loaded.index.chunk_ids():
             assert loaded.chunk_text(cid) == kb.chunk_text(cid)
+
+    @staticmethod
+    def _files(store):
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in store.iterdir()}
+
+    @staticmethod
+    def _age(store):
+        for path in store.iterdir():  # an old mtime, so a rewrite shows whatever the clock
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+
+    def _fetched_store(self, tmp_path, corpus_dir):
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        store = tmp_path / "store"
+        kb.save(store)
+        self._age(store)
+        return kb, store
+
+    def test_a_clean_store_is_not_rewritten(self, tmp_path, corpus_dir, monkeypatch):
+        kb, store = self._fetched_store(tmp_path, corpus_dir)
+        before = self._files(store)
+        kb.save(store)
+        loaded = KnowledgeBase.load(store)
+        kb.lookup_or_fetch("Glioblastoma", FixtureSource(corpus_dir), EMBEDDER)  # a hit
+        loaded.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        kb.save(store)
+        monkeypatch.chdir(tmp_path)
+        loaded.save("store")  # the same directory, named relative to the working one
+        assert self._files(store) == before
+
+    def test_a_zero_document_keyword_rewrites_meta(self, tmp_path, corpus_dir):
+        _, store = self._fetched_store(tmp_path, corpus_dir)
+        before = self._files(store)
+        kb = KnowledgeBase.load(store)
+        outcome = kb.lookup_or_fetch("nonexistent entity", FixtureSource(corpus_dir), EMBEDDER)
+        assert outcome.new_docs == 0
+        kb.save(store)
+        after = self._files(store)
+        assert after["meta.json"] != before["meta.json"]
+        assert KnowledgeBase.load(store).has_keyword("nonexistent entity")
+
+    def test_a_clean_store_saved_to_another_directory_is_written(self, tmp_path, corpus_dir):
+        _, store = self._fetched_store(tmp_path, corpus_dir)
+        KnowledgeBase.load(store).save(tmp_path / "copy")
+        assert {name: data for name, (data, _) in self._files(tmp_path / "copy").items()} == {
+            name: data for name, (data, _) in self._files(store).items()}
+
+    def test_a_save_that_died_is_written_again(self, tmp_path, corpus_dir, monkeypatch):
+        kb, store = self._fetched_store(tmp_path, corpus_dir)
+        kb.lookup_or_fetch("tuberous sclerosis", FixtureSource(corpus_dir), EMBEDDER)
+        _die_writing(monkeypatch, lambda path: path.name.startswith("meta.json"))
+        with pytest.raises(OSError, match="died"):
+            kb.save(store)
+        monkeypatch.undo()
+        kb.save(store)
+        assert KnowledgeBase.load(store).has_keyword("tuberous sclerosis")
 
     def test_empty_roundtrip(self, tmp_path):
         kb = fresh_kb()

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import builtins
+import collections
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import re
 import shutil
 from operator import attrgetter
@@ -14,6 +18,7 @@ from click.testing import CliRunner
 from radar import knowledge, runner
 from radar.agents import TEMPLATE_DIR
 from radar.cli import main
+from radar.domain import DiagnosisReport
 from radar.errors import ConfigError, EvaluationError
 from radar.providers import TEMP_LOW, request_fingerprint, user_request
 from radar.runner import (
@@ -30,6 +35,8 @@ from radar.runner import (
     run_cases,
 )
 from radar.topologies import Topology
+
+from conftest import make_edge_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -357,6 +364,17 @@ class TestRunCases:
             "meta.json": "e5f60d3d3701312cba69fe4ef7ae818a7270ef0463ae5b62cccdb4b1a459040d",
         }
 
+    def test_a_run_with_hits_only_leaves_the_store_as_it_was(self, tmp_path):
+        store = tmp_path / "store"
+        cfg = load_run_config(write_config(tmp_path / "c.json", **{"kb.store_dir": str(store)}))
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "first").all_ok
+        for path in store.iterdir():
+            os.utime(path, ns=(1_000_000_000, 1_000_000_000))  # so any rewrite shows
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in store.iterdir()}
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "second").all_ok
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in store.iterdir()}
+        assert after == before  # the same three files, untouched, and no temporary one
+
     def test_exhausted_script_fails_one_case(self, tmp_path):
         script = json.loads((DATA / "scripts" / "golden_radar.json").read_text())
         truncated = tmp_path / "short.json"
@@ -396,8 +414,8 @@ class TestCaseIsolation:
     def disk_full_once(self, monkeypatch):
         build_bundle = runner.build_bundle
 
-        def failing_bundle(cfg):
-            bundle = build_bundle(cfg)
+        def failing_bundle(cfg, *args):
+            bundle = build_bundle(cfg, *args)
             return dataclasses.replace(bundle, source=DiskFullOnce(bundle.source, "tuberous sclerosis"))
 
         monkeypatch.setattr(runner, "build_bundle", failing_bundle)
@@ -503,7 +521,76 @@ class TestOrderedScripts:
         ]
 
 
+def reference_digest(*dirs) -> str:
+    """``content_digest`` as it was written before a run's read of its inputs
+    fed it: a second walk that sorts and reads every file again."""
+    h = hashlib.sha256()
+    for d in dirs:
+        if not d:
+            continue
+        root = Path(d)
+        for f in sorted(p for p in root.rglob("*") if p.is_file()):
+            h.update(str(f.relative_to(root)).encode("utf-8"))
+            h.update(b"\x00")
+            h.update(f.read_bytes())
+            h.update(b"\x01")
+    return h.hexdigest()
+
+
 class TestContentDigest:
+    @pytest.mark.parametrize("dirs", [
+        (TEMPLATE_DIR, DATA / "corpus"), (DATA,), (DATA / "corpus", None), (None,),
+    ], ids=["templates-and-corpus", "test-data", "corpus-and-none", "none"])
+    def test_equals_the_reference_on_the_test_data(self, dirs):
+        assert content_digest(*dirs) == reference_digest(*dirs)
+
+    def test_equals_the_reference_on_the_edge_tree(self, tmp_path):
+        tree = make_edge_tree(tmp_path)
+        assert content_digest(TEMPLATE_DIR, tree) == reference_digest(TEMPLATE_DIR, tree)
+
+    def test_a_run_digests_what_it_reads_without_a_second_walk(self, tmp_path, monkeypatch):
+        def second_walk(*dirs):
+            raise AssertionError("the run walked its inputs again for the digest")
+
+        monkeypatch.setattr(runner, "content_digest", second_walk)
+        cfg = load_run_config(write_config(tmp_path / "c.json"))
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "out").all_ok
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["content_digest"] == reference_digest(TEMPLATE_DIR, DATA / "corpus")
+
+    def test_a_run_on_the_edge_tree_digests_it_as_the_reference_does(self, tmp_path):
+        corpus = make_edge_tree(tmp_path)
+        for path in corpus.glob("*.json"):  # the direct children become golden documents
+            path.unlink()
+        shutil.copytree(DATA / "corpus", corpus, dirs_exist_ok=True)
+        shutil.copy(DATA / "corpus" / "gbm-case-1.json", corpus / ".hidden.json")
+        (corpus / "linked-file.json").symlink_to(DATA / "corpus" / "gbm-case-0.json")
+        cfg = load_run_config(write_config(tmp_path / "c.json",
+                                           **{"kb.source.corpus_dir": str(corpus)}))
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "out").all_ok
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["content_digest"] == reference_digest(TEMPLATE_DIR, corpus)
+
+    def test_a_run_opens_each_corpus_file_once(self, tmp_path, monkeypatch):
+        corpus = os.path.abspath(DATA / "corpus")
+        opened = collections.Counter()
+
+        def counting(real_open):
+            def open_counted(file, *args, **kwargs):
+                if not isinstance(file, int):
+                    path = os.path.abspath(os.fsdecode(file))
+                    if os.path.dirname(path) == corpus:
+                        opened[os.path.basename(path)] += 1
+                return real_open(file, *args, **kwargs)
+            return open_counted
+
+        for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        cfg = load_run_config(write_config(tmp_path / "c.json"))
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "out").all_ok
+        monkeypatch.undo()
+        assert opened == {name: 1 for name in os.listdir(corpus)}
+
     def test_stable_across_calls(self):
         first = content_digest(DATA / "corpus")
         second = content_digest(DATA / "corpus")
@@ -863,6 +950,29 @@ class TestCliEval:
         golden = json.loads((DATA / "golden" / "eval.json").read_text())
         for key in ("n_cases", "top1", "top5", "per_case"):
             assert produced[key] == golden[key]
+
+    def test_decodes_each_report_once_and_writes_the_golden_scores(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "golden"
+        run_dir.mkdir()
+        shutil.copy(DATA / "golden" / "reports.jsonl", run_dir / "reports.jsonl")
+        decoded = []
+        check = DiagnosisReport.__post_init__
+
+        def counted_check(report):
+            decoded.append(report.trace_id)
+            check(report)
+
+        monkeypatch.setattr(DiagnosisReport, "__post_init__", counted_check)
+        out_path = tmp_path / "eval.json"
+        result = CliRunner().invoke(
+            main,
+            ["eval", "--run", str(run_dir), "--truth", str(DATA / "truth.jsonl"),
+             "--out", str(out_path), "--synonyms", str(DATA / "synonyms.json")],
+        )
+        assert result.exit_code == 0, result.output
+        assert decoded == ["radar-c1", "radar-c2", "radar-c3"]
+        golden = json.loads((DATA / "golden" / "eval.json").read_text())
+        assert out_path.read_text() == json.dumps({"runs": [golden]}, indent=2, sort_keys=True)
 
     def test_two_runs_aggregate(self, tmp_path):
         run_dir = self._run_golden(tmp_path)
