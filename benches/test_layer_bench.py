@@ -11,6 +11,10 @@ directory):
 - `parse_structured` on a report reply wrapped in prose and a code fence;
 - `canonical_fold` on one label;
 - `segment` of a 10,000-character body into 1000/200-character windows;
+- `HashingEmbedder.embed` of one 1000-character window of word-like text,
+  with the 3-gram memo warm, as in a run;
+- `KnowledgeBase.ingest` of one keyword's 10 word-like documents (segment,
+  embed with the hashing embedder, insert) into an empty store;
 - the corpus pass of a run's set-up: `FixtureSource` over a 4,150-file
   corpus, feeding the content digest as it reads;
 - `KnowledgeBase.save` of a 15,000-row store, clean (nothing ingested since
@@ -31,6 +35,7 @@ from radar.chunking import Document, EmbeddedChunk, segment
 from radar.domain import canonical_fold, decode
 from radar.errors import CorruptionError
 from radar.knowledge import FixtureSource, KnowledgeBase
+from radar.providers import HashingEmbedder
 from radar.runner import load_run_config
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -92,6 +97,33 @@ def test_segment_10k_body(benchmark):
                    "https://ref.test/a/d1")
     chunks = benchmark(segment, doc, 1000, 200)
     assert len(chunks) == 13  # windows start every 800 characters, the last at 9600
+
+
+def word_like_text(rng: random.Random, chars: int) -> str:
+    """Words of 2-9 letters from a 600-word vocabulary, cut to ``chars`` characters."""
+    vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 9)))
+                  for _ in range(600)]
+    return " ".join(rng.choices(vocabulary, k=chars // 3))[:chars]
+
+
+def test_hashing_embed(benchmark):
+    vector = benchmark(HashingEmbedder(384).embed, word_like_text(random.Random(0), 1000))
+    assert vector.shape == (384,)
+
+
+def test_ingest(benchmark):
+    rng = random.Random(0)
+    docs = [Document(f"articles:term-{i}", "term", "article" if i % 2 else "case", f"Term {i}",
+                     word_like_text(rng, rng.randint(300, 6000)), f"https://ref.test/a/{i}")
+            for i in range(10)]
+    embedder = HashingEmbedder(384)
+
+    def fresh_store():
+        return (KnowledgeBase(dim=384),), {}
+
+    chunks = benchmark.pedantic(lambda kb: kb.ingest("term", docs, embedder),
+                                setup=fresh_store, rounds=7, warmup_rounds=1)
+    assert chunks == sum(len(segment(doc, 1000, 200)) for doc in docs)
 
 
 @pytest.fixture(scope="module")

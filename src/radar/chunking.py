@@ -19,13 +19,6 @@ from .providers import Embedder, embed_text
 DEFAULT_CHUNK_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
 
-UNIT_NORM_TOLERANCE = 1e-6
-
-
-def is_unit_norm(norm: float) -> bool:
-    """Whether an L2 norm is within tolerance of 1; a NaN norm never is."""
-    return abs(norm - 1.0) <= UNIT_NORM_TOLERANCE
-
 
 class Section(str, Enum):
     ARTICLE = "article"
@@ -34,7 +27,7 @@ class Section(str, Enum):
 
 @dataclass(frozen=True)
 class Document:
-    """A fetched reference document, reduced to plain text."""
+    """A fetched reference document, reduced to plain text that UTF-8 encodes."""
 
     doc_id: str
     keyword: str
@@ -45,6 +38,12 @@ class Document:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "section", Section(self.section))
+        if not (self.doc_id.isascii() and self.keyword.isascii() and self.title.isascii()
+                and self.body.isascii() and self.source_url.isascii()):
+            try:
+                "".join(vars(self).values()).encode("utf-8")  # a lone surrogate stays lone when joined
+            except UnicodeEncodeError:
+                raise ValidationError("document text holds a lone surrogate") from None
         if not self.doc_id:
             raise ValidationError("document id is empty")
         if not self.keyword:
@@ -77,17 +76,10 @@ class Chunk:
 
 @dataclass(frozen=True)
 class EmbeddedChunk:
-    """A chunk together with its unit-normalized embedding."""
+    """A chunk together with its embedding; the index checks its unit norm."""
 
     chunk: Chunk
     vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(np.asarray(self.vector, dtype=np.float64)))
-        if not is_unit_norm(norm):
-            raise ValidationError(
-                f"chunk {self.chunk.chunk_id} vector norm {norm} is not unit length"
-            )
 
 
 def check_window(chunk_chars: int, overlap_chars: int) -> None:

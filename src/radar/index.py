@@ -21,8 +21,8 @@ gives the same ids, order and scores as a canonical full scan.
 
 The bound ``eps``. Let ``u = 2**-24`` (float32 unit roundoff), ``d`` the
 dim, ``tau = UNIT_NORM_TOLERANCE``, ``x`` a row with ``|x| <= 1 + tau``
-(insert and load both reject any other) and ``c = dot64(x, q)`` its
-canonical score. Then ``|s32 - c| <= E`` with
+(``first_non_unit_row`` rejects any other at insert and at load) and
+``c = dot64(x, q)`` its canonical score. Then ``|s32 - c| <= E`` with
 
     E = (1 + tau) * (u + gamma_d) * (1 + u) + d * 2**-53 * (1 + tau) + d * 2**-148
 
@@ -65,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chunking import EmbeddedChunk, is_unit_norm
+from .chunking import EmbeddedChunk
 from .errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -80,6 +80,27 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _U16 = struct.Struct("<H")
 _PARTS_PER_WRITE = 4096
+
+UNIT_NORM_TOLERANCE = 1e-6
+
+
+def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
+    """Position and float64 norm of the first row not within ``UNIT_NORM_TOLERANCE``
+    of unit length, or None; a NaN norm never passes. Insert and load both decide
+    by it, and the buffered cast makes no matrix-sized float64 copy."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOLERANCE))
+    return (int(bad[0]), float(norms[bad[0]])) if bad.size else None
+
+
+def _check_storable(chunk_id: str, what: str, text: str) -> None:
+    """Reject ``text`` unless it encodes as UTF-8 in at most 0xFFFF bytes, as the file needs."""
+    try:
+        if len(text.encode("utf-8")) <= 0xFFFF:  # a u16 length prefix
+            return
+    except UnicodeEncodeError:  # a lone surrogate
+        pass
+    raise ValidationError(f"chunk {chunk_id!r:.80} {what} is not UTF-8 of at most 65535 bytes")
 
 
 @dataclass(frozen=True)
@@ -131,23 +152,22 @@ class FlatIndex:
         """Append a batch of embedded chunks tagged with a keyword.
 
         The whole batch is validated before anything is appended; a rejected
-        batch leaves the index untouched.
+        batch leaves the index untouched. Rows, ids and keyword must be what
+        ``load`` reads back: unit length, and UTF-8 of at most 65,535 bytes.
         """
-        rows: list[np.ndarray] = []
-        ids: list[str] = []
-        for item in embedded:
+        ids = [item.chunk.chunk_id for item in embedded]
+        rows = np.empty((len(ids), self.dim), dtype="<f4")
+        for i, item in enumerate(embedded):
             vec = np.asarray(item.vector, dtype=np.float32).reshape(-1)
             if vec.shape[0] != self.dim:
-                raise ShapeError(
-                    f"chunk {item.chunk.chunk_id} has dim {vec.shape[0]}, index dim {self.dim}"
-                )
-            norm = float(np.linalg.norm(vec.astype(np.float64)))
-            if not is_unit_norm(norm):
-                raise ValidationError(
-                    f"chunk {item.chunk.chunk_id} vector norm {norm} is not unit length"
-                )
-            ids.append(item.chunk.chunk_id)
-            rows.append(vec)
+                raise ShapeError(f"chunk {ids[i]} has dim {vec.shape[0]}, index dim {self.dim}")
+            _check_storable(ids[i], "id", ids[i])
+            rows[i] = vec
+        bad = first_non_unit_row(rows)
+        if bad is not None:
+            raise ValidationError(f"chunk {ids[bad[0]]} vector norm {bad[1]} is not unit length")
+        if ids:
+            _check_storable(ids[0], "keyword", keyword)
         with self._lock:
             batch: set[str] = set()
             for cid in ids:
@@ -159,8 +179,7 @@ class FlatIndex:
                 grown = np.empty((max(end, 2 * self._matrix.shape[0]), self.dim), "<f4")
                 grown[:n] = self._matrix[:n]
                 self._matrix = grown
-            if rows:
-                self._matrix[n:end] = rows
+            self._matrix[n:end] = rows
             self._ids.extend(ids)
             self._keywords.extend(keyword for _ in ids)
             self._id_set |= batch
@@ -207,8 +226,6 @@ class FlatIndex:
             for i, (cid, kw) in enumerate(zip(self._ids, self._keywords)):
                 cid_b = cid.encode("utf-8")
                 kw_b = kw.encode("utf-8")
-                if len(cid_b) > 0xFFFF or len(kw_b) > 0xFFFF:
-                    raise ValidationError(f"id/keyword too long to persist: {cid!r}")
                 parts.append(_U16.pack(len(cid_b)))
                 parts.append(cid_b)
                 parts.append(_U16.pack(len(kw_b)))
@@ -265,12 +282,8 @@ class FlatIndex:
             offset = vec_at + vec_bytes
         if offset != len(data):
             raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")
-        # Search's error bound needs unit rows, as insert checks; a unit norm
-        # is also finite. The buffered float64 cast makes no matrix-sized copy.
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
-        bad = np.flatnonzero(~is_unit_norm(norms))
-        if bad.size:
-            i = int(bad[0])
-            what = "non-finite vector" if not np.isfinite(norms[i]) else f"vector norm {norms[i]}"
-            raise CorruptionError(f"{path}: {what} for chunk {ids[i]}")
+        bad = first_non_unit_row(matrix)  # search's error bound needs unit rows
+        if bad is not None:
+            what = "non-finite vector" if not np.isfinite(bad[1]) else f"vector norm {bad[1]}"
+            raise CorruptionError(f"{path}: {what} for chunk {ids[bad[0]]}")
         return index

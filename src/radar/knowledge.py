@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .index import FlatIndex
-from .providers import Embedder, with_retries
+from .providers import DEFAULT_EMBED_DIM, Embedder, with_retries
 
 log = logging.getLogger(__name__)
 
@@ -176,18 +176,13 @@ class KnowledgeBase:
 
     def __init__(
         self,
-        dim: int | None = None,
+        dim: int = DEFAULT_EMBED_DIM,
         *,
         chunk_chars: int = DEFAULT_CHUNK_CHARS,
         overlap_chars: int = DEFAULT_OVERLAP_CHARS,
-        index: FlatIndex | None = None,
     ):
         check_window(chunk_chars, overlap_chars)
-        if index is None:
-            index = FlatIndex(dim if dim is not None else 384)
-        elif dim is not None and index.dim != dim:
-            raise ConfigError(f"index dim {index.dim} does not match requested dim {dim}")
-        self.index = index
+        self.index = FlatIndex(dim)
         self.chunk_chars = chunk_chars
         self.overlap_chars = overlap_chars
         self.doc_store: dict[str, Document] = {}
@@ -333,8 +328,8 @@ class KnowledgeBase:
         meta = decode(StoreMeta, read_json(store_dir / META_FILENAME, CorruptionError),
                       f"{store_dir}: bad {META_FILENAME}", CorruptionError, unknown="ignore")
         raw_docs = read_json(store_dir / DOCS_FILENAME, CorruptionError)
-        kb = cls(chunk_chars=meta.chunk_chars, overlap_chars=meta.overlap_chars,
-                 index=FlatIndex.load(store_dir / INDEX_FILENAME))
+        kb = cls(chunk_chars=meta.chunk_chars, overlap_chars=meta.overlap_chars)
+        kb.index = FlatIndex.load(store_dir / INDEX_FILENAME)
         kb.fetched_keywords = set(meta.fetched_keywords)
         kb.fetch_log = list(meta.fetch_log)
         for doc_id, raw in raw_docs.items():

@@ -45,7 +45,6 @@ from .domain import (
 )
 from .errors import (
     DegenerateVectorError,
-    EmbeddingError,
     FetchError,
     IngestionError,
     ProviderError,
@@ -510,8 +509,8 @@ def run_radar(
                     json.dumps([s.chunk_id for s in scored]),
                     detail={"keyword": pair.keyword, "chunk_ids": [s.chunk_id for s in scored]},
                 )
-            except (FetchError, TransportError, IngestionError, EmbeddingError, ProviderError,
-                    ShapeError, DegenerateVectorError) as exc:
+            except (FetchError, TransportError, IngestionError, ProviderError, ShapeError,
+                    DegenerateVectorError) as exc:
                 part.add(
                     "retrieval_error",
                     "knowledge_base",

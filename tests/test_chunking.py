@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from radar.chunking import (
     Document,
-    EmbeddedChunk,
     Section,
     chunk_span,
     embed_chunks,
@@ -210,14 +209,3 @@ class TestDocumentInvariants:
         with pytest.raises(ValueError):
             Document("d", "k", "blog", "t", "body", "u")
 
-    def test_embedded_chunk_rejects_non_unit_vector(self):
-        chunk = segment(make_document("d", body="abcd"), 4, 0)[0]
-        with pytest.raises(ValidationError):
-            EmbeddedChunk(chunk=chunk, vector=np.array([1.0, 1.0], dtype=np.float32))
-
-    def test_embedded_chunk_rejects_non_finite_vector(self):
-        # A NaN norm compares false against any tolerance, so it needs its own check.
-        chunk = segment(make_document("d", body="abcd"), 4, 0)[0]
-        for vector in ([np.nan, 1.0], [np.inf, 0.0]):
-            with pytest.raises(ValidationError):
-                EmbeddedChunk(chunk=chunk, vector=np.array(vector, dtype=np.float32))

@@ -3,8 +3,10 @@ from __future__ import annotations
 import re
 import struct
 import sys
+import tempfile
 import threading
-from types import SimpleNamespace
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from radar.errors import (
     ShapeError,
     ValidationError,
 )
-from radar.index import FlatIndex
+from radar.index import FlatIndex, first_non_unit_row
 
 from conftest import unit_chunk
 
@@ -59,12 +61,16 @@ class TestInsert:
             index.insert([unit_chunk("a", [1, 0, 0, 0])], "kw")
 
     def test_non_finite_vector_rejected_atomically(self):
-        # Bypasses EmbeddedChunk's own check to reach the index's.
         index = FlatIndex(2)
         for vector in ([np.nan, 1.0], [np.inf, 0.0]):
-            bad = SimpleNamespace(chunk=Chunk("bad", "doc", 0, "xx", (0, 2)), vector=np.array(vector))
             with pytest.raises(ValidationError):
-                index.insert([unit_chunk("ok", [1, 0]), bad], "kw")
+                index.insert([unit_chunk("ok", [1, 0]), exact_chunk("bad", np.array(vector))], "kw")
+        assert index.count == 0
+
+    def test_non_unit_vector_rejected(self):
+        index = FlatIndex(2)
+        with pytest.raises(ValidationError, match="chunk long vector norm 1.414"):
+            index.insert([unit_chunk("ok", [1, 0]), exact_chunk("long", np.ones(2))], "kw")
         assert index.count == 0
 
     def test_insertion_order_preserved(self):
@@ -202,11 +208,14 @@ class TestGrowth:
         assert (hits(index, query, 2), [vec.tobytes() for _, vec, _ in index.entries()]) == before
 
     @pytest.mark.parametrize(
-        "bad_id, bad_dim, error",
-        [("c0", 6, DuplicateChunkError), ("n0", 6, DuplicateChunkError), ("x", 2, ShapeError)],
-        ids=["existing-id", "repeated-in-batch", "wrong-dim"],
+        "bad_id, bad_dim, keyword, error",
+        [("c0", 6, "bad", DuplicateChunkError), ("n0", 6, "bad", DuplicateChunkError),
+         ("x", 2, "bad", ShapeError), ("x" * 70_000, 6, "bad", ValidationError),
+         ("x\ud800", 6, "bad", ValidationError), ("x", 6, "bad\ud800", ValidationError)],
+        ids=["existing-id", "repeated-in-batch", "wrong-dim", "long-id", "surrogate-id",
+             "surrogate-keyword"],
     )
-    def test_rejected_batch_changes_nothing(self, tmp_path, bad_id, bad_dim, error):
+    def test_rejected_batch_changes_nothing(self, tmp_path, bad_id, bad_dim, keyword, error):
         rng = np.random.default_rng(8)
         index = FlatIndex(6)
         index.insert([unit_chunk(f"c{i}", r) for i, r in enumerate(unit_rows(rng, 5, 6))], "kw")
@@ -216,7 +225,7 @@ class TestGrowth:
         # 40 good rows would grow the 5-row matrix if the batch were accepted
         batch = [unit_chunk(f"n{i}", r) for i, r in enumerate(unit_rows(rng, 40, 6))]
         with pytest.raises(error):
-            index.insert(batch + [unit_chunk(bad_id, np.ones(bad_dim))], "bad")
+            index.insert(batch + [unit_chunk(bad_id, np.ones(bad_dim))], keyword)
         assert (index.count, hits(index, query, 4), index.chunk_ids()) == before
         assert "n0" not in index
         index.save(tmp_path / "after.rdrx")
@@ -226,6 +235,85 @@ class TestGrowth:
 def exact_chunk(chunk_id: str, vector: np.ndarray) -> EmbeddedChunk:
     """An embedded chunk holding exactly these float32 components."""
     return EmbeddedChunk(Chunk(chunk_id, "doc", 0, "xx", (0, 2)), vector.astype(np.float32))
+
+
+def index_file(dim: int, records) -> bytes:
+    """The bytes of an index file of (id bytes, keyword bytes, components) records."""
+    return struct.pack("<4sIIQ", b"RDRX", 1, dim, len(records)) + b"".join(
+        struct.pack("<H", len(cid)) + cid + struct.pack("<H", len(keyword)) + keyword
+        + np.asarray(vector, dtype="<f4").tobytes() for cid, keyword, vector in records
+    )
+
+
+def insert_verdict(dim: int, chunks) -> str | None:
+    """None if a fresh index admits the batch, else the rejection's message."""
+    try:
+        FlatIndex(dim).insert(chunks, "kw")
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def load_verdict(path: Path) -> str | None:
+    """None if the file loads, else the rejection's message."""
+    try:
+        FlatIndex.load(path)
+    except CorruptionError as exc:
+        return str(exc)
+    return None
+
+
+def norm_in(message: str | None) -> str | None:
+    return message and re.search(r"norm (\S+)", message).group(1)
+
+
+class TestRowRule:
+    """Insert admits exactly the rows load reads back, and a row's verdict
+    depends on nothing but the row."""
+
+    def test_insert_admits_exactly_what_load_reads_back(self, tmp_path):
+        # np.linalg.norm puts this row at 1.000001 and a buffered float64
+        # einsum one ulp higher, 1.0000010000000001, just past the tolerance.
+        edge = ["0x1.7ad62ap-16", "0x1.c61eb2p-4", "-0x1.f175bep-1", "0x1.ac20e8p-3"]
+        vector = np.array([float.fromhex(h) for h in edge], dtype=np.float32)
+        path = tmp_path / "edge.rdrx"
+        path.write_bytes(index_file(4, [(b"edge", b"kw", vector)]))
+        inserted = insert_verdict(4, [exact_chunk("edge", vector)])
+        loaded = load_verdict(path)
+        assert (inserted is None, norm_in(inserted)) == (loaded is None, norm_in(loaded))
+        if inserted is None:
+            index = FlatIndex(4)
+            index.insert([exact_chunk("edge", vector)], "kw")
+            index.save(tmp_path / "saved.rdrx")
+            assert (tmp_path / "saved.rdrx").read_bytes() == path.read_bytes()
+
+    def test_the_check_makes_no_float64_copy_of_the_rows(self):
+        rows = unit_rows(np.random.default_rng(0), 20_000, 64).astype(np.float32)
+        tracemalloc.start()
+        try:
+            assert first_non_unit_row(rows) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4  # a float64 copy would be twice rows.nbytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 4, 17, 64, 384]),
+           stretch=st.floats(-2e-6, 2e-6), before=st.integers(0, 400), after=st.integers(0, 400))
+    def test_a_rows_verdict_depends_only_on_the_row(self, seed, dim, stretch, before, after):
+        rng = np.random.default_rng(seed)
+        row = rng.normal(size=dim)
+        target = exact_chunk("target", row / np.linalg.norm(row) * (1.0 + stretch))
+        alone = insert_verdict(dim, [target])
+        others = [unit_chunk(f"r{i}", r) for i, r in enumerate(unit_rows(rng, before + after, dim))]
+        batch = others[:before] + [target] + others[before:]
+        assert insert_verdict(dim, batch) == alone
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "batch.rdrx"
+            path.write_bytes(index_file(dim, [(c.chunk.chunk_id.encode(), b"kw", c.vector)
+                                              for c in batch]))
+            loaded = load_verdict(path)
+        assert (loaded is None, norm_in(loaded)) == (alone is None, norm_in(alone))
 
 
 class TestCanonicalScores:
@@ -463,17 +551,9 @@ class TestPersistence:
     ])
     def test_non_unit_vector_in_file_is_corruption(self, tmp_path, bad, problem):
         # Written by hand: save() can never produce such a file, because
-        # insert() rejects vectors that are not unit length.
-        def record(cid, vector):
-            return (struct.pack("<H", len(cid)) + cid + struct.pack("<H", 2) + b"kw"
-                    + struct.pack("<2f", *vector))
-
+        # insert() rejects every row load() does, by the same check.
         path = tmp_path / "nan.rdrx"
-        path.write_bytes(
-            struct.pack("<4sIIQ", b"RDRX", 1, 2, 2)
-            + record(b"good", (1.0, 0.0))
-            + record(b"bad", (bad, 0.0))
-        )
+        path.write_bytes(index_file(2, [(b"good", b"kw", (1.0, 0.0)), (b"bad", b"kw", (bad, 0.0))]))
         with pytest.raises(CorruptionError, match=f"{problem} for chunk bad"):
             FlatIndex.load(path)
 
@@ -489,10 +569,6 @@ class TestPersistence:
                              ids=["id", "keyword"])
     def test_non_utf8_id_or_keyword_is_corruption(self, tmp_path, cid, keyword):
         path = tmp_path / "bytes.rdrx"
-        path.write_bytes(
-            struct.pack("<4sIIQ", b"RDRX", 1, 2, 1)
-            + struct.pack("<H", len(cid)) + cid + struct.pack("<H", len(keyword)) + keyword
-            + struct.pack("<2f", 1.0, 0.0)
-        )
+        path.write_bytes(index_file(2, [(cid, keyword, (1.0, 0.0))]))
         with pytest.raises(CorruptionError, match="not UTF-8"):
             FlatIndex.load(path)

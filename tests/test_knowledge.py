@@ -167,8 +167,10 @@ class TestFixtureSource:
         lambda doc: doc.update(title=3),
         lambda doc: doc.update(body=["text"]),
         lambda doc: doc.update(source_url=1),
+        lambda doc: doc.update(title="\ud800"),
+        lambda doc: doc.update(body="lone \udfff low surrogate"),
     ], ids=["empty-body", "empty-doc_id", "null-keyword", "no-source_url", "int-doc_id",
-            "int-title", "array-body", "int-source_url"])
+            "int-title", "array-body", "int-source_url", "surrogate-title", "surrogate-body"])
     def test_invalid_document_is_a_config_error_naming_the_file(self, corpus_dir, edit):
         path = corpus_dir / "gbm-case-2.json"
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -385,6 +387,16 @@ class TestIngest:
         assert kb.doc_store == before
         assert not kb.has_keyword("astrocytoma")
 
+    def test_a_doc_id_too_long_to_store_is_refused_and_the_store_still_saves(self, tmp_path):
+        kb = fresh_kb()
+        kb.ingest("glioma", [make_document("d1")], EMBEDDER)
+        with pytest.raises(ValidationError, match="id is not UTF-8 of at most 65535 bytes"):
+            kb.ingest("long", [make_document("d" * 70_000)], EMBEDDER)
+        kb.save(tmp_path / "store")
+        loaded = KnowledgeBase.load(tmp_path / "store")
+        assert (loaded.stats(), list(loaded.doc_store)) == (kb.stats(), ["d1"])
+        assert not loaded.has_keyword("long")
+
     def test_chunk_text_needs_an_indexed_id(self):
         kb = fresh_kb()
         kb.ingest("glioma", [make_document("d1", body="x" * 2600)], EMBEDDER)
@@ -439,6 +451,17 @@ class TestPersistence:
         loaded = KnowledgeBase.load(tmp_path / "store")
         for cid in kb.index.chunk_ids():
             assert loaded.chunk_text(cid) == kb.chunk_text(cid)
+
+    def test_a_surrogate_pair_escape_round_trips(self, tmp_path, corpus_dir):
+        path = corpus_dir / "gbm-case-2.json"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            '"title": "', '"title": "\\ud83d\\ude00 '), encoding="utf-8")
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        assert kb.doc_store["gbm-case-2"].title.startswith("\U0001f600 ")
+        kb.save(tmp_path / "store")
+        assert "\U0001f600".encode() in (tmp_path / "store" / "documents.json").read_bytes()
+        assert KnowledgeBase.load(tmp_path / "store").doc_store == kb.doc_store
 
     def test_doc_ids_with_colons_round_trip(self, tmp_path):
         kb = fresh_kb()

@@ -661,6 +661,26 @@ class TestCliRun:
         assert result.exit_code == 2
         assert bad.name in result.output
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--cases", str(DATA / "cases.jsonl"), "--out", "run"],
+        ["kb", "fetch", "--keyword", "glioblastoma"],
+    ], ids=["run", "kb-fetch"])
+    def test_a_lone_surrogate_in_the_corpus_exits_two_and_writes_nothing(self, tmp_path,
+                                                                          monkeypatch, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(DATA / "corpus", corpus)
+        bad = sorted(corpus.glob("*.json"))[0]
+        raw = json.loads(bad.read_text(encoding="utf-8"))
+        raw["title"] = "\ud800"  # json.dumps writes the escape, valid JSON in valid UTF-8
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        config = write_config(tmp_path / "c.json", **{"kb.source.corpus_dir": str(corpus),
+                                                      "kb.store_dir": str(tmp_path / "store")})
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, command + ["--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert bad.name in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "corpus"]
+
     def test_partial_failure_exits_one(self, tmp_path):
         script = json.loads((DATA / "scripts" / "golden_radar.json").read_text())
         truncated = tmp_path / "short.json"
