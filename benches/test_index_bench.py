@@ -6,7 +6,9 @@ directory):
     PYTHONPATH=src python -m pytest benches -q --benchmark-json=bench.json
 
 Each operation runs at 1k, 20k and 100k rows of dim 384, the hashing
-embedder's dim. `test_search_identical_rows` is the search's worst case:
+embedder's dim. `test_search_batch` scores a case's five queries with one
+product, against `test_five_searches`, five `search_top_k` calls on the same
+queries. `test_search_identical_rows` is the search's worst case:
 every row ties, so every row is a candidate for rescoring.
 """
 from __future__ import annotations
@@ -22,6 +24,7 @@ from radar.index import FlatIndex
 DIM = 384
 SIZES = [1_000, 20_000, 100_000]
 K = 5
+N_QUERIES = 5  # questions per case
 
 
 def unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -59,6 +62,16 @@ def test_insert(benchmark, chunks):
 def test_search(benchmark, index, queries):
     query = itertools.cycle(queries)
     benchmark(lambda: index.search_top_k(next(query), K))
+
+
+def test_five_searches(benchmark, index, queries):
+    benchmark(lambda: [index.search_top_k(q, K) for q in queries[:N_QUERIES]])
+
+
+def test_search_batch(benchmark, index, queries):
+    units = [index.unit_query(q) for q in queries[:N_QUERIES]]
+    found = benchmark(index.search_batch, units, K, [index.count] * N_QUERIES)
+    assert found == [index.search_top_k(q, K) for q in queries[:N_QUERIES]]
 
 
 def test_save(benchmark, index, tmp_path):

@@ -12,12 +12,19 @@ Its capacity grows by amortized doubling, so an insert appends rows in place
 and never invalidates the matrix a search reads. Searchers read a snapshot
 of the first ``count`` rows, which later appends never touch.
 
-Search scans in float32 and rescores in float64. One float32 product
-``s32 = matrix @ float32(q)`` scores every row; with ``m = min(k, count)``
-and ``kth`` the m-th largest of ``s32``, every row with
-``s32 >= kth - 2 * eps`` is a candidate, and only the candidates get their
-canonical score. A stable sort of the candidates by canonical score then
-gives the same ids, order and scores as a canonical full scan.
+Search scans in float32 and rescores in float64. ``search_batch`` takes the
+unit queries ``Q`` of a whole case, each with its own row prefix: query ``j``
+sees exactly the first ``counts[j]`` rows, which is what the index held when
+that query's turn came, since inserts only append. One float32 product
+``S = float32(Q) @ matrix[:max(counts)].T`` scores every query against every
+row it might see; row ``s32`` of ``S``, cut to the query's own prefix of
+``c = counts[j]`` entries, is that query's scan, and no row past the prefix
+is ever a candidate. With ``m = min(k, c)`` and ``kth`` the m-th largest of
+``s32``, every row with ``s32 >= kth - 2 * eps`` is a candidate, and only the
+candidates get their canonical score. A stable sort of the candidates by
+canonical score then gives the same ids, order and scores as a canonical
+full scan of an index holding only those ``c`` rows. ``search_top_k`` is the
+batch of one query over every row.
 
 The bound ``eps``. Let ``u = 2**-24`` (float32 unit roundoff), ``d`` the
 dim, ``tau = UNIT_NORM_TOLERANCE``, ``x`` a row with ``|x| <= 1 + tau``
@@ -28,16 +35,19 @@ dim, ``tau = UNIT_NORM_TOLERANCE``, ``x`` a row with ``|x| <= 1 + tau``
 
 where ``u`` covers rounding ``q`` to float32, ``gamma_d = d*u / (1 - d*u)``
 covers the float32 product: d products and sums in any order, with or
-without FMA, including the rounding of the result; ``d * 2**-53`` covers the
-float64 canonical score and ``d * 2**-148`` underflow. For ``d <= 2**20``,
+without FMA, including the rounding of the result. Each entry of ``S`` is
+such a length-d dot, whatever blocking, lane split or position the BLAS
+kernel gives it, so the bound holds entry by entry. ``d * 2**-53`` covers
+the float64 canonical score and ``d * 2**-148`` underflow. For ``d <= 2**20``,
 ``gamma_d <= 1.07 * d * u``, so ``E < (1.1 * d + 2) * u``. With
 ``eps = (d + 2) * 2**-23 = 2 * (d + 2) * u``, ``2 * eps`` exceeds ``2 * E``
 by more than the one rounding of ``kth - 2 * eps`` to float32 (at most
 ``1.3 * u``), so the computed threshold is at most ``kth - 2 * E``.
 
-Completeness. Let ``j`` be a row of the canonical top m and ``T`` the m rows
-with the largest ``s32``. If ``j`` is not in ``T``, some ``i`` in ``T`` is
-not in the canonical top m, so ``c_i <= c_j``, and
+Completeness. Among a query's ``c`` rows, let ``j`` be a row of the
+canonical top m and ``T`` the m rows with the largest ``s32``. If ``j`` is
+not in ``T``, some ``i`` in ``T`` is not in the canonical top m, so
+``c_i <= c_j``, and
 
     s32_j >= c_j - E >= c_i - E >= s32_i - 2 * E >= kth - 2 * E,
 
@@ -184,10 +194,9 @@ class FlatIndex:
             self._keywords.extend(keyword for _ in ids)
             self._id_set |= batch
 
-    def search_top_k(self, query: Sequence[float] | np.ndarray, k: int) -> list[ScoredChunk]:
-        """Exact top-k by canonical score; ties keep insertion order."""
-        if k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
+    def unit_query(self, query: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``query`` as the float64 unit vector a search scores with. A query
+        of the wrong dim, zero, or with a non-finite component is rejected."""
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         if q.shape[0] != self.dim:
             raise ShapeError(f"query dim {q.shape[0]} does not match index dim {self.dim}")
@@ -196,23 +205,50 @@ class FlatIndex:
             raise DegenerateVectorError("cannot search with a zero query vector")
         if not np.isfinite(qnorm):
             raise DegenerateVectorError("cannot search with a non-finite query vector")
+        return q / qnorm
+
+    def search_top_k(self, query: Sequence[float] | np.ndarray, k: int) -> list[ScoredChunk]:
+        """Exact top-k by canonical score over every row; ties keep insertion order."""
+        return self.search_batch([self.unit_query(query)], k, [self.count])[0]
+
+    def search_batch(
+        self, queries: Sequence[np.ndarray], k: int, counts: Sequence[int]
+    ) -> list[list[ScoredChunk]]:
+        """Exact top-k of each unit query (as ``unit_query`` returns it) over
+        the first ``counts[j]`` rows, all scored by one float32 product."""
+        if k <= 0:
+            raise ValidationError(f"k must be positive, got {k}")
+        if len(queries) != len(counts):
+            raise ValidationError(f"{len(queries)} queries but {len(counts)} row counts")
+        if not counts:
+            return []
         with self._lock:
             n = len(self._ids)
-            if not n:
-                return []
-            matrix = self._matrix[:n]
+            if not all(0 <= c <= n for c in counts):
+                raise ValidationError(f"row counts {list(counts)} exceed the {n} rows held")
+            matrix = self._matrix[: max(counts)]
             ids, keywords = self._ids, self._keywords  # append-only: [0, n) is stable
-        q = q / qnorm
-        scan = matrix @ q.astype(np.float32)
-        m = min(k, n)
-        kth = np.partition(scan, n - m)[n - m]
-        candidates = np.flatnonzero(scan >= kth - self._slack).tolist()
-        scores = [np.dot(matrix[i].astype(np.float64), q) for i in candidates]
-        # The candidates are in insertion order, so a stable sort keeps ties so.
-        best = np.argsort(np.negative(scores), kind="stable")[:m].tolist()
-        return [
-            ScoredChunk(ids[candidates[j]], float(scores[j]), keywords[candidates[j]]) for j in best
-        ]
+        q64 = np.asarray(queries, dtype=np.float64)
+        if q64.shape != (len(counts), self.dim):
+            raise ShapeError(f"queries of shape {q64.shape}, expected ({len(counts)}, {self.dim})")
+        scans = q64.astype(np.float32) @ matrix.T
+        results = []
+        for q, scan, c in zip(q64, scans, counts):
+            scan = scan[:c]  # the rows this query may see
+            m = min(k, c)
+            if not m:
+                results.append([])
+                continue
+            kth = np.partition(scan, c - m)[c - m]
+            candidates = np.flatnonzero(scan >= kth - self._slack).tolist()
+            scores = [np.dot(matrix[i].astype(np.float64), q) for i in candidates]
+            # The candidates are in insertion order, so a stable sort keeps ties so.
+            best = np.argsort(np.negative(scores), kind="stable")[:m].tolist()
+            results.append([
+                ScoredChunk(ids[candidates[j]], float(scores[j]), keywords[candidates[j]])
+                for j in best
+            ])
+        return results
 
     # -- persistence --------------------------------------------------------
 

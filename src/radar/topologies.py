@@ -45,6 +45,7 @@ from .domain import (
 )
 from .errors import (
     DegenerateVectorError,
+    DuplicateChunkError,
     FetchError,
     IngestionError,
     ProviderError,
@@ -434,14 +435,19 @@ def run_radar(
 
     Independent model calls overlap, so a case waits on three calls in a
     row, not one per agent step. The initial doctor and the query generator
-    run concurrently. Retrieval runs on the calling thread in query order, so
-    every search sees the same ingests as in a serial run. Each answer is
-    asked as soon as its retrieval is done, and the final doctor runs once
-    every answer is back, with the evidence in query order. Agent calls run
-    on the shared branch pool, each recording into its own trace; their
-    steps are spliced back in pipeline order, so only timestamps interleave.
-    On failure every submitted call is awaited, then the case aborts at the
-    earliest failing step in pipeline order, with every step that ran.
+    run concurrently. Retrieval is one pass on the calling thread: in query
+    order each question's keyword is looked up (fetched and ingested on a
+    miss), the rows the index then holds are noted, and the question is
+    embedded; then one index scan scores every question against its own
+    rows, so each search sees what it would right after its own lookup.
+    Only then, in query order, are the searches recorded and the answers
+    asked, so no answer runs while the case is still retrieving. The final
+    doctor runs once every answer is back, with the evidence in query order.
+    Agent calls run on the shared branch pool, each recording into its own
+    trace; their steps are spliced back in pipeline order, so only
+    timestamps interleave. On failure every submitted call is awaited, then
+    the case aborts at the earliest failing step in pipeline order, with
+    every step that ran.
     """
     if providers.embedder is None or providers.source is None:
         raise ValidationError("the retrieval topology needs an embedder and a document source")
@@ -488,6 +494,10 @@ def run_radar(
     try:
         queries = stages[1].outcome
         pairs = queries.result() if queries.exception() is None else []
+        # One retrieval pass. First, in query order: look up, note the rows
+        # the question may see, and embed it; a failure degrades only it.
+        prepared = []  # per question: pair, trace part, whether it has a query
+        units, counts = [], []  # unit query and rows seen, per question that has one
         for pair in pairs:
             part = RunTrace(trace.trace_id, trace.topology, trace.case_id)
             try:
@@ -500,17 +510,10 @@ def run_radar(
                     outcome.hit.value,
                     detail={"keyword": pair.keyword, "new_docs": outcome.new_docs},
                 )
-                query_vec = embed_text(providers.embedder, pair.question)
-                scored = kb.index.search_top_k(query_vec, top_k)
-                part.add(
-                    "search",
-                    "knowledge_base",
-                    pair.question,
-                    json.dumps([s.chunk_id for s in scored]),
-                    detail={"keyword": pair.keyword, "chunk_ids": [s.chunk_id for s in scored]},
-                )
-            except (FetchError, TransportError, IngestionError, ProviderError, ShapeError,
-                    DegenerateVectorError) as exc:
+                seen = kb.index.count
+                query = kb.index.unit_query(embed_text(providers.embedder, pair.question))
+            except (FetchError, TransportError, IngestionError, ValidationError,
+                    DuplicateChunkError, ProviderError, ShapeError, DegenerateVectorError) as exc:
                 part.add(
                     "retrieval_error",
                     "knowledge_base",
@@ -518,9 +521,27 @@ def run_radar(
                     "",
                     detail={"keyword": pair.keyword, "error": f"{type(exc).__name__}: {exc}"},
                 )
+                prepared.append((pair, part, False))
+                continue
+            prepared.append((pair, part, True))
+            units.append(query)
+            counts.append(seen)
+        # Then one scan scores every question; then, in query order, each
+        # search is recorded and its answer asked.
+        hits = iter(kb.index.search_batch(units, top_k, counts))
+        for pair, part, searched in prepared:
+            if not searched:
                 sentinel = no_evidence_answer(pair.question, pair.keyword)
                 stages.append(_Stage("answer", AgentRole.ANSWER_GENERATOR, part, _done(sentinel)))
                 continue
+            scored = next(hits)
+            part.add(
+                "search",
+                "knowledge_base",
+                pair.question,
+                json.dumps([s.chunk_id for s in scored]),
+                detail={"keyword": pair.keyword, "chunk_ids": [s.chunk_id for s in scored]},
+            )
             chunk_texts = {s.chunk_id: kb.chunk_text(s.chunk_id) for s in scored}
             call = functools.partial(ask_answer, pair, scored, chunk_texts)
             stages.append(submit("answer", AgentRole.ANSWER_GENERATOR, call, part))

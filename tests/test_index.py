@@ -390,6 +390,46 @@ class TestCanonicalScores:
             )
 
 
+class TestSearchBatch:
+    """One product scores a case's queries; each sees only its own row prefix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 17, 64, 384]),
+           n=st.integers(1, 300), n_queries=st.integers(1, 6), k=st.integers(1, 8))
+    def test_each_query_equals_a_search_of_its_prefix(self, seed, dim, n, n_queries, k):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, n + 1, size=n_queries).tolist()
+        tie = unit_rows(rng, 1, dim)[0].astype(np.float32)
+        rows = unit_rows(rng, n, dim).astype(np.float32)
+        for c in counts:  # identical rows on both sides of every boundary
+            rows[max(c - 1, 0) : c + 1] = tie
+        queries = tie + 0.05 * rng.normal(size=(n_queries, dim))
+        index = FlatIndex(dim)
+        index.insert([exact_chunk(f"c{i}", row) for i, row in enumerate(rows)], "kw")
+
+        found = index.search_batch([index.unit_query(q) for q in queries], k, counts)
+        for query, c, batch in zip(queries, counts, found):
+            prefix = FlatIndex(dim)
+            prefix.insert([exact_chunk(f"c{i}", row) for i, row in enumerate(rows[:c])], "kw")
+            assert [(h.chunk_id, h.score, h.keyword) for h in batch] == hits(prefix, query, k)
+
+    def test_empty_batch_returns_nothing(self):
+        assert FlatIndex(4).search_batch([], 5, []) == []
+
+    @pytest.mark.parametrize("counts", [[3], [-1], [0, 1]])
+    def test_counts_must_be_prefixes_one_per_query(self, counts):
+        index = FlatIndex(4)
+        index.insert([unit_chunk("a", [1, 0, 0, 0]), unit_chunk("b", [0, 1, 0, 0])], "kw")
+        with pytest.raises(ValidationError):
+            index.search_batch([index.unit_query([1, 0, 0, 0])], 1, counts)
+
+    def test_query_of_another_dim_rejected(self):
+        index = FlatIndex(4)
+        index.insert([unit_chunk("a", [1, 0, 0, 0])], "kw")
+        with pytest.raises(ShapeError):
+            index.search_batch([np.ones(3) / np.sqrt(3)], 1, [1])
+
+
 class TestConcurrency:
     def test_searches_during_growing_inserts_see_only_committed_rows(self):
         rng = np.random.default_rng(21)

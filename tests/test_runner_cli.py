@@ -18,9 +18,9 @@ from click.testing import CliRunner
 from radar import knowledge, runner
 from radar.agents import TEMPLATE_DIR
 from radar.cli import main
-from radar.domain import DiagnosisReport
-from radar.errors import ConfigError, EvaluationError
-from radar.providers import TEMP_LOW, request_fingerprint, user_request
+from radar.domain import NO_EVIDENCE_ANSWER, DiagnosisReport
+from radar.errors import ConfigError, EvaluationError, ScriptKeyError
+from radar.providers import TEMP_LOW, ChatResponse, request_fingerprint, user_request
 from radar.runner import (
     AgentSettings,
     Endpoint,
@@ -443,6 +443,54 @@ class TestCaseIsolation:
         assert result.exit_code == 1, result.output
         assert "failed c1: OSError" in result.output
         assert len((out / "reports.jsonl").read_text().splitlines()) == 2
+
+
+class ScriptWithFallback:
+    """The golden script, and for any prompt it lacks one object that both the
+    answer and the report parsers accept: a degraded question changes the
+    prompts after it."""
+
+    reply = json.dumps({
+        "answer": NO_EVIDENCE_ANSWER, "supporting_chunk_ids": [],
+        "primary": "glioblastoma",
+        "differentials": ["metastasis", "lymphoma", "abscess", "demyelination"],
+        "confidences": [0.6, 0.2, 0.1, 0.06, 0.04],
+    })
+
+    def __init__(self, script):
+        self.script = script
+
+    def complete(self, request):
+        try:
+            return self.script.complete(request)
+        except ScriptKeyError:
+            return ChatResponse(content=self.reply, provider_id="fallback")
+
+
+class TestRefusedIngest:
+    def test_an_ingest_the_index_refuses_degrades_only_its_questions(self, tmp_path, monkeypatch):
+        # A 70,000-character doc_id makes chunk ids the index file cannot hold.
+        corpus = shutil.copytree(DATA / "corpus", tmp_path / "corpus")
+        article = corpus / "gbm-article-0.json"
+        doc = json.loads(article.read_text(encoding="utf-8"))
+        article.write_text(json.dumps({**doc, "doc_id": "x" * 70_000}), encoding="utf-8")
+        build_bundle = runner.build_bundle
+
+        def fallback_bundle(cfg, *args):
+            bundle = build_bundle(cfg, *args)
+            return dataclasses.replace(bundle, chat=ScriptWithFallback(bundle.chat))
+
+        monkeypatch.setattr(runner, "build_bundle", fallback_bundle)
+        cfg = load_run_config(write_config(tmp_path / "c.json",
+                                           **{"kb.source.corpus_dir": str(corpus)}))
+        summary = run_cases(cfg, DATA / "cases.jsonl", tmp_path / "out")
+        assert summary.failures == []
+        reports = load_reports(tmp_path / "out")
+        assert [case_id for case_id, _ in reports] == ["c1", "c2", "c3"]
+        trace = json.loads((tmp_path / "out" / "traces" / "c1.json").read_text())
+        errors = [s["detail"] for s in trace["steps"] if s["step_kind"] == "retrieval_error"]
+        assert errors and all(e["keyword"] == "glioblastoma" for e in errors)
+        assert all(e["error"].startswith("ValidationError: chunk 'xxx") for e in errors)
 
 
 class TestConcurrentWorkers:

@@ -15,6 +15,7 @@ from radar import topologies
 from radar.agents import PACKAGED_TEMPLATES
 from radar.domain import NO_EVIDENCE_ANSWER
 from radar.errors import ProviderError
+from radar.index import FlatIndex
 from radar.knowledge import FixtureSource, KnowledgeBase
 from radar.providers import ChatResponse, HashingEmbedder, HttpEmbedder, ScriptedChatProvider
 from radar.topologies import (
@@ -28,7 +29,7 @@ from radar.topologies import (
     run_single,
 )
 
-from conftest import make_case, make_report
+from conftest import make_case, make_document, make_report, unit_chunk
 
 TEN = [f"diagnosis {i}" for i in range(10)]
 
@@ -379,6 +380,84 @@ class TestRunRadar:
         assert "kb_fetch" not in trace.kinds()
         assert kb.stats()["chunks"] == 0
         assert bundle.chat.calls == 2 + 1  # no answer call for a failed retrieval
+
+    @pytest.mark.parametrize("vector, error", [
+        (np.zeros(64, dtype=np.float32), "DegenerateVectorError"),
+        (np.ones(8, dtype=np.float32), "ShapeError"),
+    ])
+    def test_one_bad_question_embedding_degrades_alone(self, corpus_dir, vector, error):
+        """The query checks run per question, so one question that embeds to
+        zero or to the wrong dim takes no other question out of the scan."""
+
+        class OneBadQuestion(HashingEmbedder):
+            def embed(self, text):
+                return vector if text == "question 2 about the lesion?" else super().embed(text)
+
+        bundle = replace(self._bundle(corpus_dir), embedder=OneBadQuestion(dim=64))
+        report, trace = run_radar(bundle, self._kb(), make_case())
+        answers = [e.answer == NO_EVIDENCE_ANSWER for e in report.evidence]
+        assert answers == [False, False, True, False, False]
+        errors = [s.detail["error"] for s in trace.steps if s.step_kind == "retrieval_error"]
+        assert len(errors) == 1 and errors[0].startswith(f"{error}: ")
+        assert trace.kinds().count("search") == 4
+        assert bundle.chat.calls == 2 + 4 + 1
+
+    def test_a_later_ingest_does_not_reach_an_earlier_search(self):
+        """Question 1's miss ingests a chunk with question 0's very text, which
+        outranks every row question 0 saw; question 0's evidence stays what a
+        search right after its own lookup finds."""
+        docs = {
+            "alpha": [make_document(f"alpha-{i}", "alpha", body=f"alpha lesion note {i}. " * 20)
+                      for i in range(4)],
+            "beta": [make_document("beta-0", "beta", body="question 0 about the lesion?")],
+        }
+        source = SimpleNamespace(fetch=lambda keyword: list(docs[keyword]))
+        embedder = HashingEmbedder(dim=64)
+        bundle = ProviderBundle(RadarResponder(["alpha", "beta"]), embedder, source)
+        _, trace = run_radar(bundle, self._kb(), make_case())
+
+        alone = self._kb()
+        alone.lookup_or_fetch("alpha", source, embedder)
+        query = embedder.embed("question 0 about the lesion?")
+        expected = [h.chunk_id for h in alone.index.search_top_k(query, 5)]
+        searches = [s.detail["chunk_ids"] for s in trace.steps if s.step_kind == "search"]
+        assert searches[0] == expected
+        assert "beta-0:0" not in searches[0]
+        assert searches[2][0] == "beta-0:0"  # question 2 looks up after the ingest
+
+    def test_one_scan_per_case_and_no_answer_before_it(self, corpus_dir, monkeypatch):
+        events = []
+        search_batch = FlatIndex.search_batch
+
+        def counted(index, *args):
+            events.append("scan")
+            return search_batch(index, *args)
+
+        def answer(prompt):
+            events.append("answer")
+
+        monkeypatch.setattr(FlatIndex, "search_batch", counted)
+        monkeypatch.setattr(topologies, "_branch_pool", InlineExecutor)  # answers run at submit
+        kb = self._kb()
+        for case_id in ("cold", "warm"):
+            bundle = self._bundle(corpus_dir, hooks={"answer_generator": answer})
+            run_radar(bundle, kb, make_case(case_id))
+        assert events == (["scan"] + ["answer"] * 5) * 2
+
+    def test_an_ingest_the_index_refuses_degrades_its_questions(self, corpus_dir):
+        """A chunk id the index already holds makes the glioblastoma ingest
+        raise DuplicateChunkError; that keyword's questions degrade, the
+        others answer."""
+        kb = self._kb()
+        away = -HashingEmbedder(dim=64).embed("question 1 about the lesion?")  # never a hit
+        kb.index.insert([unit_chunk("gbm-article-0:0", away)], "stale")
+        bundle = self._bundle(corpus_dir)
+        report, trace = run_radar(bundle, kb, make_case())
+        answers = [e.answer == NO_EVIDENCE_ANSWER for e in report.evidence]
+        assert answers == [True, False, True, False, True]
+        errors = [s.detail["error"] for s in trace.steps if s.step_kind == "retrieval_error"]
+        assert len(errors) == 3 and all(e.startswith("DuplicateChunkError: ") for e in errors)
+        assert bundle.chat.calls == 2 + 2 + 1
 
     def test_five_answers_in_flight_together(self, corpus_dir):
         barrier = threading.Barrier(5, timeout=5)
