@@ -13,6 +13,10 @@ directory):
 - `segment` of a 10,000-character body into 1000/200-character windows;
 - `HashingEmbedder.embed` of one 1000-character window of word-like text,
   with the 3-gram memo warm, as in a run;
+- one case's embedding: 41 word-like 1000-character chunks and 5 questions,
+  with the 3-gram memo warm;
+- a new embedder over 200 random-CJK 1000-character texts, whose 3-grams
+  almost never repeat, so nearly every lookup misses the memo;
 - `KnowledgeBase.ingest` of one keyword's 10 word-like documents (segment,
   embed with the hashing embedder, insert) into an empty store;
 - the corpus pass of a run's set-up: `FixtureSource` over a 4,150-file
@@ -109,6 +113,29 @@ def word_like_text(rng: random.Random, chars: int) -> str:
 def test_hashing_embed(benchmark):
     vector = benchmark(HashingEmbedder(384).embed, word_like_text(random.Random(0), 1000))
     assert vector.shape == (384,)
+
+
+def test_embed_case(benchmark):
+    rng = random.Random(1)
+    texts = ([word_like_text(rng, 1000) for _ in range(41)]
+             + [word_like_text(rng, 80) for _ in range(5)])
+    embedder = HashingEmbedder(384)
+    for text in texts:  # warm the memo
+        embedder.embed(text)
+    vectors = benchmark(lambda: [embedder.embed(text) for text in texts])
+    assert len(vectors) == 46
+
+
+def test_embed_cjk_cold(benchmark):
+    rng = random.Random(2)
+    texts = ["".join(chr(rng.randint(0x4E00, 0x9FFF)) for _ in range(1000)) for _ in range(200)]
+
+    def embed_all(embedder):
+        return [embedder.embed(text) for text in texts]
+
+    vectors = benchmark.pedantic(embed_all, setup=lambda: ((HashingEmbedder(384),), {}),
+                                 rounds=5, warmup_rounds=1)
+    assert len(vectors) == 200
 
 
 def test_ingest(benchmark):

@@ -241,7 +241,13 @@ class FlatIndex:
                 continue
             kth = np.partition(scan, c - m)[c - m]
             candidates = np.flatnonzero(scan >= kth - self._slack).tolist()
-            scores = [np.dot(matrix[i].astype(np.float64), q) for i in candidates]
+            memo: dict[float, tuple[bytes, float]] = {}  # s32 -> one row's bytes, its score
+            scores = []
+            for i, s in zip(candidates, scan[candidates].tolist()):
+                row, known = matrix[i].tobytes(), memo.get(s)
+                if known is None or known[0] != row:
+                    known = memo[s] = (row, np.dot(matrix[i].astype(np.float64), q))
+                scores.append(known[1])
             # The candidates are in insertion order, so a stable sort keeps ties so.
             best = np.argsort(np.negative(scores), kind="stable")[:m].tolist()
             results.append([

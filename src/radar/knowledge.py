@@ -194,9 +194,6 @@ class KnowledgeBase:
 
     # -- queries -------------------------------------------------------------
 
-    def has_keyword(self, keyword: str) -> bool:
-        return canonical_fold(keyword) in self.fetched_keywords
-
     def _window(self, chunk_id: str) -> tuple[str, int, int] | None:
         """The stored body and span that ``doc_id:ordinal`` names, or None."""
         doc_id, _, ordinal = chunk_id.rpartition(":")

@@ -6,7 +6,6 @@ plain HTTP JSON client pair for live model backends.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 import time
@@ -222,28 +221,26 @@ def scripted_provider_from_file(path: str | Path) -> ScriptedChatProvider:
 # ---------------------------------------------------------------------------
 
 
-# Distinct 3-grams whose digest bits are memoized; a full memo takes 10 MiB.
-# The memo pays off only because 3-grams repeat across texts. Measured from an
-# empty memo: a cold_ingest benchmark child embeds 1830 texts holding 896k
-# per-text distinct 3-grams, only 3200 of them distinct overall (hit ratio
-# 0.996), and runs 38 cases/s with the memo against 17 without it; English
-# prose (Python's pydoc topics, 569 kchars) has 12.1k distinct 3-grams (hit
-# ratio 0.956). Text whose 3-grams never repeat (random CJK) embeds about 1.7x
-# slower than hashing every 3-gram directly.
+# Entries, sentinel included, of each embedder's 3-gram memo: 16 bytes each, so
+# a full memo takes 1 MiB. It pays off because 3-grams repeat across texts: a
+# cold_ingest benchmark child embeds 1830 texts holding 896k per-text distinct
+# 3-grams, only 3200 of them distinct overall; English prose (Python's pydoc
+# topics, 569 kchars) has 12.1k. A new embedder takes 1.3x as long with the
+# memo as with none on 200 random-CJK 1000-character texts, whose 3-grams
+# almost never repeat (0.51 against 0.39 s on a 2-vCPU VM).
 GRAM_MEMO_SIZE = 1 << 16
+# An empty memo: one key above every packed 3-gram, so searchsorted stays in it.
+_MEMO_START = (np.array([2**64 - 1], dtype=np.uint64), np.zeros(1, dtype=np.int64))
 
 
-@functools.lru_cache(maxsize=GRAM_MEMO_SIZE)
-def _gram_digest_bits(gram: int) -> int:
-    """First five blake2b digest bytes (little endian) of one packed 3-gram.
-
-    ``gram`` holds the three code points as 21-bit fields, first one highest.
-    Bits 0-31 pick the bucket and bit 32 the sign; the value does not depend
-    on the embedding dimension, so one memo serves every embedder.
-    """
-    text = chr(gram >> 42) + chr((gram >> 21) & 0x1FFFFF) + chr(gram & 0x1FFFFF)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest[:5], "little")
+def _gram_digest_bits(grams: np.ndarray) -> np.ndarray:
+    """First five blake2b digest bytes (little endian) of each packed 3-gram,
+    which holds three code points as 21-bit fields, first one highest."""
+    fields = (grams[:, None] >> np.array([42, 21, 0], dtype=np.uint64)) & np.uint64(0x1FFFFF)
+    chars = fields.astype("<u4").tobytes().decode("utf-32-le")
+    digests = b"".join(hashlib.blake2b(chars[i : i + 3].encode("utf-8"), digest_size=8).digest()
+                       for i in range(0, len(chars), 3))
+    return (np.frombuffer(digests, dtype="<u8") & np.uint64(0xFF_FFFF_FFFF)).astype(np.int64)
 
 
 class HashingEmbedder:
@@ -257,17 +254,20 @@ class HashingEmbedder:
     maps to an identical unit vector, which keeps index code paths the same
     in tests and live runs.
 
-    Each distinct 3-gram of a text is hashed once, through a process-wide
-    memo of the digest bits bounded at ``GRAM_MEMO_SIZE`` least recently used
-    3-grams (``functools.lru_cache``, safe to share between threads). Every
-    accumulated term is an integer, so the float64 sums are exact and the
-    vector does not depend on summation order.
+    Each embedder keeps a memo of digest bits: ``(keys, bits)`` arrays sorted
+    by packed 3-gram, replaced whole under a lock and read without one. A text
+    looks up its distinct 3-grams with one ``searchsorted`` and hashes only the
+    misses; a memo they would take past ``GRAM_MEMO_SIZE`` starts over. A hit
+    is a key found equal, so the memo never changes a vector. Every term is an
+    integer, so the float64 sums are exact and do not depend on their order.
     """
 
     def __init__(self, dim: int = DEFAULT_EMBED_DIM):
         if dim <= 0:
             raise ConfigError(f"embedder dim must be positive, got {dim}")
         self.dim = dim
+        self._memo = _MEMO_START
+        self._memo_lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
@@ -277,9 +277,11 @@ class HashingEmbedder:
         grams, counts = np.unique(
             (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:], return_counts=True
         )
-        bits = np.fromiter(
-            map(_gram_digest_bits, grams.tolist()), dtype=np.int64, count=grams.size
-        )
+        keys, memo_bits = self._memo
+        at = np.searchsorted(keys, grams)
+        bits, missed = memo_bits[at], keys[at] != grams
+        if missed.any():
+            bits[missed] = self._remember(grams[missed])
         buckets = (bits & 0xFFFFFFFF) % self.dim
         counts = counts.astype(np.float64)
         signed = np.where(bits & (1 << 32), counts, -counts)
@@ -289,6 +291,19 @@ class HashingEmbedder:
             acc = np.bincount(buckets, weights=counts, minlength=self.dim)
             norm = float(np.linalg.norm(acc))
         return (acc / norm).astype(np.float32)
+
+    def _remember(self, grams: np.ndarray) -> np.ndarray:
+        """Digest bits of sorted 3-grams the memo lacked; publishes a memo holding them."""
+        bits = _gram_digest_bits(grams)
+        with self._memo_lock:
+            keys, memo_bits = self._memo
+            if keys.size + grams.size > GRAM_MEMO_SIZE:  # full: start over
+                (keys, memo_bits), grams = _MEMO_START, grams[: GRAM_MEMO_SIZE - 1]
+            at = np.searchsorted(keys, grams)
+            new = np.flatnonzero(keys[at] != grams)  # another thread may have added some
+            self._memo = (np.insert(keys, at[new], grams[new]),
+                          np.insert(memo_bits, at[new], bits[new]))
+        return bits
 
 
 # ---------------------------------------------------------------------------

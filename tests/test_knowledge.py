@@ -32,7 +32,7 @@ from radar.knowledge import (
     fetch_documents,
     html_to_text,
 )
-from radar.domain import walk_files
+from radar.domain import canonical_fold, walk_files
 from radar.index import FlatIndex
 from radar.providers import HashingEmbedder
 
@@ -206,7 +206,7 @@ class TestLookupOrFetch:
         failing = FixtureSource(corpus_dir, fail_keywords=("glioblastoma",))
         with pytest.raises(FetchError):
             kb.lookup_or_fetch("glioblastoma", failing, EMBEDDER)
-        assert not kb.has_keyword("glioblastoma")
+        assert canonical_fold("glioblastoma") not in kb.fetched_keywords
         # a later attempt against a healthy source succeeds
         outcome = kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
         assert outcome.hit is RetrievalHit.FETCHED
@@ -273,7 +273,7 @@ class TestIngest:
     def test_zero_docs_registers_keyword(self):
         kb = fresh_kb()
         assert kb.ingest("glioma", [], EMBEDDER) == 0
-        assert kb.has_keyword("glioma")
+        assert canonical_fold("glioma") in kb.fetched_keywords
         assert kb.index.count == 0
 
     def test_failure_atomicity(self):
@@ -294,7 +294,7 @@ class TestIngest:
         with pytest.raises(IngestionError):
             kb.ingest("glioma", docs, FailingEmbedder())
         assert kb.index.count == 0
-        assert not kb.has_keyword("glioma")
+        assert canonical_fold("glioma") not in kb.fetched_keywords
         assert kb.doc_store == {}
         # retry succeeds cleanly
         assert kb.ingest("glioma", docs, EMBEDDER) == 3
@@ -304,7 +304,7 @@ class TestIngest:
         doc = make_document("shared", body="y" * 1000)
         assert kb.ingest("glioma", [doc], EMBEDDER) == 1
         assert kb.ingest("astrocytoma", [doc], EMBEDDER) == 0
-        assert kb.has_keyword("astrocytoma")
+        assert canonical_fold("astrocytoma") in kb.fetched_keywords
         assert kb.index.count == 1
 
     def test_concurrent_keywords_sharing_a_document_index_it_once(self):
@@ -337,7 +337,7 @@ class TestIngest:
         assert errors == []
         assert sorted(added.values()) == [0, 1]
         assert kb.index.count == 1
-        assert kb.has_keyword("glioma") and kb.has_keyword("astrocytoma")
+        assert {canonical_fold("glioma"), canonical_fold("astrocytoma")} <= kb.fetched_keywords
         assert kb.chunk_text("shared:0") == doc.body
 
     def test_repeated_doc_id_within_a_batch_indexed_once(self):
@@ -385,7 +385,7 @@ class TestIngest:
         with pytest.raises(DuplicateChunkError):
             kb.ingest("astrocytoma", [make_document("d2")], EMBEDDER)
         assert kb.doc_store == before
-        assert not kb.has_keyword("astrocytoma")
+        assert canonical_fold("astrocytoma") not in kb.fetched_keywords
 
     def test_a_doc_id_too_long_to_store_is_refused_and_the_store_still_saves(self, tmp_path):
         kb = fresh_kb()
@@ -395,7 +395,7 @@ class TestIngest:
         kb.save(tmp_path / "store")
         loaded = KnowledgeBase.load(tmp_path / "store")
         assert (loaded.stats(), list(loaded.doc_store)) == (kb.stats(), ["d1"])
-        assert not loaded.has_keyword("long")
+        assert canonical_fold("long") not in loaded.fetched_keywords
 
     def test_chunk_text_needs_an_indexed_id(self):
         kb = fresh_kb()
@@ -621,7 +621,7 @@ class TestPersistence:
         kb.save(store)
         after = self._files(store)
         assert after["meta.json"] != before["meta.json"]
-        assert KnowledgeBase.load(store).has_keyword("nonexistent entity")
+        assert canonical_fold("nonexistent entity") in KnowledgeBase.load(store).fetched_keywords
 
     def test_a_clean_store_saved_to_another_directory_is_written(self, tmp_path, corpus_dir):
         _, store = self._fetched_store(tmp_path, corpus_dir)
@@ -637,7 +637,7 @@ class TestPersistence:
             kb.save(store)
         monkeypatch.undo()
         kb.save(store)
-        assert KnowledgeBase.load(store).has_keyword("tuberous sclerosis")
+        assert canonical_fold("tuberous sclerosis") in KnowledgeBase.load(store).fetched_keywords
 
     def test_empty_roundtrip(self, tmp_path):
         kb = fresh_kb()

@@ -12,6 +12,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radar import providers
 from radar.errors import (
     ConfigError,
     ProviderError,
@@ -158,6 +159,42 @@ def spec_vector(text: str, dim: int) -> np.ndarray:
 FALLBACK_TEXT, FALLBACK_DIM = "aaaa", 2
 
 
+_race_rng = random.Random(4)
+RACE_TEXTS = ["".join(_race_rng.choice("abcdefgh .İ\U0001F600") for _ in range(120))
+              for _ in range(40)]
+
+
+def embed_from_six_threads(embedder: HashingEmbedder, texts: list[str]) -> list[str]:
+    """Six threads embed every text, each from its own offset, with a short
+    switch interval; returns the texts whose vector differed from the spec."""
+    expected = [spec_vector(t, embedder.dim) for t in texts]
+    mismatches: list[str] = []
+
+    def worker(offset):
+        for i in range(len(texts)):
+            j = (i + offset) % len(texts)
+            if not np.array_equal(embedder.embed(texts[j]), expected[j]):
+                mismatches.append(texts[j])
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return mismatches
+
+
+# One embedder per dim for the whole test run, so later examples meet a memo
+# that earlier ones filled: their 3-grams mix hits and misses.
+SHARED_EMBEDDERS = {dim: HashingEmbedder(dim=dim) for dim in (1, 2, 384)}
+
+
 class TestHashingEmbedder:
     def test_fallback_text_cancels_to_zero(self):
         signed = np.zeros(FALLBACK_DIM)
@@ -209,31 +246,52 @@ class TestHashingEmbedder:
         assert vec.shape == (384,)
         assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-6
 
-    def test_threads_sharing_the_memo_match_the_spec(self):
-        rng = random.Random(4)
-        texts = ["".join(rng.choice("abcdefgh .İ\U0001F600") for _ in range(120)) for _ in range(40)]
-        expected = [spec_vector(t, 64) for t in texts]
+    def test_threads_sharing_the_memo_match_the_spec(self, monkeypatch):
         embedder = HashingEmbedder(dim=64)
-        mismatches: list[str] = []
+        assert embed_from_six_threads(embedder, RACE_TEXTS) == []
 
-        def worker(offset):
-            for i in range(len(texts)):
-                j = (i + offset) % len(texts)
-                if not np.array_equal(embedder.embed(texts[j]), expected[j]):
-                    mismatches.append(texts[j])
+        def hash_again(grams):
+            raise AssertionError(f"{grams.size} 3-grams were lost from the memo")
 
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert mismatches == []
+        monkeypatch.setattr(providers, "_gram_digest_bits", hash_again)
+        for text in RACE_TEXTS:
+            embedder.embed(text)
+
+    def test_threads_racing_memo_restarts_match_the_spec(self, monkeypatch):
+        # Every miss now starts the memo over while other threads read it.
+        monkeypatch.setattr(providers, "GRAM_MEMO_SIZE", 8)
+        assert embed_from_six_threads(HashingEmbedder(dim=64), RACE_TEXTS) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="ab İ\U0001F600", min_size=1, max_size=80)
+           | st.text(min_size=1, max_size=80),
+           dim=st.sampled_from(sorted(SHARED_EMBEDDERS)))
+    @example(text=FALLBACK_TEXT, dim=FALLBACK_DIM)
+    def test_a_shared_memo_matches_the_spec(self, text, dim):
+        assert np.array_equal(SHARED_EMBEDDERS[dim].embed(text), spec_vector(text, dim))
+
+    def test_the_memo_starts_over_instead_of_passing_its_size(self, monkeypatch):
+        monkeypatch.setattr(providers, "GRAM_MEMO_SIZE", 40)
+        rng = random.Random(5)
+        embedder, sizes = HashingEmbedder(dim=16), []
+        for _ in range(30):
+            text = "".join(rng.choice("abcdef ") for _ in range(rng.randint(1, 60)))
+            assert np.array_equal(embedder.embed(text), spec_vector(text, 16))
+            keys, bits = embedder._memo
+            assert keys.size == bits.size <= 40
+            sizes.append(keys.size)
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_a_text_partly_in_the_memo_matches_the_spec(self):
+        embedder = HashingEmbedder(dim=64)
+        first, second = "ring enhancing lesion", "ring enhancement with necrosis"
+        assert np.array_equal(embedder.embed(first), spec_vector(first, 64))
+        held = embedder._memo[0].size
+        assert np.array_equal(embedder.embed(second), spec_vector(second, 64))
+        padded = f"##{second}##"
+        grams = {padded[i : i + 3] for i in range(len(padded) - 2)}
+        assert 0 < embedder._memo[0].size - held < len(grams)  # some hits, some misses
+        assert np.array_equal(embedder.embed(first), spec_vector(first, 64))
 
     @settings(max_examples=50, deadline=None)
     @given(st.text(min_size=1, max_size=60))
