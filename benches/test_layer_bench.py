@@ -22,7 +22,8 @@ directory):
 - the corpus pass of a run's set-up: `FixtureSource` over a 4,150-file
   corpus, feeding the content digest as it reads;
 - `KnowledgeBase.save` of a 15,000-row store, clean (nothing ingested since
-  its last save) and changed (one keyword with no documents ingested).
+  its last save), changed (one keyword with no documents ingested), and
+  after one keyword of 10 new documents, whose ids fall between stored ones.
 """
 from __future__ import annotations
 
@@ -205,3 +206,21 @@ def test_save_changed_store(benchmark, store):
         return (directory,), {}
 
     benchmark.pedantic(kb.save, setup=one_miss, rounds=7, warmup_rounds=1)
+
+
+def test_save_after_ingest(benchmark, store):
+    kb, directory = store
+    rng = random.Random(3)
+    embedder = HashingEmbedder(384)
+    keywords = iter(range(1_000))
+
+    def one_keyword():  # 10 documents, each sorting between two stored ones
+        n = next(keywords)
+        docs = [Document(f"articles:term-{rng.randrange(N_DOCUMENTS)}-new-{n}", f"new {n}",
+                         "article", f"New {n}", word_like_text(rng, rng.randint(300, 6000)),
+                         f"https://ref.test/new/{n}/{i}")
+                for i in range(10)]
+        kb.ingest(f"new {n}", docs, embedder)
+        return (directory,), {}
+
+    benchmark.pedantic(kb.save, setup=one_keyword, rounds=7, warmup_rounds=1)

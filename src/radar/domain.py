@@ -16,7 +16,9 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
-from typing import Any, Callable, Iterator, Literal, Mapping, get_args, get_origin, get_type_hints
+from typing import (
+    Any, BinaryIO, Callable, Iterator, Literal, Mapping, get_args, get_origin, get_type_hints,
+)
 
 from .errors import RadarError, ValidationError
 
@@ -278,9 +280,71 @@ def walk_files(root: str | Path, digest: Any = None) -> Iterator[tuple[str, byte
     return walk(os.fspath(root), "")
 
 
-def _read_bytes(path: str | Path, error: type[RadarError]) -> bytes:
+COPY_BUFFER_BYTES = 1 << 20  # a copy holds at most this much of a file in memory
+
+
+def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+@dataclass(frozen=True)
+class FileMark:
+    """A file as ``os.fstat`` saw it when this process last read or wrote it whole.
+
+    ``key`` is ``(st_dev, st_ino, st_size, st_mtime_ns)``: a file replaced,
+    rewritten or resized since then shows another key.
+    """
+
+    path: Path
+    key: tuple[int, int, int, int]
+
+    @classmethod
+    def of(cls, path: str | Path, fh: BinaryIO) -> "FileMark":
+        return cls(Path(path), _stat_key(os.fstat(fh.fileno())))
+
+    @property
+    def size(self) -> int:
+        return self.key[2]
+
+    def open(self) -> BinaryIO | None:
+        """The marked file, opened for reading, if ``path`` still holds it unchanged."""
+        try:
+            fh = open(self.path, "rb", buffering=0)
+        except OSError:
+            return None
+        if _stat_key(os.fstat(fh.fileno())) != self.key:
+            fh.close()
+            return None
+        return fh
+
+    def moved_to(self, path: str | Path) -> "FileMark | None":
+        """This mark for ``path``, if the marked file now lives there; else None."""
+        try:
+            key = _stat_key(os.stat(path))
+        except OSError:
+            return None
+        return FileMark(Path(path), key) if key == self.key else None
+
+
+def copy_range(src: BinaryIO, start: int, end: int, dst: BinaryIO, buf: bytearray) -> None:
+    """Write bytes ``[start, end)`` of ``src`` to ``dst``, a buffer ``buf`` at a time."""
+    src.seek(start)
+    view = memoryview(buf)
+    while start < end:
+        n = src.readinto(view[: end - start])
+        if not n:
+            raise OSError(f"{src.name} ended at byte {start}, before byte {end}")
+        dst.write(view[:n])
+        start += n
+
+
+def read_marked(path: str | Path, error: type[RadarError]) -> tuple[bytes, FileMark]:
+    """The bytes of file ``path`` and its mark, both through one open; a file
+    that cannot be read raises ``error`` naming it."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            mark = FileMark.of(path, fh)  # before the read, so a change during it shows
+            return fh.readall(), mark
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
 
@@ -322,7 +386,7 @@ def read_json(path: str | Path, error: type[RadarError], expect: type = dict) ->
     The file must be readable and hold what ``parse_json`` accepts; anything
     else raises ``error`` naming the file.
     """
-    return parse_json(_read_bytes(path, error), path, error, expect)
+    return parse_json(read_marked(path, error)[0], path, error, expect)
 
 
 def read_records(path: str | Path, tp: type, error: type[RadarError], id_key: str,
@@ -335,7 +399,7 @@ def read_records(path: str | Path, tp: type, error: type[RadarError], id_key: st
     ``what``.
     """
     seen: dict[str, str] = {}
-    text = _decode_text(_read_bytes(path, error), path, error)
+    text = _decode_text(read_marked(path, error)[0], path, error)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

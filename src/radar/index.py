@@ -67,6 +67,7 @@ File format (all integers little-endian):
 """
 from __future__ import annotations
 
+import contextlib
 import struct
 import threading
 from dataclasses import dataclass
@@ -76,6 +77,7 @@ from typing import Sequence
 import numpy as np
 
 from .chunking import EmbeddedChunk
+from .domain import COPY_BUFFER_BYTES, FileMark, copy_range, read_marked
 from .errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -139,6 +141,7 @@ class FlatIndex:
         self._matrix = np.empty((0, dim), dtype="<f4")  # rows [0, count) are live
         self._slack = (dim + 2) * 2.0**-22  # 2 * eps, see the module docstring
         self._lock = threading.Lock()
+        self._on_disk: tuple[FileMark, int] | None = None  # last file loaded or written, its rows
 
     @property
     def count(self) -> int:
@@ -259,32 +262,58 @@ class FlatIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the index to ``path``, in proportion to the rows added since
+        the file this index last loaded or wrote.
+
+        Inserts only append, so when that file is still on disk unchanged
+        (its ``FileMark``) its record region is copied whole, a buffer at a
+        time, and only the later rows are encoded. Any other case, such as
+        a first save or a file replaced since, encodes every row. The bytes
+        are the same either way.
+        """
         path = Path(path)
         vec_bytes = 4 * self.dim
-        with self._lock:
+        with self._lock:  # rows [0, n) never change; later ones are not written
             n = len(self._ids)
-            parts = [_HEADER.pack(MAGIC, VERSION, self.dim, n)]
+            ids, keywords = self._ids, self._keywords
             vectors = memoryview(self._matrix[:n].reshape(-1)).cast("B")
-            for i, (cid, kw) in enumerate(zip(self._ids, self._keywords)):
-                cid_b = cid.encode("utf-8")
-                kw_b = kw.encode("utf-8")
+        on_disk = self._on_disk
+        with path.open("wb") as fh:
+            # Opened after the destination, so a save onto the marked file
+            # itself finds it emptied and copies nothing.
+            old = on_disk[0].open() if on_disk else None
+            with old or contextlib.nullcontext():
+                fh.write(_HEADER.pack(MAGIC, VERSION, self.dim, n))
+                if old is not None:
+                    copy_range(old, _HEADER.size, on_disk[0].size, fh, bytearray(COPY_BUFFER_BYTES))
+            first = on_disk[1] if old is not None else 0
+            parts = []
+            for i in range(first, n):
+                cid_b = ids[i].encode("utf-8")
+                kw_b = keywords[i].encode("utf-8")
                 parts.append(_U16.pack(len(cid_b)))
                 parts.append(cid_b)
                 parts.append(_U16.pack(len(kw_b)))
                 parts.append(kw_b)
                 parts.append(vectors[i * vec_bytes : (i + 1) * vec_bytes])
-        # Joined a slice at a time: one whole-file join would hold the file
-        # twice in memory, and single small writes cost more than the joins.
-        with path.open("wb") as fh:
-            for start in range(0, len(parts), _PARTS_PER_WRITE):
-                fh.write(b"".join(parts[start : start + _PARTS_PER_WRITE]))
+                # Joined a batch at a time: one whole-file join would hold the
+                # file twice in memory, and single small writes cost more.
+                if len(parts) >= _PARTS_PER_WRITE:
+                    fh.write(b"".join(parts))
+                    parts.clear()
+            fh.write(b"".join(parts))
+            fh.flush()
+            self._on_disk = (FileMark.of(path, fh), n)
+
+    def renamed(self, path: str | Path) -> None:
+        """Note that the file ``save`` last wrote was moved, whole, to ``path``."""
+        if self._on_disk is not None:
+            mark = self._on_disk[0].moved_to(path)
+            self._on_disk = None if mark is None else (mark, self._on_disk[1])
 
     @classmethod
     def load(cls, path: str | Path) -> "FlatIndex":
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise CorruptionError(f"cannot read {path}: {exc}") from exc
+        data, mark = read_marked(path, CorruptionError)
         if len(data) < _HEADER.size:
             raise CorruptionError(f"{path}: file shorter than the header")
         magic, version, dim, count = _HEADER.unpack_from(data, 0)
@@ -328,4 +357,5 @@ class FlatIndex:
         if bad is not None:
             what = "non-finite vector" if not np.isfinite(bad[1]) else f"vector norm {bad[1]}"
             raise CorruptionError(f"{path}: {what} for chunk {ids[bad[0]]}")
+        index._on_disk = (mark, count)
         return index

@@ -11,6 +11,7 @@ Each chunk's text lives once, in its stored document: the chunk id
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, TypeVar
 from urllib.parse import quote, urljoin
 
 import requests
@@ -38,7 +39,18 @@ from .chunking import (
     embed_chunks,
     segment,
 )
-from .domain import canonical_fold, decode, encode, parse_json, read_json, walk_files
+from .domain import (
+    COPY_BUFFER_BYTES,
+    FileMark,
+    canonical_fold,
+    copy_range,
+    decode,
+    encode,
+    parse_json,
+    read_json,
+    read_marked,
+    walk_files,
+)
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -62,14 +74,17 @@ INDEX_FILENAME = "index.rdrx"
 DOCS_FILENAME = "documents.json"
 META_FILENAME = "meta.json"
 
+T = TypeVar("T")
+
 _ORDINAL = re.compile(r"0|[1-9][0-9]*")  # canonical decimal, ASCII digits only
 
 _UMASK = os.umask(0o022)  # os reads the umask only by setting it, so restore it at once
 os.umask(_UMASK)
 
 
-def _write_replacing(path: Path, write: Callable[[Path], None]) -> None:
-    """Run ``write`` on a fresh temporary file beside ``path``, then move it there.
+def _write_replacing(path: Path, write: Callable[[Path], T]) -> T:
+    """Run ``write`` on a fresh temporary file beside ``path``, then move it
+    there; returns what ``write`` returned.
 
     Readers of ``path`` see the old file or the whole new one, never part of
     it; a write that fails leaves no temporary file behind.
@@ -78,11 +93,77 @@ def _write_replacing(path: Path, write: Callable[[Path], None]) -> None:
     os.close(fd)
     try:
         os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp's 0600 becomes what a plain open gives
-        write(Path(tmp))
+        written = write(Path(tmp))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return written
+
+
+# documents.json is one JSON object, as ``json.dumps(docs, sort_keys=True,
+# ensure_ascii=False)`` writes it: "{", then the ``"doc_id": document`` items
+# joined by ", " in sorted doc_id order, then "}". An item is written by
+# this encoder as a one-item object without its braces, which gives the
+# same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+_DECODER = json.JSONDecoder()
+_Spans = dict[str, tuple[int, int]]  # doc_id -> [start, end) of its item in documents.json
+
+
+def _item_spans(text: str) -> tuple[dict[str, Any], _Spans] | None:
+    """The items of a documents.json text and each one's char span, if the text
+    is laid out as save writes it, with keys strictly increasing; else None.
+
+    Text in that layout that is not valid JSON raises ``ValueError``.
+    """
+    items: dict[str, Any] = {}
+    spans: _Spans = {}
+    if text == "{}":
+        return items, spans
+    if not text.startswith('{"'):
+        return None
+    start, last = 1, None
+    while True:
+        key, end = json.decoder.scanstring(text, start + 1)
+        if not text.startswith(": ", end) or (last is not None and key <= last):
+            return None
+        items[key], end = _DECODER.raw_decode(text, end + 2)
+        spans[key], last = (start, end), key
+        if not text.startswith(', "', end):
+            return (items, spans) if text[end:] == "}" else None
+        start = end + 2
+
+
+def _byte_spans(text: str, spans: _Spans) -> _Spans:
+    """Char spans of ``text``, in text order, as spans of its UTF-8 bytes."""
+    out: _Spans = {}
+    char = byte = 0
+    for key, (start, end) in spans.items():
+        byte += len(text[char:start].encode("utf-8"))
+        first = byte
+        byte += len(text[start:end].encode("utf-8"))
+        out[key], char = (first, byte), end
+    return out
+
+
+def _read_documents(path: Path) -> tuple[dict[str, Any], FileMark, _Spans | None]:
+    """The JSON object of a documents.json file, the file's mark, and the byte
+    span of each item if the file is laid out as save writes it.
+
+    A file in another layout is parsed whole as JSON, as any store file is,
+    and a fault in it raises `CorruptionError`.
+    """
+    data, mark = read_marked(path, CorruptionError)
+    try:
+        text = data.decode("utf-8")
+        walked = _item_spans(text)
+    except (ValueError, RecursionError):  # parse_json names the fault
+        walked = None
+    if walked is None:
+        return parse_json(data, path, CorruptionError), mark, None
+    items, spans = walked
+    return items, mark, spans if text.isascii() else _byte_spans(text, spans)
 
 
 class DocumentSource(Protocol):
@@ -189,6 +270,7 @@ class KnowledgeBase:
         self.fetched_keywords: set[str] = set()
         self.fetch_log: list[FetchLogEntry] = []
         self._saved_in: Path | None = None  # the store directory that holds all of this store
+        self._docs_on_disk: tuple[FileMark, _Spans] | None = None  # for _write_documents
         self._state_lock = threading.Lock()
         self._keyword_locks: dict[str, threading.Lock] = {}
 
@@ -293,26 +375,71 @@ class KnowledgeBase:
         Documents are only ever added, so a save that dies part way leaves a
         store that loads: every index id still names a stored document.
         Nothing is written when no ingest has committed since this store was
-        loaded from or last saved to ``store_dir``; any other directory is
-        written in full.
+        loaded from or last saved to ``store_dir``.
+
+        A save costs in proportion to what was added since the documents
+        and index files this store last loaded or wrote, wherever they are:
+        while such a file is still on disk unchanged, the bytes it holds are
+        copied, a buffer at a time, and only the added documents and rows
+        are encoded. A first save, or one after a file was replaced or
+        touched, encodes everything; a documents file in another layout
+        than save's is not copied from either. Copied or encoded, the files
+        hold the same bytes, except that a file another program wrote in
+        save's layout keeps its own spelling of the items it holds.
         """
         store_dir = Path(store_dir).absolute()
         if store_dir == self._saved_in:
             return
         store_dir.mkdir(parents=True, exist_ok=True)
-        docs = {doc_id: d.to_dict() for doc_id, d in self.doc_store.items()}
-        # The JSON text lives only inside its write, so the documents' text
-        # and the index's bytes never both add to peak memory.
-        _write_replacing(
-            store_dir / DOCS_FILENAME,
-            lambda p: p.write_text(json.dumps(docs, sort_keys=True, ensure_ascii=False), "utf-8"),
-        )
+        docs_path = store_dir / DOCS_FILENAME
+        mark, spans = _write_replacing(docs_path, self._write_documents)
+        mark = mark.moved_to(docs_path)
+        self._docs_on_disk = None if mark is None else (mark, spans)
         _write_replacing(store_dir / INDEX_FILENAME, self.index.save)
+        self.index.renamed(store_dir / INDEX_FILENAME)
         meta = encode(StoreMeta(self.chunk_chars, self.overlap_chars,
                                 tuple(sorted(self.fetched_keywords)), tuple(self.fetch_log)))
         _write_replacing(store_dir / META_FILENAME,
                          lambda p: p.write_text(json.dumps(meta, sort_keys=True), "utf-8"))
         self._saved_in = store_dir
+
+    def _write_documents(self, path: Path) -> tuple[FileMark, _Spans]:
+        """Write documents.json to ``path``; returns its mark and item spans.
+
+        Each maximal run of items that are adjacent in the marked file is
+        copied from it; the items between are encoded.
+        """
+        spans: _Spans = {}
+        on_disk = self._docs_on_disk
+        with path.open("wb") as fh:
+            old = on_disk[0].open() if on_disk else None
+            with old or contextlib.nullcontext():
+                old_spans = on_disk[1] if old is not None else {}
+                buf = bytearray(COPY_BUFFER_BYTES) if old is not None else None
+                fh.write(b"{")
+                at = 1  # the file's length once the pending run is copied
+                run: list[int] | None = None  # [start, end) of old bytes not yet copied
+                for doc_id, doc in sorted(self.doc_store.items()):
+                    start = at + 2 if at > 1 else at
+                    span = old_spans.get(doc_id)
+                    if run is not None and span is not None and span[0] == run[1] + 2:
+                        run[1] = span[1]  # the old file's next item: the run grows
+                    else:
+                        if run is not None:
+                            copy_range(old, run[0], run[1], fh, buf)
+                        if at > 1:
+                            fh.write(b", ")
+                        run = None if span is None else list(span)
+                        if span is None:
+                            item = _ENCODER.encode({doc_id: doc.to_dict()})[1:-1].encode("utf-8")
+                            fh.write(item)
+                    at = start + (len(item) if span is None else span[1] - span[0])
+                    spans[doc_id] = (start, at)
+                if run is not None:
+                    copy_range(old, run[0], run[1], fh, buf)
+            fh.write(b"}")
+            fh.flush()
+            return FileMark.of(path, fh), spans
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
@@ -324,20 +451,24 @@ class KnowledgeBase:
         store_dir = Path(store_dir)
         meta = decode(StoreMeta, read_json(store_dir / META_FILENAME, CorruptionError),
                       f"{store_dir}: bad {META_FILENAME}", CorruptionError, unknown="ignore")
-        raw_docs = read_json(store_dir / DOCS_FILENAME, CorruptionError)
+        raw_docs, mark, spans = _read_documents(store_dir / DOCS_FILENAME)
         kb = cls(chunk_chars=meta.chunk_chars, overlap_chars=meta.overlap_chars)
-        kb.index = FlatIndex.load(store_dir / INDEX_FILENAME)
         kb.fetched_keywords = set(meta.fetched_keywords)
         kb.fetch_log = list(meta.fetch_log)
         for doc_id, raw in raw_docs.items():
             doc = decode(Document, raw, f"{store_dir}: stored document {doc_id!r}",
                          CorruptionError, unknown="ignore")
             kb.doc_store[doc.doc_id] = doc
+            if spans is not None and doc.doc_id != doc_id:
+                spans.pop(doc.doc_id, None)  # that key's item no longer holds the stored one
+        del raw_docs  # before the index is read, so the two never both add to peak memory
+        kb.index = FlatIndex.load(store_dir / INDEX_FILENAME)
         unnamed = [cid for cid in kb.index.chunk_ids() if kb._window(cid) is None]
         if unnamed:
             raise CorruptionError(
                 f"{store_dir}: index ids name no chunk of a stored document: {unnamed[:5]}"
             )
+        kb._docs_on_disk = None if spans is None else (mark, spans)
         kb._saved_in = store_dir.absolute()
         return kb
 

@@ -105,12 +105,17 @@ def user_request(
 
 
 def request_fingerprint(request: ChatRequest) -> str:
-    """Stable digest of a request's messages, used to key scripted responses."""
+    """Stable digest of a request's messages, used to key scripted responses.
+
+    A lone surrogate, which a model reply may escape into a prompt, is
+    digested as UTF-8 would encode its code point, so that prompt has a
+    fingerprint too; other text digests as its UTF-8.
+    """
     h = hashlib.sha256()
     for msg in request.messages:
         h.update(msg.role.encode("utf-8"))
         h.update(b"\x00")
-        h.update(msg.content.encode("utf-8"))
+        h.update(msg.content.encode("utf-8", "surrogatepass"))
         h.update(b"\x01")
     return h.hexdigest()[:16]
 
@@ -272,8 +277,11 @@ class HashingEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValidationError("cannot embed empty text")
-        padded = f"##{text.lower()}##"
-        codes = np.frombuffer(padded.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+        try:
+            padded = f"##{text.lower()}##".encode("utf-32-le")
+        except UnicodeEncodeError:  # a lone surrogate, which no code point packs
+            raise ValidationError("cannot embed text holding a lone surrogate") from None
+        codes = np.frombuffer(padded, dtype="<u4").astype(np.uint64)
         grams, counts = np.unique(
             (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:], return_counts=True
         )
@@ -301,8 +309,15 @@ class HashingEmbedder:
                 (keys, memo_bits), grams = _MEMO_START, grams[: GRAM_MEMO_SIZE - 1]
             at = np.searchsorted(keys, grams)
             new = np.flatnonzero(keys[at] != grams)  # another thread may have added some
-            self._memo = (np.insert(keys, at[new], grams[new]),
-                          np.insert(memo_bits, at[new], bits[new]))
+            placed = at[new] + np.arange(new.size)  # where each new 3-gram lands
+            kept = np.ones(keys.size + new.size, dtype=bool)
+            kept[placed] = False
+            memo = []
+            for held, fresh in ((keys, grams[new]), (memo_bits, bits[new])):
+                merged = np.empty(kept.size, dtype=held.dtype)
+                merged[placed], merged[kept] = fresh, held
+                memo.append(merged)
+            self._memo = tuple(memo)
         return bits
 
 

@@ -151,7 +151,8 @@ class ProviderBundle:
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    """Short digest of a step's text; a lone surrogate counts as request_fingerprint counts it."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
 def _trace_id(topology: Topology, case: Case) -> str:

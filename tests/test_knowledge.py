@@ -12,8 +12,9 @@ import threading
 import pytest
 import requests
 
+from radar import index as index_module
 from radar import knowledge
-from radar.chunking import Section, segment
+from radar.chunking import Chunk, Document, EmbeddedChunk, Section, segment
 from radar.errors import (
     ConfigError,
     CorruptionError,
@@ -656,6 +657,160 @@ class TestPersistence:
             KnowledgeBase(dim=64, chunk_chars=100, overlap_chars=100)
 
 
+def _store_bytes(store):
+    return {p.name: p.read_bytes() for p in sorted(store.iterdir())}
+
+
+def _full_save(kb, store):
+    """The files a save of ``kb``'s state writes with no old file to copy
+    from; its documents.json is also checked against one ``json.dumps``."""
+    fresh = KnowledgeBase(dim=kb.index.dim, chunk_chars=kb.chunk_chars,
+                          overlap_chars=kb.overlap_chars)
+    fresh.doc_store = dict(kb.doc_store)
+    for cid, vector, keyword in kb.index.entries():
+        fresh.index.insert([EmbeddedChunk(Chunk(cid, "doc", 0, "x", (0, 1)), vector)], keyword)
+    fresh.fetched_keywords, fresh.fetch_log = set(kb.fetched_keywords), list(kb.fetch_log)
+    fresh.save(store)
+    docs = {doc_id: doc.to_dict() for doc_id, doc in kb.doc_store.items()}
+    assert (store / "documents.json").read_bytes() == json.dumps(
+        docs, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    return _store_bytes(store)
+
+
+class _SaveSpy:
+    """Records the doc_ids a save encodes and the byte ranges it copies."""
+
+    def __init__(self, monkeypatch):
+        self.encoded, self.copied = [], []
+        to_dict, copy_range = Document.to_dict, knowledge.copy_range
+
+        def spy_to_dict(doc):
+            self.encoded.append(doc.doc_id)
+            return to_dict(doc)
+
+        def spy_copy_range(src, start, end, dst, buf):
+            self.copied.append((pathlib.Path(src.name).name, start, end))
+            return copy_range(src, start, end, dst, buf)
+
+        monkeypatch.setattr(Document, "to_dict", spy_to_dict)
+        monkeypatch.setattr(knowledge, "copy_range", spy_copy_range)
+        monkeypatch.setattr(index_module, "copy_range", spy_copy_range)
+
+    def clear(self):
+        self.encoded.clear()
+        self.copied.clear()
+
+    def copied_from(self, name):
+        return [(start, end) for file, start, end in self.copied if file == name]
+
+
+ODD_BODY = 'a "quoted" back\\slash, a new\nline, a tab\t, \u2028, \x01 and \U0001f600 ' * 40
+
+
+def _batch(ids, body="body text " * 150):
+    return [make_document(doc_id, body=f"{doc_id}: {body}") for doc_id in ids]
+
+
+class TestProportionalSave:
+    """A save copies the bytes its store's files already hold and encodes only
+    what was added, and writes exactly what a save of everything writes."""
+
+    @pytest.mark.parametrize("batches, body", [
+        ([["c", "e", "g", "i"], ["0", "d", "f", "z"], ["a", "b", "h", "zz"]], "body text " * 150),
+        ([["\u00e9-2", "\u65e5\u672c-1", "b"], ["a", "\u00e9-1", "\u65e5\u672c-0"],
+          ["\u00e9-3", "\U0001f600", "\u2028"]], ODD_BODY),
+    ], ids=["ascii", "non-ascii"])
+    def test_saves_after_a_load_equal_a_full_save(self, tmp_path, monkeypatch, batches, body):
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch(batches[0], body), EMBEDDER)
+        kb.save(store)
+        kb = KnowledgeBase.load(store)
+        assert _store_bytes(store) == _full_save(kb, tmp_path / "full-0")
+        spy = _SaveSpy(monkeypatch)
+        for n, ids in enumerate(batches[1:], start=1):  # the second save is in the same process
+            index_size = (store / "index.rdrx").stat().st_size
+            kb.ingest(f"batch {n}", _batch(ids, body), EMBEDDER)
+            spy.clear()
+            kb.save(store)
+            assert sorted(spy.encoded) == sorted(ids)
+            assert spy.copied_from("index.rdrx") == [(20, index_size)]
+            assert len(spy.copied_from("documents.json")) >= 2  # new ids split the old items
+            assert _store_bytes(store) == _full_save(kb, tmp_path / f"full-{n}")
+            assert KnowledgeBase.load(store).doc_store == kb.doc_store
+
+    @pytest.mark.parametrize("name, change", [
+        ("documents.json", lambda p: os.utime(p, ns=(1_000_000_000, 1_000_000_000))),
+        ("documents.json", lambda p: p.write_text(json.dumps(json.loads(p.read_text("utf-8")),
+                                                             indent=1), "utf-8")),
+        ("index.rdrx", lambda p: os.utime(p, ns=(1_000_000_000, 1_000_000_000))),
+        ("index.rdrx", lambda p: knowledge._write_replacing(p, lambda tmp: tmp.write_bytes(
+            p.read_bytes()))),
+    ], ids=["documents-touched", "documents-redumped", "index-touched", "index-replaced"])
+    def test_a_file_changed_since_the_load_is_not_copied(self, tmp_path, monkeypatch, name,
+                                                          change):
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
+        kb.save(store)
+        kb = KnowledgeBase.load(store)
+        change(store / name)
+        kb.ingest("second", _batch(["a", "c"]), EMBEDDER)
+        spy = _SaveSpy(monkeypatch)
+        kb.save(store)
+        other = "documents.json" if name == "index.rdrx" else "index.rdrx"
+        assert spy.copied_from(name) == [] and spy.copied_from(other) != []
+        assert _store_bytes(store) == _full_save(kb, tmp_path / "full")
+
+    @pytest.mark.parametrize("redump", [
+        lambda docs: json.dumps(docs, indent=1),
+        lambda docs: json.dumps(docs, separators=(",", ":")),
+        lambda docs: " " + json.dumps(docs),
+        lambda docs: json.dumps(dict(reversed(docs.items()))),
+        lambda docs: json.dumps(docs)[:-1] + ', "b": ' + json.dumps(  # the later "b" wins
+            {**docs["b"], "title": "later"}) + "}",
+        lambda docs: json.dumps({**docs, "c": {**docs["b"], "title": "later"}},
+                                sort_keys=True, ensure_ascii=False),  # save's layout
+        lambda docs: json.dumps({**docs, "c": {**docs["b"], "doc_id": "zz"}},
+                                sort_keys=True, ensure_ascii=False),  # stored as "zz"
+    ], ids=["indented", "compact", "leading-space", "keys-descending", "duplicate-key",
+            "key-not-its-doc_id", "key-of-a-document-stored-elsewhere"])
+    def test_a_store_in_another_layout_loads_as_before(self, tmp_path, monkeypatch, redump):
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
+        kb.save(store)
+        path = store / "documents.json"
+        text = redump(json.loads(path.read_text("utf-8")))
+        path.write_text(text, "utf-8")
+        loaded = KnowledgeBase.load(store)
+        assert loaded.doc_store == {raw["doc_id"]: Document(**raw)
+                                    for raw in json.loads(text).values()}
+        loaded.ingest("second", _batch(["a", "e"]), EMBEDDER)
+        spy = _SaveSpy(monkeypatch)
+        loaded.save(store)
+        in_save_layout = text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False)
+        assert bool(spy.copied_from("documents.json")) == in_save_layout
+        assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[: len(text) // 2],
+        lambda text: text + "x",
+        lambda text: text.replace(": {", ": {,", 1),
+        lambda text: "\ufeff" + text,
+        lambda text: "[" + text + "]",
+    ], ids=["truncated", "trailing-text", "bad-value", "bom", "array"])
+    def test_a_documents_file_that_is_not_a_json_object_is_corrupt(self, tmp_path, edit):
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
+        kb.save(store)
+        path = store / "documents.json"
+        path.write_text(edit(path.read_text("utf-8")), "utf-8")
+        with pytest.raises(CorruptionError, match="documents.json"):
+            KnowledgeBase.load(store)
+
+
 class TestHtmlToText:
     def test_strips_scripts_styles_and_tags(self):
         html = (
@@ -886,16 +1041,21 @@ class TestLiveSource:
 
 
 def _die_writing(monkeypatch, matches):
-    """Make text writes to matching paths write half their text, then raise."""
-    real_write_text = pathlib.Path.write_text
+    """Make each write to a matching temporary path of ``_write_replacing``
+    leave half its bytes, then raise, however the file was written."""
+    real_write_replacing = knowledge._write_replacing
 
-    def write_half(path, data, *args, **kwargs):
-        if not matches(path):
-            return real_write_text(path, data, *args, **kwargs)
-        real_write_text(path, data[: len(data) // 2], *args, **kwargs)
-        raise OSError(f"died mid-write of {path.name}")
+    def write_replacing(path, write):
+        def write_half(tmp):
+            written = write(tmp)
+            if matches(tmp):
+                tmp.write_bytes(tmp.read_bytes()[: tmp.stat().st_size // 2])
+                raise OSError(f"died mid-write of {tmp.name}")
+            return written
 
-    monkeypatch.setattr(pathlib.Path, "write_text", write_half)
+        return real_write_replacing(path, write_half)
+
+    monkeypatch.setattr(knowledge, "_write_replacing", write_replacing)
 
 
 def _run_threads(targets, timeout_s=30):

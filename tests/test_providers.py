@@ -79,12 +79,14 @@ class TestScriptedProvider:
         with pytest.raises(ScriptExhaustedError):
             provider.complete(req())
 
-    def test_keyed_match(self):
-        fingerprint = request_fingerprint(req("the question"))
+    @pytest.mark.parametrize("prompt", ["the question", "the question \ud800?"],
+                             ids=["plain", "lone-surrogate"])
+    def test_keyed_match(self, prompt):
+        fingerprint = request_fingerprint(req(prompt))
         provider = ScriptedChatProvider(keyed={fingerprint: "X"})
-        assert provider.complete(req("the question")).content == "X"
+        assert provider.complete(req(prompt)).content == "X"
         # keyed entries replay indefinitely: same request, same response
-        assert provider.complete(req("the question")).content == "X"
+        assert provider.complete(req(prompt)).content == "X"
 
     def test_keyed_miss(self):
         provider = ScriptedChatProvider(keyed={"deadbeef00000000": "X"})
@@ -292,6 +294,29 @@ class TestHashingEmbedder:
         grams = {padded[i : i + 3] for i in range(len(padded) - 2)}
         assert 0 < embedder._memo[0].size - held < len(grams)  # some hits, some misses
         assert np.array_equal(embedder.embed(first), spec_vector(first, 64))
+
+    def test_the_merged_memo_equals_one_built_by_insertion(self, monkeypatch):
+        """After each text the memo holds exactly the keys and bits that
+        inserting each text's misses at their sorted places gives."""
+        misses = []
+        real_bits = providers._gram_digest_bits
+        monkeypatch.setattr(providers, "_gram_digest_bits",
+                            lambda grams: misses.append(grams) or real_bits(grams))
+        keys, bits = providers._MEMO_START
+        embedder = HashingEmbedder(dim=64)
+        for text in RACE_TEXTS + ["ring enhancement", "ring enhancing lesion", "\U0010FFFF"]:
+            embedder.embed(text)
+            for grams in misses:
+                at = np.searchsorted(keys, grams)
+                keys = np.insert(keys, at, grams)
+                bits = np.insert(bits, at, real_bits(grams))
+            misses.clear()
+            assert [(a.dtype, a.tolist()) for a in embedder._memo] == [
+                (a.dtype, a.tolist()) for a in (keys, bits)]
+
+    def test_a_lone_surrogate_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="lone surrogate"):
+            HashingEmbedder(dim=64).embed("question \ud800 about the lesion?")
 
     @settings(max_examples=50, deadline=None)
     @given(st.text(min_size=1, max_size=60))

@@ -402,6 +402,18 @@ class TestRunRadar:
         assert trace.kinds().count("search") == 4
         assert bundle.chat.calls == 2 + 4 + 1
 
+    def test_a_question_with_a_lone_surrogate_degrades_alone(self, corpus_dir):
+        """A model may escape a lone surrogate into a question; the hashing
+        embedder refuses that question, and only it loses its evidence."""
+        bundle = self._bundle(corpus_dir)
+        bundle.chat.pairs[0]["question"] = "question \ud800 about the lesion?"
+        report, trace = run_radar(bundle, self._kb(), make_case())
+        answers = [e.answer == NO_EVIDENCE_ANSWER for e in report.evidence]
+        assert answers == [True, False, False, False, False]
+        errors = [s.detail["error"] for s in trace.steps if s.step_kind == "retrieval_error"]
+        assert len(errors) == 1 and errors[0].startswith("ValidationError: ")
+        assert bundle.chat.calls == 2 + 4 + 1
+
     def test_a_later_ingest_does_not_reach_an_earlier_search(self):
         """Question 1's miss ingests a chunk with question 0's very text, which
         outranks every row question 0 saw; question 0's evidence stays what a
