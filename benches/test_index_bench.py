@@ -9,11 +9,14 @@ Each operation runs at 1k, 20k and 100k rows of dim 384, the hashing
 embedder's dim. `test_search_batch` scores a case's five queries with one
 product, against `test_five_searches`, five `search_top_k` calls on the same
 queries. `test_search_identical_rows` is the search's worst case:
-every row ties, so every row is a candidate for rescoring.
+every row ties, so every row is a candidate for rescoring. `test_load`
+records in ``extra_info`` the load's transient peak under `tracemalloc`:
+the most it held at once beyond what the loaded index keeps.
 """
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +86,14 @@ def test_load(benchmark, index, tmp_path):
     index.save(path)
     loaded = benchmark.pedantic(FlatIndex.load, args=(path,), rounds=5, warmup_rounds=1)
     assert loaded.count == index.count
+    del loaded
+    tracemalloc.start()
+    try:
+        loaded = FlatIndex.load(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["transient_peak_mb"] = round((peak - current) / 1e6, 3)
 
 
 def test_search_identical_rows(benchmark, queries):

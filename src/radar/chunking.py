@@ -91,18 +91,24 @@ def check_window(chunk_chars: int, overlap_chars: int) -> None:
         )
 
 
+def window_count(length: int, chunk_chars: int, overlap_chars: int) -> int:
+    """How many windows a body ``length`` long has: always one, and a window
+    after the first only while its predecessor stops short of the end."""
+    return max(1, -(-(length - overlap_chars) // (chunk_chars - overlap_chars)))
+
+
 def chunk_span(
     length: int, ordinal: int, chunk_chars: int, overlap_chars: int
 ) -> tuple[int, int] | None:
     """The span of chunk ``ordinal >= 0`` of a body ``length`` long; None past the last.
 
     Windows start every ``chunk_chars - overlap_chars`` characters and are
-    ``chunk_chars`` long, the last one cut at the body's end. A window after
-    the first exists only while its predecessor stops short of the end.
+    ``chunk_chars`` long, the last one cut at the body's end; `window_count`
+    says how many there are.
     """
-    start = ordinal * (chunk_chars - overlap_chars)
-    if ordinal and start + overlap_chars >= length:
+    if ordinal >= window_count(length, chunk_chars, overlap_chars):
         return None
+    start = ordinal * (chunk_chars - overlap_chars)
     return start, min(start + chunk_chars, length)
 
 

@@ -8,9 +8,10 @@ rows score identically wherever they sit. Ties break by insertion order,
 which keeps result sequences reproducible.
 
 Storage is one contiguous float32 matrix, the same numbers the file holds.
-Its capacity grows by amortized doubling, so an insert appends rows in place
-and never invalidates the matrix a search reads. Searchers read a snapshot
-of the first ``count`` rows, which later appends never touch.
+An insert that finds it full doubles its capacity, and a load gives it
+twice the rows it read, so an insert appends rows in place and never
+invalidates the matrix a search reads. Searchers read a snapshot of the
+first ``count`` rows, which later appends never touch.
 
 Search scans in float32 and rescores in float64. ``search_batch`` takes the
 unit queries ``Q`` of a whole case, each with its own row prefix: query ``j``
@@ -68,6 +69,7 @@ File format (all integers little-endian):
 from __future__ import annotations
 
 import contextlib
+import io
 import struct
 import threading
 from dataclasses import dataclass
@@ -77,7 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .chunking import EmbeddedChunk
-from .domain import COPY_BUFFER_BYTES, FileMark, copy_range, read_marked
+from .domain import COPY_BUFFER_BYTES, FileMark, copy_range
 from .errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -313,47 +315,68 @@ class FlatIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "FlatIndex":
-        data, mark = read_marked(path, CorruptionError)
-        if len(data) < _HEADER.size:
-            raise CorruptionError(f"{path}: file shorter than the header")
-        magic, version, dim, count = _HEADER.unpack_from(data, 0)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if dim <= 0:
-            raise CorruptionError(f"{path}: non-positive dim {dim}")
-        vec_bytes = 4 * dim
-        # Every record holds two u16 lengths and a vector, so a count the
-        # file cannot hold is truncation, caught before allocating rows.
-        if count * (4 + vec_bytes) > len(data) - _HEADER.size:
-            raise CorruptionError(f"{path}: truncated, {count} records cannot fit")
-        index = cls(dim)
-        index._matrix = matrix = np.empty((count, dim), dtype="<f4")
-        ids, keywords, id_set = index._ids, index._keywords, index._id_set
-        offset = _HEADER.size
-        for i in range(count):
-            try:  # reads past the end raise struct.error or ValueError
-                (id_len,) = _U16.unpack_from(data, offset)
-                kw_at = offset + 2 + id_len
-                (kw_len,) = _U16.unpack_from(data, kw_at)
-                vec_at = kw_at + 2 + kw_len
-                matrix[i] = np.frombuffer(data, "<f4", dim, vec_at)
-                cid = data[offset + 2 : kw_at].decode("utf-8")
-                keyword = data[kw_at + 2 : vec_at].decode("utf-8")
-            except UnicodeDecodeError:
-                raise CorruptionError(f"{path}: id or keyword not UTF-8 at byte {offset}") from None
-            except (struct.error, ValueError):
-                raise CorruptionError(f"{path}: truncated at byte {offset}") from None
-            if cid in id_set:
-                raise CorruptionError(f"{path}: duplicate chunk id {cid}")
-            id_set.add(cid)
-            ids.append(cid)
-            keywords.append(keyword)
-            offset = vec_at + vec_bytes
-        if offset != len(data):
-            raise CorruptionError(f"{path}: {len(data) - offset} trailing bytes")
-        bad = first_non_unit_row(matrix)  # search's error bound needs unit rows
+        """Read the index file at ``path``; a fault in it raises `CorruptionError`
+        or `FormatError` naming the file.
+
+        The file is read a ``COPY_BUFFER_BYTES`` buffer at a time, and each
+        vector goes straight into its matrix row, so no more than one buffer
+        of the file is in memory beside the matrix. The matrix has room for
+        twice the rows read, as ``insert`` would grow it to, so the inserts
+        after a load append in place; rows not yet written cost no memory.
+        """
+        try:
+            with io.BufferedReader(io.FileIO(path), COPY_BUFFER_BYTES) as fh:
+                mark = FileMark.of(path, fh)  # before the first read, so a change during it shows
+                header = fh.read(_HEADER.size)
+                if len(header) < _HEADER.size:
+                    raise CorruptionError(f"{path}: file shorter than the header")
+                magic, version, dim, count = _HEADER.unpack(header)
+                if magic != MAGIC:
+                    raise FormatError(f"{path}: bad magic {magic!r}")
+                if version != VERSION:
+                    raise FormatError(f"{path}: unsupported version {version}")
+                if dim <= 0:
+                    raise CorruptionError(f"{path}: non-positive dim {dim}")
+                vec_bytes = 4 * dim
+                # Every record holds two u16 lengths and a vector, so a count the
+                # file cannot hold is truncation, caught before allocating rows.
+                if count * (4 + vec_bytes) > mark.size - _HEADER.size:
+                    raise CorruptionError(f"{path}: truncated, {count} records cannot fit")
+                index = cls(dim)
+                index._matrix = np.empty((2 * count, dim), dtype="<f4")
+                rows = memoryview(index._matrix.reshape(-1)).cast("B")
+                ids, keywords, id_set = index._ids, index._keywords, index._id_set
+                decoded: dict[bytes, str] = {}  # keyword bytes -> their one decoded str
+                read, readinto, unpack = fh.read, fh.readinto, _U16.unpack
+                offset = _HEADER.size
+                for i in range(count):
+                    try:  # a read falls short only at the end of the file
+                        cid_b = read(unpack(read(2))[0])
+                        kw_b = read(unpack(read(2))[0])
+                        whole = readinto(rows[i * vec_bytes : (i + 1) * vec_bytes]) == vec_bytes
+                    except struct.error:  # a length cut short
+                        whole = False
+                    if not whole:
+                        raise CorruptionError(f"{path}: truncated at byte {offset}")
+                    try:
+                        cid = cid_b.decode("utf-8")
+                        keyword = decoded.get(kw_b)
+                        if keyword is None:
+                            keyword = decoded[kw_b] = kw_b.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise CorruptionError(
+                            f"{path}: id or keyword not UTF-8 at byte {offset}") from None
+                    if cid in id_set:
+                        raise CorruptionError(f"{path}: duplicate chunk id {cid}")
+                    id_set.add(cid)
+                    ids.append(cid)
+                    keywords.append(keyword)
+                    offset += 4 + len(cid_b) + len(kw_b) + vec_bytes
+        except OSError as exc:
+            raise CorruptionError(f"cannot read {path}: {exc}") from exc
+        if offset != mark.size:
+            raise CorruptionError(f"{path}: {mark.size - offset} trailing bytes")
+        bad = first_non_unit_row(index._matrix[:count])  # search's error bound needs unit rows
         if bad is not None:
             what = "non-finite vector" if not np.isfinite(bad[1]) else f"vector norm {bad[1]}"
             raise CorruptionError(f"{path}: {what} for chunk {ids[bad[0]]}")

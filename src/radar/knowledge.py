@@ -20,6 +20,7 @@ import re
 import tempfile
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
@@ -38,6 +39,7 @@ from .chunking import (
     chunk_span,
     embed_chunks,
     segment,
+    window_count,
 )
 from .domain import (
     COPY_BUFFER_BYTES,
@@ -108,19 +110,22 @@ def _write_replacing(path: Path, write: Callable[[Path], T]) -> T:
 # same bytes.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 _DECODER = json.JSONDecoder()
-_Spans = dict[str, tuple[int, int]]  # doc_id -> [start, end) of its item in documents.json
+# Items of documents.json: doc_ids in increasing order, and the [start, end)
+# of item i at bounds[2 * i] and bounds[2 * i + 1], one machine int each.
+_Spans = tuple[list[str], array]
 
 
-def _item_spans(text: str) -> tuple[dict[str, Any], _Spans] | None:
-    """The items of a documents.json text and each one's char span, if the text
-    is laid out as save writes it, with keys strictly increasing; else None.
+def _item_spans(text: str) -> tuple[dict[str, Any], array] | None:
+    """The items of a documents.json text and the char bounds of each, in item
+    order, if the text is laid out as save writes it, with keys strictly
+    increasing; else None.
 
     Text in that layout that is not valid JSON raises ``ValueError``.
     """
     items: dict[str, Any] = {}
-    spans: _Spans = {}
+    bounds = array("q")
     if text == "{}":
-        return items, spans
+        return items, bounds
     if not text.startswith('{"'):
         return None
     start, last = 1, None
@@ -129,27 +134,28 @@ def _item_spans(text: str) -> tuple[dict[str, Any], _Spans] | None:
         if not text.startswith(": ", end) or (last is not None and key <= last):
             return None
         items[key], end = _DECODER.raw_decode(text, end + 2)
-        spans[key], last = (start, end), key
+        bounds.extend((start, end))
+        last = key
         if not text.startswith(', "', end):
-            return (items, spans) if text[end:] == "}" else None
+            return (items, bounds) if text[end:] == "}" else None
         start = end + 2
 
 
-def _byte_spans(text: str, spans: _Spans) -> _Spans:
-    """Char spans of ``text``, in text order, as spans of its UTF-8 bytes."""
-    out: _Spans = {}
+def _byte_bounds(text: str, bounds: array) -> array:
+    """Increasing char offsets into ``text`` as offsets into its UTF-8 bytes."""
+    out = array("q")
     char = byte = 0
-    for key, (start, end) in spans.items():
-        byte += len(text[char:start].encode("utf-8"))
-        first = byte
-        byte += len(text[start:end].encode("utf-8"))
-        out[key], char = (first, byte), end
+    for at in bounds:
+        byte += len(text[char:at].encode("utf-8"))
+        out.append(byte)
+        char = at
     return out
 
 
-def _read_documents(path: Path) -> tuple[dict[str, Any], FileMark, _Spans | None]:
+def _read_documents(path: Path) -> tuple[dict[str, Any], FileMark, array | None]:
     """The JSON object of a documents.json file, the file's mark, and the byte
-    span of each item if the file is laid out as save writes it.
+    bounds of its items, as `_item_spans` gives them, if the file is laid out
+    as save writes it.
 
     A file in another layout is parsed whole as JSON, as any store file is,
     and a fault in it raises `CorruptionError`.
@@ -162,8 +168,8 @@ def _read_documents(path: Path) -> tuple[dict[str, Any], FileMark, _Spans | None
         walked = None
     if walked is None:
         return parse_json(data, path, CorruptionError), mark, None
-    items, spans = walked
-    return items, mark, spans if text.isascii() else _byte_spans(text, spans)
+    items, bounds = walked
+    return items, mark, bounds if text.isascii() else _byte_bounds(text, bounds)
 
 
 class DocumentSource(Protocol):
@@ -284,6 +290,13 @@ class KnowledgeBase:
             return None
         span = chunk_span(len(doc.body), int(ordinal), self.chunk_chars, self.overlap_chars)
         return None if span is None else (doc.body, *span)
+
+    def _chunk_ids(self) -> set[str]:
+        """Every id that `_window` finds: ``doc_id:ordinal`` for each window of
+        each stored document."""
+        return {f"{doc_id}:{ordinal}" for doc_id, doc in self.doc_store.items()
+                for ordinal in range(window_count(len(doc.body), self.chunk_chars,
+                                                  self.overlap_chars))}
 
     def chunk_text(self, chunk_id: str) -> str:
         """The text of an indexed chunk, sliced from its stored document."""
@@ -409,19 +422,24 @@ class KnowledgeBase:
         Each maximal run of items that are adjacent in the marked file is
         copied from it; the items between are encoded.
         """
-        spans: _Spans = {}
+        ids: list[str] = []
+        bounds = array("q")
         on_disk = self._docs_on_disk
         with path.open("wb") as fh:
             old = on_disk[0].open() if on_disk else None
             with old or contextlib.nullcontext():
-                old_spans = on_disk[1] if old is not None else {}
+                old_ids, old_bounds = on_disk[1] if old is not None else ([], array("q"))
                 buf = bytearray(COPY_BUFFER_BYTES) if old is not None else None
                 fh.write(b"{")
                 at = 1  # the file's length once the pending run is copied
                 run: list[int] | None = None  # [start, end) of old bytes not yet copied
+                next_old = 0  # old_ids[next_old] is the next old item; both walks are sorted
                 for doc_id, doc in sorted(self.doc_store.items()):
                     start = at + 2 if at > 1 else at
-                    span = old_spans.get(doc_id)
+                    span = None
+                    if next_old < len(old_ids) and old_ids[next_old] == doc_id:
+                        span = old_bounds[2 * next_old : 2 * next_old + 2]
+                        next_old += 1
                     if run is not None and span is not None and span[0] == run[1] + 2:
                         run[1] = span[1]  # the old file's next item: the run grows
                     else:
@@ -434,12 +452,13 @@ class KnowledgeBase:
                             item = _ENCODER.encode({doc_id: doc.to_dict()})[1:-1].encode("utf-8")
                             fh.write(item)
                     at = start + (len(item) if span is None else span[1] - span[0])
-                    spans[doc_id] = (start, at)
+                    ids.append(doc_id)
+                    bounds.extend((start, at))
                 if run is not None:
                     copy_range(old, run[0], run[1], fh, buf)
             fh.write(b"}")
             fh.flush()
-            return FileMark.of(path, fh), spans
+            return FileMark.of(path, fh), (ids, bounds)
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
@@ -451,24 +470,32 @@ class KnowledgeBase:
         store_dir = Path(store_dir)
         meta = decode(StoreMeta, read_json(store_dir / META_FILENAME, CorruptionError),
                       f"{store_dir}: bad {META_FILENAME}", CorruptionError, unknown="ignore")
-        raw_docs, mark, spans = _read_documents(store_dir / DOCS_FILENAME)
+        raw_docs, mark, bounds = _read_documents(store_dir / DOCS_FILENAME)
         kb = cls(chunk_chars=meta.chunk_chars, overlap_chars=meta.overlap_chars)
         kb.fetched_keywords = set(meta.fetched_keywords)
         kb.fetch_log = list(meta.fetch_log)
+        items = []
         for doc_id, raw in raw_docs.items():
             doc = decode(Document, raw, f"{store_dir}: stored document {doc_id!r}",
                          CorruptionError, unknown="ignore")
             kb.doc_store[doc.doc_id] = doc
-            if spans is not None and doc.doc_id != doc_id:
-                spans.pop(doc.doc_id, None)  # that key's item no longer holds the stored one
+            items.append((doc_id, doc))
         del raw_docs  # before the index is read, so the two never both add to peak memory
+        if bounds is not None:  # an item is copied later only for the document it stores
+            ids, kept = [], array("q")
+            for i, (doc_id, doc) in enumerate(items):
+                if kb.doc_store.get(doc_id) is doc:
+                    ids.append(doc.doc_id)
+                    kept.extend(bounds[2 * i : 2 * i + 2])
+            kb._docs_on_disk = (mark, (ids, kept))
+        del items
         kb.index = FlatIndex.load(store_dir / INDEX_FILENAME)
-        unnamed = [cid for cid in kb.index.chunk_ids() if kb._window(cid) is None]
+        names = kb._chunk_ids()
+        unnamed = [cid for cid in kb.index.chunk_ids() if cid not in names]
         if unnamed:
             raise CorruptionError(
                 f"{store_dir}: index ids name no chunk of a stored document: {unnamed[:5]}"
             )
-        kb._docs_on_disk = None if spans is None else (mark, spans)
         kb._saved_in = store_dir.absolute()
         return kb
 

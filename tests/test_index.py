@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radar import index as index_module
 from radar.chunking import Chunk, EmbeddedChunk
 from radar.errors import (
     CorruptionError,
@@ -22,6 +23,7 @@ from radar.errors import (
     ShapeError,
     ValidationError,
 )
+from radar.domain import COPY_BUFFER_BYTES
 from radar.index import FlatIndex, first_non_unit_row
 
 from conftest import unit_chunk
@@ -612,3 +614,99 @@ class TestPersistence:
         path.write_bytes(index_file(2, [(cid, keyword, (1.0, 0.0))]))
         with pytest.raises(CorruptionError, match="not UTF-8"):
             FlatIndex.load(path)
+
+
+WIDE = "\u65e5"  # three bytes of UTF-8
+
+
+def contents(index: FlatIndex) -> list[tuple[str, bytes, str]]:
+    return [(cid, vector.tobytes(), keyword) for cid, vector, keyword in index.entries()]
+
+
+class TestBufferedLoad:
+    """A load reads the file a buffer at a time into a matrix with room for
+    the inserts that follow, and finds every fault a load of the whole file
+    finds."""
+
+    def _mixed_index(self) -> FlatIndex:
+        rng = np.random.default_rng(4)
+        index = FlatIndex(5)
+        for n, (keyword, width) in enumerate([("glioma", 1), ("", 9), ("\u00e9t\u00e9", 3)]):
+            rows = unit_rows(rng, 4, 5)
+            index.insert([exact_chunk(f"{WIDE * width}-{n}:{i}", row)
+                          for i, row in enumerate(rows)], keyword)
+        return index
+
+    def test_any_buffer_size_loads_what_one_whole_buffer_loads(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.rdrx"
+        self._mixed_index().save(path)
+        monkeypatch.setattr(index_module, "COPY_BUFFER_BYTES", path.stat().st_size)
+        whole = FlatIndex.load(path)
+        record = 2 + len(f"{WIDE}-0:0".encode()) + 2 + len(b"glioma") + 4 * 5
+        for size in (1, 7, record - 1, record + 1):
+            monkeypatch.setattr(index_module, "COPY_BUFFER_BYTES", size)
+            loaded = FlatIndex.load(path)
+            assert contents(loaded) == contents(whole)
+            keywords = loaded._keywords
+            assert all(a is b for a, b in zip(keywords, keywords[1:]) if a == b)
+        loaded.save(tmp_path / "again.rdrx")
+        assert (tmp_path / "again.rdrx").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("buffer", [7, COPY_BUFFER_BYTES])
+    def test_a_file_cut_at_any_byte_is_corruption(self, tmp_path, monkeypatch, buffer):
+        monkeypatch.setattr(index_module, "COPY_BUFFER_BYTES", buffer)
+        records = [(b"a", b"kw", (1.0, 0.0, 0.0)), (b"\xc3\xa9t\xc3\xa9", b"", (0.0, 1.0, 0.0)),
+                   (b"ccc", b"kw", (0.0, 0.0, 1.0))]
+        data = index_file(3, records)
+        starts = [20]
+        for cid, keyword, _ in records:
+            starts.append(starts[-1] + 4 + len(cid) + len(keyword) + 12)
+        assert starts[-1] == len(data)
+        path = tmp_path / "cut.rdrx"
+        for cut in range(len(data)):
+            if cut < 20:
+                problem = "file shorter than the header"
+            elif 3 * (4 + 12) > cut - 20:
+                problem = "truncated, 3 records cannot fit"
+            else:
+                problem = f"truncated at byte {max(s for s in starts if s <= cut)}"
+            path.write_bytes(data[:cut])
+            with pytest.raises(CorruptionError) as caught:
+                FlatIndex.load(path)
+            assert str(caught.value) == f"{path}: {problem}"
+
+    def test_a_load_holds_at_most_a_buffer_of_the_file(self, tmp_path):
+        rows = unit_rows(np.random.default_rng(5), 4000, 384)
+        index = FlatIndex(384)
+        index.insert([exact_chunk(f"doc-{i}:0", row) for i, row in enumerate(rows)], "kw")
+        path = tmp_path / "index.rdrx"
+        index.save(path)
+        assert path.stat().st_size > 6_000_000
+        del index
+        tracemalloc.start()
+        try:
+            loaded = FlatIndex.load(path)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.count == 4000
+        assert peak - current < 2 * COPY_BUFFER_BYTES + 256 * 1024  # a whole-file read: 6 MB
+
+    def test_inserts_after_a_load_append_in_place(self, tmp_path):
+        rng = np.random.default_rng(6)
+        chunks = [exact_chunk(f"c{i}", row) for i, row in enumerate(unit_rows(rng, 2010, 64))]
+        built = FlatIndex(64)
+        built.insert(chunks[:2000], "old")
+        built.save(tmp_path / "index.rdrx")
+        loaded = FlatIndex.load(tmp_path / "index.rdrx")
+        built.insert(chunks[2000:], "new")
+        tracemalloc.start()
+        try:
+            loaded.insert(chunks[2000:], "new")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 64 * 4 / 10  # growing would copy all 2000 rows
+        queries = [c.vector for c in chunks[1995:]] + list(unit_rows(rng, 5, 64))
+        for query in queries:
+            assert hits(loaded, query, 10) == hits(built, query, 10)

@@ -8,9 +8,12 @@ import pathlib
 import re
 import sys
 import threading
+import tracemalloc
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radar import index as index_module
 from radar import knowledge
@@ -492,6 +495,37 @@ class TestPersistence:
         with pytest.raises(CorruptionError, match=re.escape(repr(chunk_id))):
             KnowledgeBase.load(store)
 
+    def test_load_names_the_first_five_bad_ids_in_index_order(self, tmp_path):
+        kb = fresh_kb()
+        kb.ingest("glioma", [make_document("d1", body="x" * 2600)], EMBEDDER)
+        store = tmp_path / "store"
+        kb.save(store)
+        index = FlatIndex.load(store / "index.rdrx")
+        bad = ["z:0", "d1:9", "d1:01", "a:0", "d1:", "d1:1.0", "b:1"]
+        index.insert([unit_chunk(cid, [1.0] + [0.0] * 63) for cid in bad], "glioma")
+        index.save(store / "index.rdrx")
+        with pytest.raises(CorruptionError, match=re.escape(repr(bad[:5]))):
+            KnowledgeBase.load(store)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stored=st.dictionaries(st.text(":ab", min_size=1, max_size=4), st.integers(1, 120),
+                                  max_size=4),
+           chunk=st.integers(1, 30), data=st.data())
+    def test_the_id_check_admits_exactly_the_ids_window_finds(self, stored, chunk, data):
+        kb = fresh_kb(chunk, data.draw(st.integers(0, chunk - 1)))
+        kb.doc_store = {doc_id: make_document(doc_id, body="x" * length)
+                        for doc_id, length in stored.items()}
+        names = kb._chunk_ids()
+        assert all(kb._window(cid) is not None for cid in names)
+        doc_part = st.one_of(st.sampled_from(sorted(stored)) if stored else st.nothing(),
+                             st.text(":ab", max_size=5))  # missing, extra colons, empty
+        ordinal = st.one_of(st.integers(0, 200).map(str), st.sampled_from(
+            ["01", "+1", " 1", "1 ", "1.0", "-1", "00", "", "\u0661", "1_0"]))
+        ids = st.one_of(st.builds("{}:{}".format, doc_part, ordinal),
+                        st.text(":ab01 +.", max_size=8))
+        for cid in data.draw(st.lists(ids, min_size=20, max_size=20)):
+            assert (cid in names) == (kb._window(cid) is not None), cid
+
     @staticmethod
     def _edit_store(store, filename, edit):
         path = store / filename
@@ -738,6 +772,36 @@ class TestProportionalSave:
             assert len(spy.copied_from("documents.json")) >= 2  # new ids split the old items
             assert _store_bytes(store) == _full_save(kb, tmp_path / f"full-{n}")
             assert KnowledgeBase.load(store).doc_store == kb.doc_store
+
+    def test_an_item_under_another_documents_key_is_not_copied_for_that_key(self, tmp_path):
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
+        kb.save(store)
+        path = store / "documents.json"
+        docs = json.loads(path.read_text("utf-8"))
+        path.write_text(json.dumps({**docs, "c": {**docs["b"], "doc_id": "zz"}}, sort_keys=True,
+                                   ensure_ascii=False), "utf-8")  # save's layout
+        loaded = KnowledgeBase.load(store)
+        loaded.ingest("second", _batch(["c"]), EMBEDDER)
+        loaded.save(store)
+        assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
+        assert KnowledgeBase.load(store).doc_store == loaded.doc_store
+
+    def test_the_items_on_disk_cost_a_few_words_per_document(self, tmp_path):
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch([f"doc-{i:04d}" for i in range(500)], "body " * 30), EMBEDDER)
+        kb.save(store)
+        tracemalloc.start()
+        try:
+            loaded = KnowledgeBase.load(store)
+            held = tracemalloc.get_traced_memory()[0]
+            loaded._docs_on_disk = None
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held < 40 * 500  # a second id string and a tuple of two ints: 150 bytes each
 
     @pytest.mark.parametrize("name, change", [
         ("documents.json", lambda p: os.utime(p, ns=(1_000_000_000, 1_000_000_000))),
