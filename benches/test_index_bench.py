@@ -6,17 +6,20 @@ directory):
     PYTHONPATH=src python -m pytest benches -q --benchmark-json=bench.json
 
 Each operation runs at 1k, 20k and 100k rows of dim 384, the hashing
-embedder's dim. `test_search_batch` scores a case's five queries with one
-product, against `test_five_searches`, five `search_top_k` calls on the same
-queries. `test_search_identical_rows` is the search's worst case:
-every row ties, so every row is a candidate for rescoring. `test_load`
-records in ``extra_info`` the load's transient peak under `tracemalloc`:
-the most it held at once beyond what the loaded index keeps.
+embedder's dim. `test_search_batch` scores a case's five queries in one
+blocked scan of the rows, against `test_five_searches`, five `search_top_k`
+calls on the same queries; `test_search_batch_two_threads` runs two such
+batches at once, as two pipeline workers do. `test_search_identical_rows` is
+the search's worst case: every row ties, so every row is a candidate for
+rescoring. `test_load` records in ``extra_info`` the load's transient peak
+under `tracemalloc`: the most it held at once beyond what the loaded index
+keeps.
 """
 from __future__ import annotations
 
 import itertools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -75,6 +78,18 @@ def test_search_batch(benchmark, index, queries):
     units = [index.unit_query(q) for q in queries[:N_QUERIES]]
     found = benchmark(index.search_batch, units, K, [index.count] * N_QUERIES)
     assert found == [index.search_top_k(q, K) for q in queries[:N_QUERIES]]
+
+
+def test_search_batch_two_threads(benchmark, index, queries):
+    units = [index.unit_query(q) for q in queries[:N_QUERIES]]
+    with ThreadPoolExecutor(2) as pool:
+        def both():
+            batches = [pool.submit(index.search_batch, units, K, [index.count] * N_QUERIES)
+                       for _ in range(2)]
+            return [batch.result() for batch in batches]
+
+        found = benchmark(both)
+    assert found == [index.search_batch(units, K, [index.count] * N_QUERIES)] * 2
 
 
 def test_save(benchmark, index, tmp_path):

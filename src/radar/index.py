@@ -16,11 +16,16 @@ first ``count`` rows, which later appends never touch.
 Search scans in float32 and rescores in float64. ``search_batch`` takes the
 unit queries ``Q`` of a whole case, each with its own row prefix: query ``j``
 sees exactly the first ``counts[j]`` rows, which is what the index held when
-that query's turn came, since inserts only append. One float32 product
-``S = float32(Q) @ matrix[:max(counts)].T`` scores every query against every
-row it might see; row ``s32`` of ``S``, cut to the query's own prefix of
-``c = counts[j]`` entries, is that query's scan, and no row past the prefix
-is ever a candidate. With ``m = min(k, c)`` and ``kth`` the m-th largest of
+that query's turn came, since inserts only append. The float32 scan
+``S = matrix[:max(counts)] @ float32(Q).T`` scores every query against every
+row it might see. It is computed one block of ``SCAN_BLOCK_BYTES`` of rows at
+a time into one ``(rows, queries)`` buffer, so a block stays in cache while
+every query reads it; one whole-matrix product with a handful of queries
+measured about 1.5 times as slow in OpenBLAS. A batch of one query takes the
+whole matrix in one matrix-vector product, which beats blocks of it. Column
+``j`` of ``S``, cut to the query's own prefix of ``c = counts[j]`` entries, is
+that query's scan ``s32``, and no row past the prefix is ever a candidate.
+With ``m = min(k, c)`` and ``kth`` the m-th largest of
 ``s32``, every row with ``s32 >= kth - 2 * eps`` is a candidate, and only the
 candidates get their canonical score. A stable sort of the candidates by
 canonical score then gives the same ids, order and scores as a canonical
@@ -37,13 +42,15 @@ dim, ``tau = UNIT_NORM_TOLERANCE``, ``x`` a row with ``|x| <= 1 + tau``
 where ``u`` covers rounding ``q`` to float32, ``gamma_d = d*u / (1 - d*u)``
 covers the float32 product: d products and sums in any order, with or
 without FMA, including the rounding of the result. Each entry of ``S`` is
-such a length-d dot, whatever blocking, lane split or position the BLAS
-kernel gives it, so the bound holds entry by entry. ``d * 2**-53`` covers
-the float64 canonical score and ``d * 2**-148`` underflow. For ``d <= 2**20``,
-``gamma_d <= 1.07 * d * u``, so ``E < (1.1 * d + 2) * u``. With
-``eps = (d + 2) * 2**-23 = 2 * (d + 2) * u``, ``2 * eps`` exceeds ``2 * E``
-by more than the one rounding of ``kth - 2 * eps`` to float32 (at most
-``1.3 * u``), so the computed threshold is at most ``kth - 2 * E``.
+such a length-d dot, whatever row block it was computed in and whatever
+blocking, lane split or position the BLAS kernel gives it, so the bound
+holds entry by entry, and the results do not depend on the block size.
+``d * 2**-53`` covers the float64 canonical score and ``d * 2**-148``
+underflow. For ``d <= 2**20``, ``gamma_d <= 1.07 * d * u``, so
+``E < (1.1 * d + 2) * u``. With ``eps = (d + 2) * 2**-23 = 2 * (d + 2) * u``,
+``2 * eps`` exceeds ``2 * E`` by more than the one rounding of
+``kth - 2 * eps`` to float32 (at most ``1.3 * u``), so the computed
+threshold is at most ``kth - 2 * E``.
 
 Completeness. Among a query's ``c`` rows, let ``j`` be a row of the
 canonical top m and ``T`` the m rows with the largest ``s32``. If ``j`` is
@@ -96,6 +103,10 @@ _U16 = struct.Struct("<H")
 _PARTS_PER_WRITE = 4096
 
 UNIT_NORM_TOLERANCE = 1e-6
+# Rows per block of a batch scan: about 1.5 MiB of the matrix, which stays in
+# a 2 MiB per-core L2 while every query of the batch reads it; blocks of 0.75
+# to 6 MiB timed within about 10 % of each other at dim 384.
+SCAN_BLOCK_BYTES = 1536 * 1024
 
 
 def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
@@ -220,7 +231,9 @@ class FlatIndex:
         self, queries: Sequence[np.ndarray], k: int, counts: Sequence[int]
     ) -> list[list[ScoredChunk]]:
         """Exact top-k of each unit query (as ``unit_query`` returns it) over
-        the first ``counts[j]`` rows, all scored by one float32 product."""
+        the first ``counts[j]`` rows. Every query is scored against a block of
+        ``SCAN_BLOCK_BYTES`` of rows before the next block is read; one query
+        is scored against every row in one product."""
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         if len(queries) != len(counts):
@@ -236,9 +249,13 @@ class FlatIndex:
         q64 = np.asarray(queries, dtype=np.float64)
         if q64.shape != (len(counts), self.dim):
             raise ShapeError(f"queries of shape {q64.shape}, expected ({len(counts)}, {self.dim})")
-        scans = q64.astype(np.float32) @ matrix.T
+        q32t = q64.astype(np.float32).T
+        scans = np.empty((len(matrix), len(counts)), np.float32)
+        step = max(1, len(matrix) if len(counts) == 1 else SCAN_BLOCK_BYTES // (4 * self.dim))
+        for start in range(0, len(matrix), step):
+            np.matmul(matrix[start : start + step], q32t, out=scans[start : start + step])
         results = []
-        for q, scan, c in zip(q64, scans, counts):
+        for q, scan, c in zip(q64, scans.T, counts):
             scan = scan[:c]  # the rows this query may see
             m = min(k, c)
             if not m:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import re
 import struct
 import sys
@@ -239,6 +240,15 @@ def exact_chunk(chunk_id: str, vector: np.ndarray) -> EmbeddedChunk:
     return EmbeddedChunk(Chunk(chunk_id, "doc", 0, "xx", (0, 2)), vector.astype(np.float32))
 
 
+def tagged_index(rows: np.ndarray, keywords: list[str]) -> FlatIndex:
+    """An index of ``rows`` as chunks ``c0, c1, …``, inserted one batch per run
+    of equal keywords."""
+    index = FlatIndex(rows.shape[1])
+    for keyword, run in itertools.groupby(range(len(rows)), keywords.__getitem__):
+        index.insert([exact_chunk(f"c{i}", rows[i]) for i in run], keyword)
+    return index
+
+
 def index_file(dim: int, records) -> bytes:
     """The bytes of an index file of (id bytes, keyword bytes, components) records."""
     return struct.pack("<4sIIQ", b"RDRX", 1, dim, len(records)) + b"".join(
@@ -393,27 +403,64 @@ class TestCanonicalScores:
 
 
 class TestSearchBatch:
-    """One product scores a case's queries; each sees only its own row prefix."""
+    """A case's queries are scanned a block of rows at a time; each sees only
+    its own row prefix."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 17, 64, 384]),
-           n=st.integers(1, 300), n_queries=st.integers(1, 6), k=st.integers(1, 8))
-    def test_each_query_equals_a_search_of_its_prefix(self, seed, dim, n, n_queries, k):
+           n=st.integers(1, 300), n_queries=st.integers(1, 6), k=st.integers(1, 8),
+           block=st.integers(1, 40))
+    def test_each_query_equals_a_search_of_its_prefix(self, seed, dim, n, n_queries, k, block):
         rng = np.random.default_rng(seed)
-        counts = rng.integers(0, n + 1, size=n_queries).tolist()
+        # Half the counts anywhere, half one row before, at or after a block edge.
+        edges = block * rng.integers(0, n // block + 1, n_queries)
+        near_edge = edges + rng.integers(-1, 2, n_queries)
+        anywhere = rng.integers(0, n + 1, n_queries)
+        counts = np.clip(np.where(np.arange(n_queries) % 2, near_edge, anywhere), 0, n).tolist()
         tie = unit_rows(rng, 1, dim)[0].astype(np.float32)
         rows = unit_rows(rng, n, dim).astype(np.float32)
-        for c in counts:  # identical rows on both sides of every boundary
+        for c in [*counts, *range(block, n, block)]:  # identical rows across every boundary
             rows[max(c - 1, 0) : c + 1] = tie
+        width = int(rng.integers(1, 8))
+        keywords = [f"k{i // width}" for i in range(n)]
         queries = tie + 0.05 * rng.normal(size=(n_queries, dim))
-        index = FlatIndex(dim)
-        index.insert([exact_chunk(f"c{i}", row) for i, row in enumerate(rows)], "kw")
+        index = tagged_index(rows, keywords)
 
-        found = index.search_batch([index.unit_query(q) for q in queries], k, counts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "SCAN_BLOCK_BYTES", block * 4 * dim)
+            found = index.search_batch([index.unit_query(q) for q in queries], k, counts)
         for query, c, batch in zip(queries, counts, found):
-            prefix = FlatIndex(dim)
-            prefix.insert([exact_chunk(f"c{i}", row) for i, row in enumerate(rows[:c])], "kw")
+            prefix = tagged_index(rows[:c], keywords[:c])
             assert [(h.chunk_id, h.score, h.keyword) for h in batch] == hits(prefix, query, k)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_every_row_of_every_block_is_scanned(self, monkeypatch, block):
+        monkeypatch.setattr(index_module, "SCAN_BLOCK_BYTES", block * 4 * 8)
+        rng = np.random.default_rng(block)
+        for n in range(1, 3 * block + 2):
+            rows = unit_rows(rng, n, 8)
+            index = FlatIndex(8)
+            index.insert([exact_chunk(f"c{i}", row) for i, row in enumerate(rows)], "kw")
+            found = index.search_batch([index.unit_query(row) for row in rows], 1, [n] * n)
+            assert [batch[0].chunk_id for batch in found] == [f"c{i}" for i in range(n)]
+
+    def test_a_batch_scan_holds_one_float32_score_per_row_and_query(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((20_000, 384), dtype=np.float32)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        index = FlatIndex(384)
+        index.insert([exact_chunk(f"c{i}", row) for i, row in enumerate(rows)], "kw")
+        del rows
+        units = [index.unit_query(q) for q in rng.normal(size=(5, 384))]
+        expected = index.search_batch(units, 5, [index.count] * 5)
+        tracemalloc.start()
+        try:
+            found = index.search_batch(units, 5, [index.count] * 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == expected
+        assert peak < 20_000 * 5 * 4 + 2**20  # a float64 or whole-matrix copy: 30 MB or more
 
     def test_empty_batch_returns_nothing(self):
         assert FlatIndex(4).search_batch([], 5, []) == []
@@ -433,7 +480,8 @@ class TestSearchBatch:
 
 
 class TestConcurrency:
-    def test_searches_during_growing_inserts_see_only_committed_rows(self):
+    def test_searches_during_growing_inserts_see_only_committed_rows(self, monkeypatch):
+        monkeypatch.setattr(index_module, "SCAN_BLOCK_BYTES", 3 * 4 * 8)  # 3-row blocks
         rng = np.random.default_rng(21)
         chunks = [unit_chunk(f"c{i}", row) for i, row in enumerate(unit_rows(rng, 600, 8))]
         vectors = {c.chunk.chunk_id: c.vector.astype(np.float64) for c in chunks}
@@ -447,19 +495,29 @@ class TestConcurrency:
             for start in range(150 * w, 150 * (w + 1), 5):
                 index.insert(chunks[start : start + 5], f"w{w}")
 
+        def check(found, unit, seen):
+            scores = [h.score for h in found]
+            if scores != sorted(scores, reverse=True):
+                errors.append(f"unsorted scores {scores}")
+            for h in found:
+                if abs(h.score - float(vectors[h.chunk_id] @ unit)) > 1e-9:
+                    errors.append(f"{h.chunk_id} scored {h.score}")
+                if h.keyword != owner[h.chunk_id]:
+                    errors.append(f"{h.chunk_id} tagged {h.keyword}")
+                if h.chunk_id not in seen:
+                    errors.append(f"{h.chunk_id} is past its query's prefix")
+
         def reader():
+            units = [index.unit_query(q) for q in queries]
             while not writers_done.is_set():
-                for query in queries:
-                    unit = query / np.linalg.norm(query)
-                    found = index.search_top_k(query, 7)
-                    scores = [h.score for h in found]
-                    if scores != sorted(scores, reverse=True):
-                        errors.append(f"unsorted scores {scores}")
-                    for h in found:
-                        if abs(h.score - float(vectors[h.chunk_id] @ unit)) > 1e-9:
-                            errors.append(f"{h.chunk_id} scored {h.score}")
-                        if h.keyword != owner[h.chunk_id]:
-                            errors.append(f"{h.chunk_id} tagged {h.keyword}")
+                for query, unit in zip(queries, units):
+                    check(index.search_top_k(query, 7), unit, set(index.chunk_ids()))
+                n = index.count
+                counts = [n, n * 3 // 4, n // 2, max(n - 4, 0)]
+                found = index.search_batch(units, 7, counts)
+                order = index.chunk_ids()
+                for unit, c, batch in zip(units, counts, found):
+                    check(batch, unit, set(order[:c]))
 
         writers = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
         readers = [threading.Thread(target=reader) for _ in range(3)]
