@@ -11,7 +11,9 @@ blocked scan of the rows, against `test_five_searches`, five `search_top_k`
 calls on the same queries; `test_search_batch_two_threads` runs two such
 batches at once, as two pipeline workers do. `test_search_identical_rows` is
 the search's worst case: every row ties, so every row is a candidate for
-rescoring. `test_load` records in ``extra_info`` the load's transient peak
+rescoring. `test_save` removes the file before each round, so every round
+encodes every row: a save onto the file it last wrote would copy its
+records instead. `test_load` records in ``extra_info`` the load's transient peak
 under `tracemalloc`: the most it held at once beyond what the loaded index
 keeps.
 """
@@ -93,7 +95,13 @@ def test_search_batch_two_threads(benchmark, index, queries):
 
 
 def test_save(benchmark, index, tmp_path):
-    benchmark.pedantic(index.save, args=(tmp_path / "index.rdrx",), rounds=5, warmup_rounds=1)
+    path = tmp_path / "index.rdrx"
+
+    def no_file():
+        path.unlink(missing_ok=True)
+        return (path,), {}
+
+    benchmark.pedantic(index.save, setup=no_file, rounds=5, warmup_rounds=1)
 
 
 def test_load(benchmark, index, tmp_path):

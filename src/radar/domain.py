@@ -9,10 +9,12 @@ only the semantic checks (non-empty, ranges, ordering, counts).
 """
 from __future__ import annotations
 
+import contextlib
 import difflib
 import functools
 import json
 import os
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -282,6 +284,9 @@ def walk_files(root: str | Path, digest: Any = None) -> Iterator[tuple[str, byte
 
 COPY_BUFFER_BYTES = 1 << 20  # a copy holds at most this much of a file in memory
 
+_UMASK = os.umask(0o022)  # os reads the umask only by setting it, so restore it at once
+os.umask(_UMASK)
+
 
 def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
@@ -317,25 +322,69 @@ class FileMark:
             return None
         return fh
 
-    def moved_to(self, path: str | Path) -> "FileMark | None":
-        """This mark for ``path``, if the marked file now lives there; else None."""
-        try:
-            key = _stat_key(os.stat(path))
-        except OSError:
-            return None
-        return FileMark(Path(path), key) if key == self.key else None
 
-
-def copy_range(src: BinaryIO, start: int, end: int, dst: BinaryIO, buf: bytearray) -> None:
-    """Write bytes ``[start, end)`` of ``src`` to ``dst``, a buffer ``buf`` at a time."""
+def copy_range(src: BinaryIO, start: int, end: int, dst: BinaryIO) -> None:
+    """Write bytes ``[start, end)`` of ``src`` to ``dst``, ``COPY_BUFFER_BYTES`` at a time."""
     src.seek(start)
-    view = memoryview(buf)
+    buf = memoryview(bytearray(min(end - start, COPY_BUFFER_BYTES)))
     while start < end:
-        n = src.readinto(view[: end - start])
+        n = src.readinto(buf[: end - start])
         if not n:
             raise OSError(f"{src.name} ended at byte {start}, before byte {end}")
-        dst.write(view[:n])
+        dst.write(buf[:n])
         start += n
+
+
+def write_pieces(fh: BinaryIO, src: BinaryIO | None,
+                 pieces: Iterator[bytes | tuple[int, int]]) -> None:
+    """Write ``pieces`` to ``fh`` in order: a ``bytes`` piece as it is, a
+    ``(start, end)`` piece as those bytes of ``src``. Ranges that touch are
+    copied as one."""
+    start = end = 0  # the range of src not yet copied
+    for piece in pieces:
+        if type(piece) is bytes:
+            if start < end:
+                copy_range(src, start, end, fh)
+            start = end = 0
+            fh.write(piece)
+            del piece  # freed before the next piece is made
+        elif piece[0] == end:
+            end = piece[1]
+        else:
+            if start < end:
+                copy_range(src, start, end, fh)
+            start, end = piece
+    if start < end:
+        copy_range(src, start, end, fh)
+
+
+def replace_file(path: str | Path, write: Callable[[BinaryIO, BinaryIO | None], Any],
+                 old: FileMark | None = None) -> FileMark:
+    """Replace file ``path`` whole with what ``write(fh, src)`` writes to ``fh``,
+    a fresh temporary file beside it; returns the new file's mark.
+
+    ``src`` is the file ``old`` marks, open for reading, if it is still on
+    disk unchanged, else None; it is opened before the move, so ``old`` may
+    mark ``path`` itself. Readers of ``path`` see the old file or the whole
+    new one, never part of it, and a write that fails leaves no temporary
+    file behind. The move keeps the inode, size and mtime the mark holds.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        src = old.open() if old is not None else None
+        # Written through mkstemp's descriptor: reopened with O_TRUNC, the file
+        # would be flushed to disk at close on ext4.
+        with src or contextlib.nullcontext(), open(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp's 0600 becomes what a plain open gives
+            write(fh, src)
+            fh.flush()
+            mark = FileMark.of(path, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return mark
 
 
 def read_marked(path: str | Path, error: type[RadarError]) -> tuple[bytes, FileMark]:

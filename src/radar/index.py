@@ -75,18 +75,17 @@ File format (all integers little-endian):
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .chunking import EmbeddedChunk
-from .domain import COPY_BUFFER_BYTES, FileMark, copy_range
+from .domain import COPY_BUFFER_BYTES, FileMark, replace_file, write_pieces
 from .errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -100,7 +99,6 @@ MAGIC = b"RDRX"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _U16 = struct.Struct("<H")
-_PARTS_PER_WRITE = 4096
 
 UNIT_NORM_TOLERANCE = 1e-6
 # Rows per block of a batch scan: about 1.5 MiB of the matrix, which stays in
@@ -281,54 +279,41 @@ class FlatIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the index to ``path``, in proportion to the rows added since
-        the file this index last loaded or wrote.
+        """Replace the file at ``path`` whole with the index, in proportion to
+        the rows added since the file this index last loaded or wrote.
 
         Inserts only append, so when that file is still on disk unchanged
-        (its ``FileMark``) its record region is copied whole, a buffer at a
-        time, and only the later rows are encoded. Any other case, such as
-        a first save or a file replaced since, encodes every row. The bytes
-        are the same either way.
+        (its ``FileMark``), even at ``path`` itself, its record region is
+        copied whole, a buffer at a time, and only the later rows are
+        encoded. Any other case, such as a first save or a file replaced
+        since, encodes every row. The bytes are the same either way.
         """
-        path = Path(path)
-        vec_bytes = 4 * self.dim
         with self._lock:  # rows [0, n) never change; later ones are not written
             n = len(self._ids)
             ids, keywords = self._ids, self._keywords
             vectors = memoryview(self._matrix[:n].reshape(-1)).cast("B")
-        on_disk = self._on_disk
-        with path.open("wb") as fh:
-            # Opened after the destination, so a save onto the marked file
-            # itself finds it emptied and copies nothing.
-            old = on_disk[0].open() if on_disk else None
-            with old or contextlib.nullcontext():
-                fh.write(_HEADER.pack(MAGIC, VERSION, self.dim, n))
-                if old is not None:
-                    copy_range(old, _HEADER.size, on_disk[0].size, fh, bytearray(COPY_BUFFER_BYTES))
-            first = on_disk[1] if old is not None else 0
-            parts = []
-            for i in range(first, n):
-                cid_b = ids[i].encode("utf-8")
-                kw_b = keywords[i].encode("utf-8")
-                parts.append(_U16.pack(len(cid_b)))
-                parts.append(cid_b)
-                parts.append(_U16.pack(len(kw_b)))
-                parts.append(kw_b)
-                parts.append(vectors[i * vec_bytes : (i + 1) * vec_bytes])
-                # Joined a batch at a time: one whole-file join would hold the
-                # file twice in memory, and single small writes cost more.
-                if len(parts) >= _PARTS_PER_WRITE:
-                    fh.write(b"".join(parts))
-                    parts.clear()
-            fh.write(b"".join(parts))
-            fh.flush()
-            self._on_disk = (FileMark.of(path, fh), n)
+        mark, rows = self._on_disk or (None, 0)
+        vec_bytes = 4 * self.dim
 
-    def renamed(self, path: str | Path) -> None:
-        """Note that the file ``save`` last wrote was moved, whole, to ``path``."""
-        if self._on_disk is not None:
-            mark = self._on_disk[0].moved_to(path)
-            self._on_disk = None if mark is None else (mark, self._on_disk[1])
+        def pieces(copied: bool) -> Iterator[bytes | tuple[int, int]]:
+            yield _HEADER.pack(MAGIC, VERSION, self.dim, n)
+            if copied:
+                yield (_HEADER.size, mark.size)
+            # Records are joined a quarter buffer at a time: a write per record
+            # costs more, a whole-file join would hold the file twice in
+            # memory, and the first piece waits while the range before it is
+            # copied, a buffer at a time.
+            per_piece = COPY_BUFFER_BYTES // (4 * vec_bytes) + 1
+            for start in range(rows if copied else 0, n, per_piece):
+                parts = []
+                for i in range(start, min(n, start + per_piece)):
+                    cid_b, kw_b = ids[i].encode("utf-8"), keywords[i].encode("utf-8")
+                    parts += (_U16.pack(len(cid_b)), cid_b, _U16.pack(len(kw_b)), kw_b,
+                              vectors[i * vec_bytes : (i + 1) * vec_bytes])
+                yield b"".join(parts)
+
+        self._on_disk = (replace_file(
+            path, lambda fh, src: write_pieces(fh, src, pieces(src is not None)), mark), n)
 
     @classmethod
     def load(cls, path: str | Path) -> "FlatIndex":

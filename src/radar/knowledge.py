@@ -11,13 +11,11 @@ Each chunk's text lives once, in its stored document: the chunk id
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
 import os
 import re
-import tempfile
 import threading
 import time
 from array import array
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Any, Callable, Protocol, TypeVar
+from typing import Any, Callable, Iterator, Protocol
 from urllib.parse import quote, urljoin
 
 import requests
@@ -42,16 +40,16 @@ from .chunking import (
     window_count,
 )
 from .domain import (
-    COPY_BUFFER_BYTES,
     FileMark,
     canonical_fold,
-    copy_range,
     decode,
     encode,
     parse_json,
     read_json,
     read_marked,
+    replace_file,
     walk_files,
+    write_pieces,
 )
 from .errors import (
     ConfigError,
@@ -76,31 +74,7 @@ INDEX_FILENAME = "index.rdrx"
 DOCS_FILENAME = "documents.json"
 META_FILENAME = "meta.json"
 
-T = TypeVar("T")
-
 _ORDINAL = re.compile(r"0|[1-9][0-9]*")  # canonical decimal, ASCII digits only
-
-_UMASK = os.umask(0o022)  # os reads the umask only by setting it, so restore it at once
-os.umask(_UMASK)
-
-
-def _write_replacing(path: Path, write: Callable[[Path], T]) -> T:
-    """Run ``write`` on a fresh temporary file beside ``path``, then move it
-    there; returns what ``write`` returned.
-
-    Readers of ``path`` see the old file or the whole new one, never part of
-    it; a write that fails leaves no temporary file behind.
-    """
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        os.chmod(tmp, 0o666 & ~_UMASK)  # mkstemp's 0600 becomes what a plain open gives
-        written = write(Path(tmp))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return written
 
 
 # documents.json is one JSON object, as ``json.dumps(docs, sort_keys=True,
@@ -276,7 +250,7 @@ class KnowledgeBase:
         self.fetched_keywords: set[str] = set()
         self.fetch_log: list[FetchLogEntry] = []
         self._saved_in: Path | None = None  # the store directory that holds all of this store
-        self._docs_on_disk: tuple[FileMark, _Spans] | None = None  # for _write_documents
+        self._docs_on_disk: tuple[FileMark, _Spans] | None = None  # for _document_pieces
         self._state_lock = threading.Lock()
         self._keyword_locks: dict[str, threading.Lock] = {}
 
@@ -404,61 +378,49 @@ class KnowledgeBase:
         if store_dir == self._saved_in:
             return
         store_dir.mkdir(parents=True, exist_ok=True)
-        docs_path = store_dir / DOCS_FILENAME
-        mark, spans = _write_replacing(docs_path, self._write_documents)
-        mark = mark.moved_to(docs_path)
-        self._docs_on_disk = None if mark is None else (mark, spans)
-        _write_replacing(store_dir / INDEX_FILENAME, self.index.save)
-        self.index.renamed(store_dir / INDEX_FILENAME)
+        old, spans = self._docs_on_disk or (None, None)
+        written: _Spans = ([], array("q"))
+        mark = replace_file(store_dir / DOCS_FILENAME, lambda fh, src: write_pieces(
+            fh, src, self._document_pieces(spans if src else None, written)), old)
+        self._docs_on_disk = (mark, written)
+        self.index.save(store_dir / INDEX_FILENAME)
         meta = encode(StoreMeta(self.chunk_chars, self.overlap_chars,
                                 tuple(sorted(self.fetched_keywords)), tuple(self.fetch_log)))
-        _write_replacing(store_dir / META_FILENAME,
-                         lambda p: p.write_text(json.dumps(meta, sort_keys=True), "utf-8"))
+        replace_file(store_dir / META_FILENAME,
+                     lambda fh, _: fh.write(json.dumps(meta, sort_keys=True).encode("utf-8")))
         self._saved_in = store_dir
 
-    def _write_documents(self, path: Path) -> tuple[FileMark, _Spans]:
-        """Write documents.json to ``path``; returns its mark and item spans.
+    def _document_pieces(self, old: _Spans | None,
+                         written: _Spans) -> Iterator[bytes | tuple[int, int]]:
+        """documents.json as pieces for `write_pieces`, with ``old`` the item
+        spans of the file copied from, if any; the new file's item spans are
+        appended to ``written``.
 
-        Each maximal run of items that are adjacent in the marked file is
-        copied from it; the items between are encoded.
+        An item ``old`` holds is copied, with the ", " before it when the old
+        file has one there, so that adjacent old items make one range; every
+        other item is encoded.
         """
-        ids: list[str] = []
-        bounds = array("q")
-        on_disk = self._docs_on_disk
-        with path.open("wb") as fh:
-            old = on_disk[0].open() if on_disk else None
-            with old or contextlib.nullcontext():
-                old_ids, old_bounds = on_disk[1] if old is not None else ([], array("q"))
-                buf = bytearray(COPY_BUFFER_BYTES) if old is not None else None
-                fh.write(b"{")
-                at = 1  # the file's length once the pending run is copied
-                run: list[int] | None = None  # [start, end) of old bytes not yet copied
-                next_old = 0  # old_ids[next_old] is the next old item; both walks are sorted
-                for doc_id, doc in sorted(self.doc_store.items()):
-                    start = at + 2 if at > 1 else at
-                    span = None
-                    if next_old < len(old_ids) and old_ids[next_old] == doc_id:
-                        span = old_bounds[2 * next_old : 2 * next_old + 2]
-                        next_old += 1
-                    if run is not None and span is not None and span[0] == run[1] + 2:
-                        run[1] = span[1]  # the old file's next item: the run grows
-                    else:
-                        if run is not None:
-                            copy_range(old, run[0], run[1], fh, buf)
-                        if at > 1:
-                            fh.write(b", ")
-                        run = None if span is None else list(span)
-                        if span is None:
-                            item = _ENCODER.encode({doc_id: doc.to_dict()})[1:-1].encode("utf-8")
-                            fh.write(item)
-                    at = start + (len(item) if span is None else span[1] - span[0])
-                    ids.append(doc_id)
-                    bounds.extend((start, at))
-                if run is not None:
-                    copy_range(old, run[0], run[1], fh, buf)
-            fh.write(b"}")
-            fh.flush()
-            return FileMark.of(path, fh), (ids, bounds)
+        old_ids, old_bounds = old or ([], array("q"))
+        ids, bounds = written
+        next_old = 0  # old_ids[next_old] is the next old item; both walks are sorted
+        yield b"{"
+        for doc_id, doc in sorted(self.doc_store.items()):
+            at, sep = (bounds[-1] + 2, b", ") if ids else (1, b"")  # where the item starts
+            if next_old < len(old_ids) and old_ids[next_old] == doc_id:
+                start, end = old_bounds[2 * next_old : 2 * next_old + 2]
+                next_old += 1
+                bounds.extend((at, at + end - start))
+                if sep and start > 1:  # copied with the ", " before it
+                    start, sep = start - 2, b""
+                item: bytes | tuple[int, int] = (start, end)
+            else:
+                item = _ENCODER.encode({doc_id: doc.to_dict()})[1:-1].encode("utf-8")
+                bounds.extend((at, at + len(item)))
+            if sep:
+                yield sep
+            yield item
+            ids.append(doc_id)
+        yield b"}"
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
@@ -671,7 +633,7 @@ class LiveSource:
         if resp.status_code != 200:
             raise FetchError(f"GET {url} answered {resp.status_code}")
         if cached:
-            _write_replacing(cached, lambda p: p.write_text(resp.text, "utf-8"))
+            replace_file(cached, lambda fh, _: fh.write(resp.text.encode("utf-8")))
         return resp.text
 
     def _result_links(self, html: str, path_prefix: str) -> list[str]:

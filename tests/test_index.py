@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radar import domain
 from radar import index as index_module
 from radar.chunking import Chunk, EmbeddedChunk
 from radar.errors import (
@@ -590,6 +591,54 @@ class TestPersistence:
         second = tmp_path / "again.rdrx"
         loaded.save(second)
         assert second.read_bytes() == path.read_bytes()
+
+    def test_a_save_onto_the_loaded_file_copies_its_records(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.rdrx"
+        self._sample_index().save(path)
+        old_size = path.stat().st_size
+        loaded = FlatIndex.load(path)
+        loaded.insert([unit_chunk("delta", [1, -1, 1, -1])], "astrocytoma")
+        copied, real_copy_range = [], domain.copy_range
+
+        def spy_copy_range(src, start, end, dst):
+            copied.append((start, end))
+            return real_copy_range(src, start, end, dst)
+
+        monkeypatch.setattr(domain, "copy_range", spy_copy_range)
+        loaded.save(path)
+        full = self._sample_index()
+        full.insert([unit_chunk("delta", [1, -1, 1, -1])], "astrocytoma")
+        full.save(tmp_path / "full.rdrx")
+        assert copied == [(20, old_size)]
+        assert path.read_bytes() == (tmp_path / "full.rdrx").read_bytes()
+
+    @pytest.mark.parametrize("dies_in", ["copy_range", "write_pieces"])
+    def test_a_save_that_dies_leaves_the_file_at_its_path(self, tmp_path, monkeypatch, dies_in):
+        path = tmp_path / "index.rdrx"
+        index = self._sample_index()
+        index.save(path)
+        before = path.read_bytes()
+        if dies_in == "write_pieces":
+            index = self._sample_index()  # it never wrote path, so it encodes every row
+        index.insert([unit_chunk("delta", [1, -1, 1, -1])], "astrocytoma")
+        real_copy_range, real_write_pieces = domain.copy_range, index_module.write_pieces
+
+        def copy_then_die(src, start, end, dst):
+            real_copy_range(src, start, start + 1, dst)
+            raise OSError("died mid-copy")
+
+        def write_then_die(fh, src, pieces):
+            real_write_pieces(fh, src, itertools.islice(pieces, 2))
+            raise OSError("died mid-write")
+
+        if dies_in == "copy_range":
+            monkeypatch.setattr(domain, "copy_range", copy_then_die)
+        else:
+            monkeypatch.setattr(index_module, "write_pieces", write_then_die)
+        with pytest.raises(OSError, match="died"):
+            index.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.rdrx"

@@ -15,8 +15,8 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radar import domain, knowledge
 from radar import index as index_module
-from radar import knowledge
 from radar.chunking import Chunk, Document, EmbeddedChunk, Section, segment
 from radar.errors import (
     ConfigError,
@@ -598,18 +598,7 @@ class TestPersistence:
         kb.save(store)
         first_rows = kb.index.count
         kb.lookup_or_fetch("tuberous sclerosis", FixtureSource(corpus_dir), EMBEDDER)
-        if dies == "index.rdrx":
-            real_save = FlatIndex.save
-
-            def save_half(index, path):
-                real_save(index, path)
-                data = pathlib.Path(path).read_bytes()
-                pathlib.Path(path).write_bytes(data[: len(data) // 2])
-                raise OSError("died mid-write")
-
-            monkeypatch.setattr(FlatIndex, "save", save_half)
-        else:
-            _die_writing(monkeypatch, lambda path: path.name.startswith(dies))
+        _die_writing(monkeypatch, lambda path: path.name == dies)
         with pytest.raises(OSError, match="died"):
             kb.save(store)
         monkeypatch.undo()
@@ -667,7 +656,7 @@ class TestPersistence:
     def test_a_save_that_died_is_written_again(self, tmp_path, corpus_dir, monkeypatch):
         kb, store = self._fetched_store(tmp_path, corpus_dir)
         kb.lookup_or_fetch("tuberous sclerosis", FixtureSource(corpus_dir), EMBEDDER)
-        _die_writing(monkeypatch, lambda path: path.name.startswith("meta.json"))
+        _die_writing(monkeypatch, lambda path: path.name == "meta.json")
         with pytest.raises(OSError, match="died"):
             kb.save(store)
         monkeypatch.undo()
@@ -716,19 +705,18 @@ class _SaveSpy:
 
     def __init__(self, monkeypatch):
         self.encoded, self.copied = [], []
-        to_dict, copy_range = Document.to_dict, knowledge.copy_range
+        to_dict, copy_range = Document.to_dict, domain.copy_range
 
         def spy_to_dict(doc):
             self.encoded.append(doc.doc_id)
             return to_dict(doc)
 
-        def spy_copy_range(src, start, end, dst, buf):
+        def spy_copy_range(src, start, end, dst):
             self.copied.append((pathlib.Path(src.name).name, start, end))
-            return copy_range(src, start, end, dst, buf)
+            return copy_range(src, start, end, dst)
 
         monkeypatch.setattr(Document, "to_dict", spy_to_dict)
-        monkeypatch.setattr(knowledge, "copy_range", spy_copy_range)
-        monkeypatch.setattr(index_module, "copy_range", spy_copy_range)
+        monkeypatch.setattr(domain, "copy_range", spy_copy_range)
 
     def clear(self):
         self.encoded.clear()
@@ -769,18 +757,21 @@ class TestProportionalSave:
             kb.save(store)
             assert sorted(spy.encoded) == sorted(ids)
             assert spy.copied_from("index.rdrx") == [(20, index_size)]
-            assert len(spy.copied_from("documents.json")) >= 2  # new ids split the old items
+            # New ids split the old items; each run of old items between them is one copy.
+            assert 2 <= len(spy.copied_from("documents.json")) <= len(ids) + 1
             assert _store_bytes(store) == _full_save(kb, tmp_path / f"full-{n}")
             assert KnowledgeBase.load(store).doc_store == kb.doc_store
 
-    def test_an_item_under_another_documents_key_is_not_copied_for_that_key(self, tmp_path):
+    @pytest.mark.parametrize("key", ["c", "a"], ids=["between", "first"])
+    def test_an_item_under_another_documents_key_is_not_copied_for_that_key(self, tmp_path,
+                                                                             key):
         store = tmp_path / "store"
         kb = fresh_kb()
         kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
         kb.save(store)
         path = store / "documents.json"
         docs = json.loads(path.read_text("utf-8"))
-        path.write_text(json.dumps({**docs, "c": {**docs["b"], "doc_id": "zz"}}, sort_keys=True,
+        path.write_text(json.dumps({**docs, key: {**docs["b"], "doc_id": "zz"}}, sort_keys=True,
                                    ensure_ascii=False), "utf-8")  # save's layout
         loaded = KnowledgeBase.load(store)
         loaded.ingest("second", _batch(["c"]), EMBEDDER)
@@ -808,16 +799,17 @@ class TestProportionalSave:
         ("documents.json", lambda p: p.write_text(json.dumps(json.loads(p.read_text("utf-8")),
                                                              indent=1), "utf-8")),
         ("index.rdrx", lambda p: os.utime(p, ns=(1_000_000_000, 1_000_000_000))),
-        ("index.rdrx", lambda p: knowledge._write_replacing(p, lambda tmp: tmp.write_bytes(
-            p.read_bytes()))),
+        ("index.rdrx", lambda p: domain.replace_file(p, lambda fh, _: fh.write(p.read_bytes()))),
     ], ids=["documents-touched", "documents-redumped", "index-touched", "index-replaced"])
+    @pytest.mark.parametrize("marked_by", ["load", "save"])
     def test_a_file_changed_since_the_load_is_not_copied(self, tmp_path, monkeypatch, name,
-                                                          change):
+                                                          change, marked_by):
         store = tmp_path / "store"
         kb = fresh_kb()
         kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
         kb.save(store)
-        kb = KnowledgeBase.load(store)
+        if marked_by == "load":
+            kb = KnowledgeBase.load(store)
         change(store / name)
         kb.ingest("second", _batch(["a", "c"]), EMBEDDER)
         spy = _SaveSpy(monkeypatch)
@@ -1105,21 +1097,21 @@ class TestLiveSource:
 
 
 def _die_writing(monkeypatch, matches):
-    """Make each write to a matching temporary path of ``_write_replacing``
-    leave half its bytes, then raise, however the file was written."""
-    real_write_replacing = knowledge._write_replacing
+    """Make each ``replace_file`` of a matching path leave half the bytes
+    written to its temporary file, then raise, however the file was written."""
+    real_replace_file = domain.replace_file
 
-    def write_replacing(path, write):
-        def write_half(tmp):
-            written = write(tmp)
-            if matches(tmp):
-                tmp.write_bytes(tmp.read_bytes()[: tmp.stat().st_size // 2])
-                raise OSError(f"died mid-write of {tmp.name}")
-            return written
+    def replace_file(path, write, old=None):
+        def write_half(fh, src):
+            write(fh, src)
+            if matches(pathlib.Path(path)):
+                fh.truncate(fh.tell() // 2)
+                raise OSError(f"died mid-write of {path}")
 
-        return real_write_replacing(path, write_half)
+        return real_replace_file(path, write_half, old)
 
-    monkeypatch.setattr(knowledge, "_write_replacing", write_replacing)
+    monkeypatch.setattr(knowledge, "replace_file", replace_file)
+    monkeypatch.setattr(index_module, "replace_file", replace_file)
 
 
 def _run_threads(targets, timeout_s=30):
