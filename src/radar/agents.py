@@ -86,6 +86,9 @@ _ROLE_PRESETS: dict[AgentRole, tuple[float, float, str]] = {
 TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
+
+
 class TemplateRegistry:
     """The prompt templates of one directory of .txt files, read whole when built.
 
@@ -118,10 +121,11 @@ class TemplateRegistry:
         return self._texts[template_id]
 
     def render(self, template_id: str, **fields: str) -> str:
-        text = self.get(template_id)
-        for name, value in fields.items():
-            text = text.replace("{%s}" % name, str(value))
-        return text
+        """Fill every ``{name}`` given in ``fields`` in one pass, so a
+        placeholder inside a substituted value is left as written."""
+        return _PLACEHOLDER_RE.sub(
+            lambda m: str(fields[m[1]]) if m[1] in fields else m[0], self.get(template_id)
+        )
 
 
 PACKAGED_TEMPLATES = TemplateRegistry()
@@ -157,7 +161,7 @@ def _extract_json(text: str) -> tuple[Any, int]:
         inner = match.group(1).strip()
         try:
             return json.loads(inner), match.start(1)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # also a too-long integer or too-deep nesting
             continue
     decoder = json.JSONDecoder()
     for pos, ch in enumerate(text):
@@ -165,7 +169,7 @@ def _extract_json(text: str) -> tuple[Any, int]:
             try:
                 value, _ = decoder.raw_decode(text[pos:])
                 return value, pos
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 continue
     raise ParseError(f"no JSON object or array found in reply of {len(text)} chars")
 

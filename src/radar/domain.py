@@ -14,7 +14,6 @@ import difflib
 import functools
 import json
 import os
-import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -284,9 +283,6 @@ def walk_files(root: str | Path, digest: Any = None) -> Iterator[tuple[str, byte
 
 COPY_BUFFER_BYTES = 1 << 20  # a copy holds at most this much of a file in memory
 
-_UMASK = os.umask(0o022)  # os reads the umask only by setting it, so restore it at once
-os.umask(_UMASK)
-
 
 def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
@@ -370,13 +366,14 @@ def replace_file(path: str | Path, write: Callable[[BinaryIO, BinaryIO | None], 
     file behind. The move keeps the inode, size and mtime the mark holds.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # Created as a plain open creates a file, so the umask in force applies.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         src = old.open() if old is not None else None
-        # Written through mkstemp's descriptor: reopened with O_TRUNC, the file
+        # Written through this descriptor: reopened with O_TRUNC, the file
         # would be flushed to disk at close on ext4.
         with src or contextlib.nullcontext(), open(fd, "wb") as fh:
-            os.fchmod(fd, 0o666 & ~_UMASK)  # mkstemp's 0600 becomes what a plain open gives
             write(fh, src)
             fh.flush()
             mark = FileMark.of(path, fh)

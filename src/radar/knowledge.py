@@ -96,12 +96,10 @@ def _item_spans(text: str) -> tuple[dict[str, Any], array] | None:
 
     Text in that layout that is not valid JSON raises ``ValueError``.
     """
-    items: dict[str, Any] = {}
-    bounds = array("q")
-    if text == "{}":
-        return items, bounds
     if not text.startswith('{"'):
         return None
+    items: dict[str, Any] = {}
+    bounds = array("q")
     start, last = 1, None
     while True:
         key, end = json.decoder.scanstring(text, start + 1)

@@ -392,7 +392,7 @@ class _JsonEndpoint:
                 raise ProviderError(f"{self.url} answered {resp.status_code}: {resp.text[:200]}")
             try:
                 body = resp.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # also too-deep nesting
                 raise ProviderError(f"{self.url} returned a non-JSON payload") from exc
             if not isinstance(body, dict):
                 raise ProviderError(f"{self.url} returned a non-object payload")

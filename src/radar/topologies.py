@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
@@ -371,23 +370,12 @@ def run_challenger(
 # Retrieval-augmented pipeline
 # ---------------------------------------------------------------------------
 
-_branches: ThreadPoolExecutor | None = None
-_branches_lock = threading.Lock()
-
-
-def _branch_pool() -> ThreadPoolExecutor:
-    """The process-wide pool that runs every case's independent agent calls.
-
-    Created on first use and shared by all cases, so no case pays for thread
-    start-up. Branch tasks only call the model and never wait on other
-    branch tasks, so the bounded pool cannot deadlock; calls beyond the cap
-    queue.
-    """
-    global _branches
-    with _branches_lock:
-        if _branches is None:
-            _branches = ThreadPoolExecutor(MAX_CONCURRENT_CALLS, thread_name_prefix="radar-branch")
-        return _branches
+# The process-wide pool that runs every case's independent agent calls. It
+# starts a thread only when a call finds none idle, and all cases share it,
+# so no case pays for thread start-up. Branch tasks only call the model and
+# never wait on other branch tasks, so the bounded pool cannot deadlock;
+# calls beyond the cap queue.
+_BRANCHES = ThreadPoolExecutor(MAX_CONCURRENT_CALLS, thread_name_prefix="radar-branch")
 
 
 @dataclass(frozen=True)
@@ -459,14 +447,13 @@ def run_radar(
     query_cfg = role_cfg(AgentRole.QUERY_GENERATOR)
     answer_cfg = role_cfg(AgentRole.ANSWER_GENERATOR)
     final_cfg = role_cfg(AgentRole.FINAL_DOCTOR)
-    pool = _branch_pool()
 
     def submit(kind: str, role: AgentRole, call, part: RunTrace | None = None) -> _Stage:
         """Run ``call(part, on_step)`` on the branch pool, recording into ``part``."""
         if part is None:
             part = RunTrace(trace.trace_id, trace.topology, trace.case_id)
         on_step = functools.partial(part.add, kind, role.value)
-        return _Stage(kind, role, part, pool.submit(call, part, on_step))
+        return _Stage(kind, role, part, _BRANCHES.submit(call, part, on_step))
 
     def ask_candidates(part: RunTrace, on_step) -> CandidateList:
         candidates = initial_diagnosis(providers.chat, init_cfg, case, templates, on_step)

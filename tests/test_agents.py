@@ -264,6 +264,17 @@ class TestTemplateRegistry:
         assert "CLINICAL-Y" in rendered
         assert '{"candidates"' in rendered  # JSON braces untouched
 
+    @pytest.mark.parametrize("template_id, fields, pasted", [
+        ("doctor_revise", {"caption": "lesion {critique}", "clinical_data": "none",
+                           "draft": "DRAFT", "critique": "CRITIQUE"}, "lesion {critique}"),
+        ("answer_generator", {"question": "what do {chunks} show?", "chunks": "CHUNKS"},
+         "what do {chunks} show?"),
+    ], ids=["caption", "question"])
+    def test_a_placeholder_inside_a_value_is_left_as_written(self, template_id, fields, pasted):
+        rendered = PACKAGED_TEMPLATES.render(template_id, **fields)
+        assert pasted in rendered
+        assert rendered.count(fields[list(fields)[-1]]) == 1
+
     def test_missing_template(self):
         with pytest.raises(ConfigError):
             PACKAGED_TEMPLATES.get("does_not_exist")
@@ -316,6 +327,14 @@ class TestInitialDiagnosis:
             initial_diagnosis(provider, config_for_role(AgentRole.INITIAL_DOCTOR), make_case())
         assert provider.calls == 3  # 1 + max_retries re-asks
         assert exc_info.value.raw == short
+
+    @pytest.mark.parametrize("reply", ["[" * 1500, "[" + "1" * 5000 + "]"],
+                             ids=["too-deep", "too-long-integer"])
+    def test_a_reply_json_cannot_decode_is_re_asked(self, reply):
+        provider = ScriptedChatProvider([reply, ten_candidates_json()])
+        result = initial_diagnosis(provider, config_for_role(AgentRole.INITIAL_DOCTOR), make_case())
+        assert provider.calls == 2
+        assert list(result.candidates) == TEN
 
     def test_folded_duplicates_trigger_retry_then_success(self):
         duped = json.dumps({"candidates": ["glioma", "Glioma"] + TEN[2:]})

@@ -6,6 +6,8 @@ import json
 import os
 import pathlib
 import re
+import stat
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -849,6 +851,18 @@ class TestProportionalSave:
         assert bool(spy.copied_from("documents.json")) == in_save_layout
         assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
 
+    def test_an_empty_store_saves_its_first_documents_whole(self, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        fresh_kb().save(store)
+        assert (store / "documents.json").read_bytes() == b"{}"
+        kb = KnowledgeBase.load(store)
+        kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
+        spy = _SaveSpy(monkeypatch)
+        kb.save(store)
+        assert spy.copied_from("documents.json") == []
+        assert sorted(spy.encoded) == ["b", "d"]
+        assert _store_bytes(store) == _full_save(kb, tmp_path / "full")
+
     @pytest.mark.parametrize("edit", [
         lambda text: text[: len(text) // 2],
         lambda text: text + "x",
@@ -865,6 +879,43 @@ class TestProportionalSave:
         path.write_text(edit(path.read_text("utf-8")), "utf-8")
         with pytest.raises(CorruptionError, match="documents.json"):
             KnowledgeBase.load(store)
+
+
+class TestFileModes:
+    """Every file the program writes gets the mode a plain ``open`` gives
+    under the umask in force when it is written."""
+
+    def test_importing_radar_leaves_the_umask_alone(self):
+        script = ("import os\n"
+                  "calls, umask = [], os.umask\n"
+                  "os.umask = lambda mask: calls.append(mask) or umask(mask)\n"
+                  "import radar\n"
+                  "print(calls)\n")
+        src = pathlib.Path(knowledge.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_store_files_and_cache_pages_take_the_umask_in_force(self, tmp_path, corpus_dir):
+        url = "https://radio.test/articles/glioblastoma-1"
+        source = LiveSource("https://radio.test", cache_dir=tmp_path / "cache",
+                            session=_PageSession({url: "<p>body</p>"}), sleep=lambda _: None)
+        kb = fresh_kb()
+        kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
+        umask = os.umask(0o027)
+        try:
+            kb.save(tmp_path / "store")
+            source._get(url)
+            with open(tmp_path / "plain", "wb"):
+                pass
+        finally:
+            os.umask(umask)
+        written = [*(tmp_path / "store").iterdir(), source._cache_path(url), tmp_path / "plain"]
+        assert len(written) == 5
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
+            p.name: 0o640 for p in written}
 
 
 class TestHtmlToText:

@@ -444,6 +444,14 @@ class TestHttpChatProvider:
         with pytest.raises(ProviderError):
             provider.complete(req())
 
+    def test_a_payload_nested_too_deep_is_a_provider_error(self):
+        resp = requests.Response()
+        resp.status_code, resp._content = 200, b"[" * 100_000
+        provider, session = self._provider([resp])
+        with pytest.raises(ProviderError, match="non-JSON"):
+            provider.complete(req())
+        assert len(session.requests) == 1
+
     def test_missing_content_field(self):
         provider, _ = self._provider([_FakeResponse(body={"message": "hi"})])
         with pytest.raises(ProviderError):

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from radar import knowledge, runner
 from radar.agents import TEMPLATE_DIR
 from radar.cli import main
-from radar.domain import NO_EVIDENCE_ANSWER, DiagnosisReport
+from radar.domain import NO_EVIDENCE_ANSWER, DiagnosisReport, canonical_fold
 from radar.errors import ConfigError, EvaluationError, ScriptKeyError
 from radar.providers import TEMP_LOW, ChatResponse, request_fingerprint, user_request
 from radar.runner import (
@@ -528,6 +528,29 @@ class TestConcurrentWorkers:
         summary = run_cases(cfg, DATA / "cases.jsonl", out)
         assert summary.all_ok
         assert [cid for cid, _ in load_reports(out)] == ["c1", "c2", "c3"]
+
+
+class TestConcurrentRadar:
+    """The retrieval topology at ``workers > 1``, each run on a fresh store.
+    Reports are not compared: at ``workers > 1`` a case's search can see
+    what another case ingested first, so they can differ from the serial run's."""
+
+    @staticmethod
+    def _saved_store(tmp_path, workers):
+        store = tmp_path / f"store-{workers}"
+        cfg = load_run_config(write_config(tmp_path / f"c-{workers}.json", workers=workers,
+                                           **{"kb.store_dir": str(store)}))
+        run_cases(cfg, DATA / "cases.jsonl", tmp_path / f"out-{workers}")
+        return knowledge.KnowledgeBase.load(store)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_each_keyword_is_fetched_once_and_the_store_loads(self, tmp_path, workers):
+        serial = self._saved_store(tmp_path, 1)
+        kb = self._saved_store(tmp_path, workers)
+        logged = sorted(canonical_fold(entry.keyword) for entry in kb.fetch_log)
+        assert logged == sorted(kb.fetched_keywords)
+        assert kb.fetched_keywords == serial.fetched_keywords
+        assert kb.index.count == serial.index.count > 0
 
 
 class TestOrderedScripts:

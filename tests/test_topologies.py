@@ -449,7 +449,7 @@ class TestRunRadar:
             events.append("answer")
 
         monkeypatch.setattr(FlatIndex, "search_batch", counted)
-        monkeypatch.setattr(topologies, "_branch_pool", InlineExecutor)  # answers run at submit
+        monkeypatch.setattr(topologies, "_BRANCHES", InlineExecutor())  # answers run at submit
         kb = self._kb()
         for case_id in ("cold", "warm"):
             bundle = self._bundle(corpus_dir, hooks={"answer_generator": answer})
@@ -498,7 +498,7 @@ class TestRunRadar:
             return run_radar(bundle, self._kb(), make_case())
 
         report, trace = run()
-        monkeypatch.setattr(topologies, "_branch_pool", InlineExecutor)
+        monkeypatch.setattr(topologies, "_BRANCHES", InlineExecutor())
         serial_report, serial_trace = run()
         assert report == serial_report
         assert step_records(trace) == step_records(serial_trace)
@@ -526,7 +526,7 @@ class TestRunRadar:
                 results = [f.result(timeout=30) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(topologies, "_branch_pool", InlineExecutor)
+        monkeypatch.setattr(topologies, "_BRANCHES", InlineExecutor())
         for case, (report, trace) in zip(cases, results):
             serial_report, serial_trace = run_radar(self._bundle(corpus_dir), kb, case)
             assert report == serial_report
