@@ -264,16 +264,18 @@ class TestTemplateRegistry:
         assert "CLINICAL-Y" in rendered
         assert '{"candidates"' in rendered  # JSON braces untouched
 
-    @pytest.mark.parametrize("template_id, fields, pasted", [
+    @pytest.mark.parametrize("template_id, fields, pasted, filled", [
         ("doctor_revise", {"caption": "lesion {critique}", "clinical_data": "none",
-                           "draft": "DRAFT", "critique": "CRITIQUE"}, "lesion {critique}"),
+                           "draft": "DRAFT", "critique": "CRITIQUE"},
+         "lesion {critique}", "CRITIQUE"),
         ("answer_generator", {"question": "what do {chunks} show?", "chunks": "CHUNKS"},
-         "what do {chunks} show?"),
+         "what do {chunks} show?", "CHUNKS"),
     ], ids=["caption", "question"])
-    def test_a_placeholder_inside_a_value_is_left_as_written(self, template_id, fields, pasted):
+    def test_a_placeholder_inside_a_value_is_left_as_written(self, template_id, fields, pasted,
+                                                              filled):
         rendered = PACKAGED_TEMPLATES.render(template_id, **fields)
         assert pasted in rendered
-        assert rendered.count(fields[list(fields)[-1]]) == 1
+        assert rendered.count(filled) == 1  # only where the template names it
 
     def test_missing_template(self):
         with pytest.raises(ConfigError):
