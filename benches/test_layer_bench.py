@@ -21,7 +21,9 @@ directory):
   embed with the hashing embedder, insert) into an empty store;
 - the corpus pass of a run's set-up: `FixtureSource` over a 4,150-file
   corpus, feeding the content digest as it reads;
-- `KnowledgeBase.save` of a 15,000-row store, clean (nothing ingested since
+- `KnowledgeBase.load` of a 15,000-row store, before any save below
+  changes it;
+- `KnowledgeBase.save` of that store, clean (nothing ingested since
   its last save), changed (one keyword with no documents ingested), and
   after one keyword of 10 new documents, whose ids fall between stored ones.
 """
@@ -190,6 +192,12 @@ def store(tmp_path_factory) -> tuple[KnowledgeBase, Path]:
     directory = tmp_path_factory.mktemp("store")
     kb.save(directory)
     return kb, directory
+
+
+def test_load_store(benchmark, store):
+    kb, directory = store
+    loaded = benchmark.pedantic(KnowledgeBase.load, args=(directory,), rounds=7, warmup_rounds=1)
+    assert loaded.index.count == kb.index.count >= STORE_ROWS
 
 
 def test_save_clean_store(benchmark, store):

@@ -153,10 +153,15 @@ def config_for_role(
 # ---------------------------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+_BRACKET_RUN = re.compile(r"[\[{]+")
 
 
 def _extract_json(text: str) -> tuple[Any, int]:
-    """Pull the first JSON object or array out of free text."""
+    """Pull the first JSON object or array out of free text.
+
+    A run of brackets nested too deep to decode is skipped whole, so such a
+    reply costs one decode attempt per run, not one per bracket.
+    """
     for match in _FENCE_RE.finditer(text):
         inner = match.group(1).strip()
         try:
@@ -164,13 +169,16 @@ def _extract_json(text: str) -> tuple[Any, int]:
         except (ValueError, RecursionError):  # also a too-long integer or too-deep nesting
             continue
     decoder = json.JSONDecoder()
+    resume = 0
     for pos, ch in enumerate(text):
-        if ch in "{[":
+        if ch in "{[" and pos >= resume:
             try:
                 value, _ = decoder.raw_decode(text[pos:])
                 return value, pos
-            except (ValueError, RecursionError):
+            except ValueError:
                 continue
+            except RecursionError:  # a value inside this run of brackets nests about as deep
+                resume = _BRACKET_RUN.match(text, pos).end()
     raise ParseError(f"no JSON object or array found in reply of {len(text)} chars")
 
 

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 partial failure or evaluation failure, 2 config
-error.
+Exit codes: 0 success, 1 partial failure, evaluation failure or an output
+that cannot be written, 2 config error.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ def cmd_run(config_path: str, cases_path: str, out_dir: str, topology: str | Non
     except STORE_OR_CONFIG_ERRORS as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except RadarError as exc:
+    except (RadarError, OSError) as exc:  # OSError: an output that cannot be written
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(EXIT_PARTIAL)
     click.echo(
@@ -137,7 +137,11 @@ def cmd_eval(run_dirs: tuple[str, ...], truth_path: str, out_path: str,
             f"{agg.mean_top1:>5.2f} ± {agg.std_top1:.2f} "
             f"{agg.mean_top5:>5.2f} ± {agg.std_top5:.2f}"
         )
-    Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    try:
+        Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"evaluation failed: {exc}", err=True)
+        sys.exit(EXIT_PARTIAL)
     sys.exit(EXIT_OK)
 
 
@@ -169,7 +173,11 @@ def kb_fetch(keywords: tuple[str, ...], config_path: str) -> None:
             status = EXIT_PARTIAL
             continue
         click.echo(f"{keyword}: {outcome.hit.value}, {outcome.new_docs} new documents")
-    kb.save(cfg.kb.store_dir)
+    try:
+        kb.save(cfg.kb.store_dir)
+    except OSError as exc:
+        click.echo(f"save failed: {exc}", err=True)
+        sys.exit(EXIT_PARTIAL)
     _echo_stats(kb)
     sys.exit(status)
 

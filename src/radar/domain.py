@@ -331,29 +331,6 @@ def copy_range(src: BinaryIO, start: int, end: int, dst: BinaryIO) -> None:
         start += n
 
 
-def write_pieces(fh: BinaryIO, src: BinaryIO | None,
-                 pieces: Iterator[bytes | tuple[int, int]]) -> None:
-    """Write ``pieces`` to ``fh`` in order: a ``bytes`` piece as it is, a
-    ``(start, end)`` piece as those bytes of ``src``. Ranges that touch are
-    copied as one."""
-    start = end = 0  # the range of src not yet copied
-    for piece in pieces:
-        if type(piece) is bytes:
-            if start < end:
-                copy_range(src, start, end, fh)
-            start = end = 0
-            fh.write(piece)
-            del piece  # freed before the next piece is made
-        elif piece[0] == end:
-            end = piece[1]
-        else:
-            if start < end:
-                copy_range(src, start, end, fh)
-            start, end = piece
-    if start < end:
-        copy_range(src, start, end, fh)
-
-
 def replace_file(path: str | Path, write: Callable[[BinaryIO, BinaryIO | None], Any],
                  old: FileMark | None = None) -> FileMark:
     """Replace file ``path`` whole with what ``write(fh, src)`` writes to ``fh``,

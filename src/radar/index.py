@@ -80,12 +80,12 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .chunking import EmbeddedChunk
-from .domain import COPY_BUFFER_BYTES, FileMark, replace_file, write_pieces
+from .domain import COPY_BUFFER_BYTES, FileMark, copy_range, replace_file
 from .errors import (
     CorruptionError,
     DegenerateVectorError,
@@ -295,25 +295,23 @@ class FlatIndex:
         mark, rows = self._on_disk or (None, 0)
         vec_bytes = 4 * self.dim
 
-        def pieces(copied: bool) -> Iterator[bytes | tuple[int, int]]:
-            yield _HEADER.pack(MAGIC, VERSION, self.dim, n)
-            if copied:
-                yield (_HEADER.size, mark.size)
+        def write(fh: BinaryIO, src: BinaryIO | None) -> None:
+            fh.write(_HEADER.pack(MAGIC, VERSION, self.dim, n))
+            if src is not None:
+                copy_range(src, _HEADER.size, mark.size, fh)
             # Records are joined a quarter buffer at a time: a write per record
-            # costs more, a whole-file join would hold the file twice in
-            # memory, and the first piece waits while the range before it is
-            # copied, a buffer at a time.
+            # costs more, and a whole-file join would hold the file twice in
+            # memory.
             per_piece = COPY_BUFFER_BYTES // (4 * vec_bytes) + 1
-            for start in range(rows if copied else 0, n, per_piece):
+            for start in range(0 if src is None else rows, n, per_piece):
                 parts = []
                 for i in range(start, min(n, start + per_piece)):
                     cid_b, kw_b = ids[i].encode("utf-8"), keywords[i].encode("utf-8")
                     parts += (_U16.pack(len(cid_b)), cid_b, _U16.pack(len(kw_b)), kw_b,
                               vectors[i * vec_bytes : (i + 1) * vec_bytes])
-                yield b"".join(parts)
+                fh.write(b"".join(parts))
 
-        self._on_disk = (replace_file(
-            path, lambda fh, src: write_pieces(fh, src, pieces(src is not None)), mark), n)
+        self._on_disk = (replace_file(path, write, mark), n)
 
     @classmethod
     def load(cls, path: str | Path) -> "FlatIndex":

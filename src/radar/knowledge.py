@@ -12,18 +12,18 @@ Each chunk's text lives once, in its stored document: the chunk id
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
 import re
 import threading
 import time
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, BinaryIO, Callable, Protocol
 from urllib.parse import quote, urljoin
 
 import requests
@@ -42,6 +42,7 @@ from .chunking import (
 from .domain import (
     FileMark,
     canonical_fold,
+    copy_range,
     decode,
     encode,
     parse_json,
@@ -49,7 +50,6 @@ from .domain import (
     read_marked,
     replace_file,
     walk_files,
-    write_pieces,
 )
 from .errors import (
     ConfigError,
@@ -77,71 +77,12 @@ META_FILENAME = "meta.json"
 _ORDINAL = re.compile(r"0|[1-9][0-9]*")  # canonical decimal, ASCII digits only
 
 
-# documents.json is one JSON object, as ``json.dumps(docs, sort_keys=True,
-# ensure_ascii=False)`` writes it: "{", then the ``"doc_id": document`` items
-# joined by ", " in sorted doc_id order, then "}". An item is written by
-# this encoder as a one-item object without its braces, which gives the
-# same bytes.
+# documents.json is one JSON object: "{", then the ``"doc_id": document``
+# items joined by ", " in the order the documents entered the store, then
+# "}". An item is written by this encoder as a one-item object without its
+# braces, so the file is what ``json.dumps`` with ``ensure_ascii=False``
+# writes of the documents with their fields sorted.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-_DECODER = json.JSONDecoder()
-# Items of documents.json: doc_ids in increasing order, and the [start, end)
-# of item i at bounds[2 * i] and bounds[2 * i + 1], one machine int each.
-_Spans = tuple[list[str], array]
-
-
-def _item_spans(text: str) -> tuple[dict[str, Any], array] | None:
-    """The items of a documents.json text and the char bounds of each, in item
-    order, if the text is laid out as save writes it, with keys strictly
-    increasing; else None.
-
-    Text in that layout that is not valid JSON raises ``ValueError``.
-    """
-    if not text.startswith('{"'):
-        return None
-    items: dict[str, Any] = {}
-    bounds = array("q")
-    start, last = 1, None
-    while True:
-        key, end = json.decoder.scanstring(text, start + 1)
-        if not text.startswith(": ", end) or (last is not None and key <= last):
-            return None
-        items[key], end = _DECODER.raw_decode(text, end + 2)
-        bounds.extend((start, end))
-        last = key
-        if not text.startswith(', "', end):
-            return (items, bounds) if text[end:] == "}" else None
-        start = end + 2
-
-
-def _byte_bounds(text: str, bounds: array) -> array:
-    """Increasing char offsets into ``text`` as offsets into its UTF-8 bytes."""
-    out = array("q")
-    char = byte = 0
-    for at in bounds:
-        byte += len(text[char:at].encode("utf-8"))
-        out.append(byte)
-        char = at
-    return out
-
-
-def _read_documents(path: Path) -> tuple[dict[str, Any], FileMark, array | None]:
-    """The JSON object of a documents.json file, the file's mark, and the byte
-    bounds of its items, as `_item_spans` gives them, if the file is laid out
-    as save writes it.
-
-    A file in another layout is parsed whole as JSON, as any store file is,
-    and a fault in it raises `CorruptionError`.
-    """
-    data, mark = read_marked(path, CorruptionError)
-    try:
-        text = data.decode("utf-8")
-        walked = _item_spans(text)
-    except (ValueError, RecursionError):  # parse_json names the fault
-        walked = None
-    if walked is None:
-        return parse_json(data, path, CorruptionError), mark, None
-    items, bounds = walked
-    return items, mark, bounds if text.isascii() else _byte_bounds(text, bounds)
 
 
 class DocumentSource(Protocol):
@@ -248,7 +189,8 @@ class KnowledgeBase:
         self.fetched_keywords: set[str] = set()
         self.fetch_log: list[FetchLogEntry] = []
         self._saved_in: Path | None = None  # the store directory that holds all of this store
-        self._docs_on_disk: tuple[FileMark, _Spans] | None = None  # for _document_pieces
+        # The documents.json a save may extend, and how many documents it holds.
+        self._docs_on_disk: tuple[FileMark, int] | None = None
         self._state_lock = threading.Lock()
         self._keyword_locks: dict[str, threading.Lock] = {}
 
@@ -363,62 +305,44 @@ class KnowledgeBase:
         loaded from or last saved to ``store_dir``.
 
         A save costs in proportion to what was added since the documents
-        and index files this store last loaded or wrote, wherever they are:
-        while such a file is still on disk unchanged, the bytes it holds are
-        copied, a buffer at a time, and only the added documents and rows
-        are encoded. A first save, or one after a file was replaced or
-        touched, encodes everything; a documents file in another layout
-        than save's is not copied from either. Copied or encoded, the files
-        hold the same bytes, except that a file another program wrote in
-        save's layout keeps its own spelling of the items it holds.
+        and index files this store last loaded or wrote, wherever they are.
+        Documents are kept in the order they were added and index rows are
+        only appended, so while such a file is still on disk unchanged, it
+        is copied as one range, a buffer at a time (the documents file but
+        its closing "}"), and only the added documents and rows are encoded.
+        Everything is encoded on a first save, after a file was replaced or
+        touched, and from a documents file that holds no document or that
+        `load` found it cannot extend. Copied or encoded, the files hold the
+        same bytes, except that a documents file written in another layout
+        keeps its own spelling of the items it holds.
         """
         store_dir = Path(store_dir).absolute()
         if store_dir == self._saved_in:
             return
         store_dir.mkdir(parents=True, exist_ok=True)
-        old, spans = self._docs_on_disk or (None, None)
-        written: _Spans = ([], array("q"))
-        mark = replace_file(store_dir / DOCS_FILENAME, lambda fh, src: write_pieces(
-            fh, src, self._document_pieces(spans if src else None, written)), old)
-        self._docs_on_disk = (mark, written)
+        old, held = self._docs_on_disk or (None, 0)
+        count = len(self.doc_store)
+
+        def write_documents(fh: BinaryIO, src: BinaryIO | None) -> None:
+            if src is None:
+                fh.write(b"{")
+                sep, first = "", 0
+            else:  # the file holds the first `held` documents, then its closing "}"
+                copy_range(src, 0, old.size - 1, fh)
+                sep, first = ", ", held
+            for doc_id, doc in itertools.islice(self.doc_store.items(), first, count):
+                fh.write((sep + _ENCODER.encode({doc_id: doc.to_dict()})[1:-1]).encode("utf-8"))
+                sep = ", "
+            fh.write(b"}")
+
+        mark = replace_file(store_dir / DOCS_FILENAME, write_documents, old if held else None)
+        self._docs_on_disk = (mark, count)
         self.index.save(store_dir / INDEX_FILENAME)
         meta = encode(StoreMeta(self.chunk_chars, self.overlap_chars,
                                 tuple(sorted(self.fetched_keywords)), tuple(self.fetch_log)))
         replace_file(store_dir / META_FILENAME,
                      lambda fh, _: fh.write(json.dumps(meta, sort_keys=True).encode("utf-8")))
         self._saved_in = store_dir
-
-    def _document_pieces(self, old: _Spans | None,
-                         written: _Spans) -> Iterator[bytes | tuple[int, int]]:
-        """documents.json as pieces for `write_pieces`, with ``old`` the item
-        spans of the file copied from, if any; the new file's item spans are
-        appended to ``written``.
-
-        An item ``old`` holds is copied, with the ", " before it when the old
-        file has one there, so that adjacent old items make one range; every
-        other item is encoded.
-        """
-        old_ids, old_bounds = old or ([], array("q"))
-        ids, bounds = written
-        next_old = 0  # old_ids[next_old] is the next old item; both walks are sorted
-        yield b"{"
-        for doc_id, doc in sorted(self.doc_store.items()):
-            at, sep = (bounds[-1] + 2, b", ") if ids else (1, b"")  # where the item starts
-            if next_old < len(old_ids) and old_ids[next_old] == doc_id:
-                start, end = old_bounds[2 * next_old : 2 * next_old + 2]
-                next_old += 1
-                bounds.extend((at, at + end - start))
-                if sep and start > 1:  # copied with the ", " before it
-                    start, sep = start - 2, b""
-                item: bytes | tuple[int, int] = (start, end)
-            else:
-                item = _ENCODER.encode({doc_id: doc.to_dict()})[1:-1].encode("utf-8")
-                bounds.extend((at, at + len(item)))
-            if sep:
-                yield sep
-            yield item
-            ids.append(doc_id)
-        yield b"}"
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "KnowledgeBase":
@@ -430,25 +354,24 @@ class KnowledgeBase:
         store_dir = Path(store_dir)
         meta = decode(StoreMeta, read_json(store_dir / META_FILENAME, CorruptionError),
                       f"{store_dir}: bad {META_FILENAME}", CorruptionError, unknown="ignore")
-        raw_docs, mark, bounds = _read_documents(store_dir / DOCS_FILENAME)
+        data, mark = read_marked(store_dir / DOCS_FILENAME, CorruptionError)
+        raw_docs = parse_json(data, store_dir / DOCS_FILENAME, CorruptionError)
+        # A save extends the file before its last byte, so that byte must be
+        # the closing "}"; and a key that is not its document's doc_id could
+        # hide that document behind a later item under the same key.
+        extendable = data.endswith(b"}")
+        del data
         kb = cls(chunk_chars=meta.chunk_chars, overlap_chars=meta.overlap_chars)
         kb.fetched_keywords = set(meta.fetched_keywords)
         kb.fetch_log = list(meta.fetch_log)
-        items = []
-        for doc_id, raw in raw_docs.items():
-            doc = decode(Document, raw, f"{store_dir}: stored document {doc_id!r}",
+        for key, raw in raw_docs.items():
+            doc = decode(Document, raw, f"{store_dir}: stored document {key!r}",
                          CorruptionError, unknown="ignore")
             kb.doc_store[doc.doc_id] = doc
-            items.append((doc_id, doc))
+            extendable = extendable and key == doc.doc_id
+        if extendable:
+            kb._docs_on_disk = (mark, len(raw_docs))
         del raw_docs  # before the index is read, so the two never both add to peak memory
-        if bounds is not None:  # an item is copied later only for the document it stores
-            ids, kept = [], array("q")
-            for i, (doc_id, doc) in enumerate(items):
-                if kb.doc_store.get(doc_id) is doc:
-                    ids.append(doc.doc_id)
-                    kept.extend(bounds[2 * i : 2 * i + 2])
-            kb._docs_on_disk = (mark, (ids, kept))
-        del items
         kb.index = FlatIndex.load(store_dir / INDEX_FILENAME)
         names = kb._chunk_ids()
         unnamed = [cid for cid in kb.index.chunk_ids() if cid not in names]

@@ -85,6 +85,23 @@ class TestParseStructured:
             parse_structured('noise {"wrong": 1} noise', PARSERS["answer"])
         assert exc_info.value.position == 6
 
+    def test_a_run_of_brackets_too_deep_to_decode_costs_one_attempt(self, monkeypatch):
+        starts = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def spy(decoder, text, *args):
+            starts.append(len(text))
+            return raw_decode(decoder, text, *args)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", spy)
+        with pytest.raises(ParseError):
+            parse_structured("[" * 20000, parse_candidates)
+        assert starts == [20000]
+        starts.clear()
+        reply = "[" * 20000 + " " + ten_candidates_json()
+        assert agents._extract_json(reply) == ({"candidates": TEN}, 20001)
+        assert len(starts) == 2
+
 
 # One parser per reply type, bound to the context its agent supplies.
 RETRIEVED_IDS = ("doc:0", "doc:1")

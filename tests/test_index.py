@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radar import domain
 from radar import index as index_module
 from radar.chunking import Chunk, EmbeddedChunk
 from radar.errors import (
@@ -598,13 +597,13 @@ class TestPersistence:
         old_size = path.stat().st_size
         loaded = FlatIndex.load(path)
         loaded.insert([unit_chunk("delta", [1, -1, 1, -1])], "astrocytoma")
-        copied, real_copy_range = [], domain.copy_range
+        copied, real_copy_range = [], index_module.copy_range
 
         def spy_copy_range(src, start, end, dst):
             copied.append((start, end))
             return real_copy_range(src, start, end, dst)
 
-        monkeypatch.setattr(domain, "copy_range", spy_copy_range)
+        monkeypatch.setattr(index_module, "copy_range", spy_copy_range)
         loaded.save(path)
         full = self._sample_index()
         full.insert([unit_chunk("delta", [1, -1, 1, -1])], "astrocytoma")
@@ -612,29 +611,20 @@ class TestPersistence:
         assert copied == [(20, old_size)]
         assert path.read_bytes() == (tmp_path / "full.rdrx").read_bytes()
 
-    @pytest.mark.parametrize("dies_in", ["copy_range", "write_pieces"])
-    def test_a_save_that_dies_leaves_the_file_at_its_path(self, tmp_path, monkeypatch, dies_in):
+    @pytest.mark.parametrize("dies", ["copy_range", "after_copy_range"])
+    def test_a_save_that_dies_leaves_the_file_at_its_path(self, tmp_path, monkeypatch, dies):
         path = tmp_path / "index.rdrx"
         index = self._sample_index()
         index.save(path)
         before = path.read_bytes()
-        if dies_in == "write_pieces":
-            index = self._sample_index()  # it never wrote path, so it encodes every row
         index.insert([unit_chunk("delta", [1, -1, 1, -1])], "astrocytoma")
-        real_copy_range, real_write_pieces = domain.copy_range, index_module.write_pieces
+        real_copy_range = index_module.copy_range
 
         def copy_then_die(src, start, end, dst):
-            real_copy_range(src, start, start + 1, dst)
-            raise OSError("died mid-copy")
+            real_copy_range(src, start, start + 1 if dies == "copy_range" else end, dst)
+            raise OSError(f"died {dies}")
 
-        def write_then_die(fh, src, pieces):
-            real_write_pieces(fh, src, itertools.islice(pieces, 2))
-            raise OSError("died mid-write")
-
-        if dies_in == "copy_range":
-            monkeypatch.setattr(domain, "copy_range", copy_then_die)
-        else:
-            monkeypatch.setattr(index_module, "write_pieces", write_then_die)
+        monkeypatch.setattr(index_module, "copy_range", copy_then_die)
         with pytest.raises(OSError, match="died"):
             index.save(path)
         assert path.read_bytes() == before

@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import pytest
 import requests
@@ -686,9 +685,16 @@ def _store_bytes(store):
     return {p.name: p.read_bytes() for p in sorted(store.iterdir())}
 
 
+def _documents_json(docs):
+    """documents.json of ``docs``, a mapping of doc_id to document, in its
+    order, as one ``json.dumps``: the order the documents were added."""
+    return json.dumps({doc_id: dict(sorted(doc.to_dict().items()))
+                       for doc_id, doc in docs.items()}, ensure_ascii=False).encode("utf-8")
+
+
 def _full_save(kb, store):
     """The files a save of ``kb``'s state writes with no old file to copy
-    from; its documents.json is also checked against one ``json.dumps``."""
+    from; its documents.json is also checked against `_documents_json`."""
     fresh = KnowledgeBase(dim=kb.index.dim, chunk_chars=kb.chunk_chars,
                           overlap_chars=kb.overlap_chars)
     fresh.doc_store = dict(kb.doc_store)
@@ -696,10 +702,13 @@ def _full_save(kb, store):
         fresh.index.insert([EmbeddedChunk(Chunk(cid, "doc", 0, "x", (0, 1)), vector)], keyword)
     fresh.fetched_keywords, fresh.fetch_log = set(kb.fetched_keywords), list(kb.fetch_log)
     fresh.save(store)
-    docs = {doc_id: doc.to_dict() for doc_id, doc in kb.doc_store.items()}
-    assert (store / "documents.json").read_bytes() == json.dumps(
-        docs, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    assert (store / "documents.json").read_bytes() == _documents_json(kb.doc_store)
     return _store_bytes(store)
+
+
+def _assert_reloads(store, kb):
+    """The store at ``store`` loads to ``kb``'s documents, in ``kb``'s order."""
+    assert list(KnowledgeBase.load(store).doc_store.items()) == list(kb.doc_store.items())
 
 
 class _SaveSpy:
@@ -718,7 +727,8 @@ class _SaveSpy:
             return copy_range(src, start, end, dst)
 
         monkeypatch.setattr(Document, "to_dict", spy_to_dict)
-        monkeypatch.setattr(domain, "copy_range", spy_copy_range)
+        for module in (knowledge, index_module):  # each saver's copy_range
+            monkeypatch.setattr(module, "copy_range", spy_copy_range)
 
     def clear(self):
         self.encoded.clear()
@@ -736,8 +746,10 @@ def _batch(ids, body="body text " * 150):
 
 
 class TestProportionalSave:
-    """A save copies the bytes its store's files already hold and encodes only
-    what was added, and writes exactly what a save of everything writes."""
+    """Documents are stored in the order they were added, so a save copies
+    the old documents file but its closing "}" and the old index records,
+    each as one range, encodes only what was added, and writes exactly what
+    a save of everything writes."""
 
     @pytest.mark.parametrize("batches, body", [
         ([["c", "e", "g", "i"], ["0", "d", "f", "z"], ["a", "b", "h", "zz"]], "body text " * 150),
@@ -753,20 +765,41 @@ class TestProportionalSave:
         assert _store_bytes(store) == _full_save(kb, tmp_path / "full-0")
         spy = _SaveSpy(monkeypatch)
         for n, ids in enumerate(batches[1:], start=1):  # the second save is in the same process
-            index_size = (store / "index.rdrx").stat().st_size
+            sizes = {name: (store / name).stat().st_size for name in ("documents.json",
+                                                                      "index.rdrx")}
             kb.ingest(f"batch {n}", _batch(ids, body), EMBEDDER)
             spy.clear()
             kb.save(store)
-            assert sorted(spy.encoded) == sorted(ids)
-            assert spy.copied_from("index.rdrx") == [(20, index_size)]
-            # New ids split the old items; each run of old items between them is one copy.
-            assert 2 <= len(spy.copied_from("documents.json")) <= len(ids) + 1
+            assert spy.encoded == ids
+            assert spy.copied_from("documents.json") == [(0, sizes["documents.json"] - 1)]
+            assert spy.copied_from("index.rdrx") == [(20, sizes["index.rdrx"])]
             assert _store_bytes(store) == _full_save(kb, tmp_path / f"full-{n}")
-            assert KnowledgeBase.load(store).doc_store == kb.doc_store
+            _assert_reloads(store, kb)
+
+    def test_a_store_in_the_sorted_layout_is_copied_and_appended(self, tmp_path, monkeypatch):
+        # The layout of stores written before documents were kept in the
+        # order they were added: items in sorted doc_id order.
+        store = tmp_path / "store"
+        kb = fresh_kb()
+        kb.ingest("first", _batch(["\u65e5\u672c", "b", "\u00e9", "a"], ODD_BODY), EMBEDDER)
+        kb.save(store)
+        path = store / "documents.json"
+        sorted_layout = json.dumps({doc_id: doc.to_dict() for doc_id, doc in kb.doc_store.items()},
+                                   sort_keys=True, ensure_ascii=False).encode("utf-8")
+        path.write_bytes(sorted_layout)
+        loaded = KnowledgeBase.load(store)
+        assert list(loaded.doc_store) == ["a", "b", "\u00e9", "\u65e5\u672c"]
+        loaded.ingest("second", _batch(["\U0001f600", "0"], ODD_BODY), EMBEDDER)
+        spy = _SaveSpy(monkeypatch)
+        loaded.save(store)
+        assert spy.encoded == ["\U0001f600", "0"]
+        assert spy.copied_from("documents.json") == [(0, len(sorted_layout) - 1)]
+        assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
+        _assert_reloads(store, loaded)
 
     @pytest.mark.parametrize("key", ["c", "a"], ids=["between", "first"])
     def test_an_item_under_another_documents_key_is_not_copied_for_that_key(self, tmp_path,
-                                                                             key):
+                                                                             monkeypatch, key):
         store = tmp_path / "store"
         kb = fresh_kb()
         kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
@@ -774,27 +807,14 @@ class TestProportionalSave:
         path = store / "documents.json"
         docs = json.loads(path.read_text("utf-8"))
         path.write_text(json.dumps({**docs, key: {**docs["b"], "doc_id": "zz"}}, sort_keys=True,
-                                   ensure_ascii=False), "utf-8")  # save's layout
+                                   ensure_ascii=False), "utf-8")
         loaded = KnowledgeBase.load(store)
-        loaded.ingest("second", _batch(["c"]), EMBEDDER)
+        loaded.ingest("second", _batch([key]), EMBEDDER)  # appended, it would hide "zz"
+        spy = _SaveSpy(monkeypatch)
         loaded.save(store)
+        assert spy.copied_from("documents.json") == []
         assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
-        assert KnowledgeBase.load(store).doc_store == loaded.doc_store
-
-    def test_the_items_on_disk_cost_a_few_words_per_document(self, tmp_path):
-        store = tmp_path / "store"
-        kb = fresh_kb()
-        kb.ingest("first", _batch([f"doc-{i:04d}" for i in range(500)], "body " * 30), EMBEDDER)
-        kb.save(store)
-        tracemalloc.start()
-        try:
-            loaded = KnowledgeBase.load(store)
-            held = tracemalloc.get_traced_memory()[0]
-            loaded._docs_on_disk = None
-            held -= tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert 0 < held < 40 * 500  # a second id string and a tuple of two ints: 150 bytes each
+        _assert_reloads(store, loaded)
 
     @pytest.mark.parametrize("name, change", [
         ("documents.json", lambda p: os.utime(p, ns=(1_000_000_000, 1_000_000_000))),
@@ -820,48 +840,62 @@ class TestProportionalSave:
         assert spy.copied_from(name) == [] and spy.copied_from(other) != []
         assert _store_bytes(store) == _full_save(kb, tmp_path / "full")
 
-    @pytest.mark.parametrize("redump", [
-        lambda docs: json.dumps(docs, indent=1),
-        lambda docs: json.dumps(docs, separators=(",", ":")),
-        lambda docs: " " + json.dumps(docs),
-        lambda docs: json.dumps(dict(reversed(docs.items()))),
-        lambda docs: json.dumps(docs)[:-1] + ', "b": ' + json.dumps(  # the later "b" wins
-            {**docs["b"], "title": "later"}) + "}",
-        lambda docs: json.dumps({**docs, "c": {**docs["b"], "title": "later"}},
-                                sort_keys=True, ensure_ascii=False),  # save's layout
-        lambda docs: json.dumps({**docs, "c": {**docs["b"], "doc_id": "zz"}},
-                                sort_keys=True, ensure_ascii=False),  # stored as "zz"
+    @pytest.mark.parametrize("redump, copied", [
+        (lambda docs: json.dumps(docs, indent=1), True),
+        (lambda docs: json.dumps(docs, separators=(",", ":")), True),
+        (lambda docs: " " + json.dumps(docs), True),
+        (lambda docs: json.dumps(dict(reversed(docs.items()))), True),
+        (lambda docs: json.dumps(docs)[:-1] + ', "b": ' + json.dumps(  # the later "b" wins
+            {**docs["b"], "title": "later"}) + "}", True),
+        (lambda docs: json.dumps(docs) + "\n", False),  # a save would append after the "\n"
+        (lambda docs: json.dumps({**docs, "c": {**docs["b"], "title": "later"}},
+                                 sort_keys=True, ensure_ascii=False), False),
+        (lambda docs: json.dumps({**docs, "c": {**docs["b"], "doc_id": "zz"}},
+                                 sort_keys=True, ensure_ascii=False), False),  # stored as "zz"
     ], ids=["indented", "compact", "leading-space", "keys-descending", "duplicate-key",
-            "key-not-its-doc_id", "key-of-a-document-stored-elsewhere"])
-    def test_a_store_in_another_layout_loads_as_before(self, tmp_path, monkeypatch, redump):
+            "trailing-newline", "key-not-its-doc_id", "key-of-a-document-stored-elsewhere"])
+    def test_a_store_in_another_layout_loads_as_before(self, tmp_path, monkeypatch, redump,
+                                                       copied):
         store = tmp_path / "store"
         kb = fresh_kb()
         kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
         kb.save(store)
         path = store / "documents.json"
-        text = redump(json.loads(path.read_text("utf-8")))
-        path.write_text(text, "utf-8")
+        text = redump(json.loads(path.read_text("utf-8"))).encode("utf-8")
+        path.write_bytes(text)
         loaded = KnowledgeBase.load(store)
-        assert loaded.doc_store == {raw["doc_id"]: Document(**raw)
-                                    for raw in json.loads(text).values()}
-        loaded.ingest("second", _batch(["a", "e"]), EMBEDDER)
+        assert list(loaded.doc_store.items()) == list(
+            {raw["doc_id"]: Document(**raw) for raw in json.loads(text).values()}.items())
+        new = _batch(["a", "e"])
+        loaded.ingest("second", new, EMBEDDER)
         spy = _SaveSpy(monkeypatch)
         loaded.save(store)
-        in_save_layout = text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False)
-        assert bool(spy.copied_from("documents.json")) == in_save_layout
-        assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
+        assert spy.encoded == (["a", "e"] if copied else list(loaded.doc_store))
+        if copied:  # the file keeps its own spelling, and the new items follow it
+            assert spy.copied_from("documents.json") == [(0, len(text) - 1)]
+            assert path.read_bytes() == text[:-1] + b", " + _documents_json(
+                {doc.doc_id: doc for doc in new})[1:]
+        else:
+            assert spy.copied_from("documents.json") == []
+            assert _store_bytes(store) == _full_save(loaded, tmp_path / "full")
+        _assert_reloads(store, loaded)
 
-    def test_an_empty_store_saves_its_first_documents_whole(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("marked_by", ["load", "save"])
+    def test_an_empty_store_saves_its_first_documents_whole(self, tmp_path, monkeypatch,
+                                                            marked_by):
         store = tmp_path / "store"
-        fresh_kb().save(store)
+        kb = fresh_kb()
+        kb.save(store)
         assert (store / "documents.json").read_bytes() == b"{}"
-        kb = KnowledgeBase.load(store)
-        kb.ingest("first", _batch(["b", "d"]), EMBEDDER)
+        if marked_by == "load":
+            kb = KnowledgeBase.load(store)
+        kb.ingest("first", _batch(["d", "b"]), EMBEDDER)
         spy = _SaveSpy(monkeypatch)
         kb.save(store)
         assert spy.copied_from("documents.json") == []
-        assert sorted(spy.encoded) == ["b", "d"]
+        assert spy.encoded == ["d", "b"]
         assert _store_bytes(store) == _full_save(kb, tmp_path / "full")
+        _assert_reloads(store, kb)
 
     @pytest.mark.parametrize("edit", [
         lambda text: text[: len(text) // 2],

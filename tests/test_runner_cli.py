@@ -767,6 +767,31 @@ class TestCliRun:
         assert len((out / "reports.jsonl").read_text().splitlines()) == 2
         assert (out / "failures.jsonl").is_file()
 
+    @pytest.mark.parametrize("command, blocked", [
+        (["run", "--cases", str(DATA / "cases.jsonl"), "--out", "{blocked}", "--config",
+          "{config}"], "file"),
+        (["run", "--cases", str(DATA / "cases.jsonl"), "--out", "{out}", "--config",
+          "{config}"], "store"),
+        (["kb", "fetch", "--keyword", "glioblastoma", "--config", "{config}"], "store"),
+        (["eval", "--run", str(DATA / "golden"), "--truth", str(DATA / "truth.jsonl"),
+          "--out", "{blocked}"], "directory"),
+    ], ids=["run-out", "run-store", "kb-fetch-store", "eval-out"])
+    def test_an_output_that_cannot_be_written_exits_one_with_one_line(self, tmp_path, command,
+                                                                     blocked):
+        path = tmp_path / "blocked"
+        if blocked == "directory":
+            path.mkdir()
+        else:  # a regular file where a directory must go
+            path.write_text("not a directory")
+        store = path if blocked == "store" else tmp_path / "store"
+        config = write_config(tmp_path / "c.json", **{"kb.store_dir": str(store)})
+        result = CliRunner().invoke(main, [arg.format(blocked=path, config=config,
+                                                      out=tmp_path / "run") for arg in command])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        assert len(result.stderr.splitlines()) == 1 and str(path) in result.stderr
+
 
 class TestTemplateDirectory:
     """A run reads its template directory whole before the first case, and
