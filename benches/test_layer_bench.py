@@ -23,6 +23,9 @@ directory):
   corpus, feeding the content digest as it reads;
 - `KnowledgeBase.load` of a 15,000-row store, before any save below
   changes it;
+- the same corpus pass beside that loaded store, which holds most of the
+  corpus's documents, so each of those files is compared with its stored
+  document and the stored object kept;
 - `KnowledgeBase.save` of that store, clean (nothing ingested since
   its last save), changed (one keyword with no documents ingested), and
   after one keyword of 10 new documents, whose ids fall between stored ones.
@@ -198,6 +201,19 @@ def test_load_store(benchmark, store):
     kb, directory = store
     loaded = benchmark.pedantic(KnowledgeBase.load, args=(directory,), rounds=7, warmup_rounds=1)
     assert loaded.index.count == kb.index.count >= STORE_ROWS
+
+
+def test_corpus_pass_beside_store(benchmark, corpus, store):
+    stored = KnowledgeBase.load(store[1]).doc_store  # shares the first documents of the corpus
+
+    def read_corpus():
+        digest = hashlib.sha256()
+        return FixtureSource(corpus, digest=digest, stored=stored), digest.hexdigest()
+
+    source, _ = benchmark.pedantic(read_corpus, rounds=7, warmup_rounds=1)
+    served = source.fetch("term 7")
+    assert len(served) == sum(i % 500 == 7 for i in range(N_CORPUS_FILES))
+    assert any(doc is stored.get(doc.doc_id) for doc in served)
 
 
 def test_save_clean_store(benchmark, store):

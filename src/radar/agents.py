@@ -153,14 +153,20 @@ def config_for_role(
 # ---------------------------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+# A "{" or "[" that can start a JSON value: after JSON whitespace, an object
+# holds a string key or closes, and an array closes or holds a value. A
+# bracket followed by anything else fails at its first step, so it is not
+# tried; a run of such brackets costs one pass of this pattern.
+_VALUE_START = re.compile(r'\{(?=[ \t\n\r]*["}])|\[(?=[ \t\n\r]*[\]"{\[\-0-9tfnNI])')
 _BRACKET_RUN = re.compile(r"[\[{]+")
 
 
 def _extract_json(text: str) -> tuple[Any, int]:
     """Pull the first JSON object or array out of free text.
 
-    A run of brackets nested too deep to decode is skipped whole, so such a
-    reply costs one decode attempt per run, not one per bracket.
+    Only a bracket that can start a value is tried, and a run of brackets
+    nested too deep to decode is skipped whole, so such a reply costs one
+    decode attempt per run, not one per bracket.
     """
     for match in _FENCE_RE.finditer(text):
         inner = match.group(1).strip()
@@ -170,15 +176,18 @@ def _extract_json(text: str) -> tuple[Any, int]:
             continue
     decoder = json.JSONDecoder()
     resume = 0
-    for pos, ch in enumerate(text):
-        if ch in "{[" and pos >= resume:
-            try:
-                value, _ = decoder.raw_decode(text[pos:])
-                return value, pos
-            except ValueError:
-                continue
-            except RecursionError:  # a value inside this run of brackets nests about as deep
-                resume = _BRACKET_RUN.match(text, pos).end()
+    for match in _VALUE_START.finditer(text):
+        pos = match.start()
+        if pos < resume:
+            continue
+        try:
+            # A slice, not raw_decode(text, pos): a failure then costs a copy of
+            # the rest, where in place its error would count the lines before pos.
+            return decoder.raw_decode(text[pos:])[0], pos
+        except ValueError:
+            continue
+        except RecursionError:  # a value inside this run of brackets nests about as deep
+            resume = _BRACKET_RUN.match(text, pos).end()
     raise ParseError(f"no JSON object or array found in reply of {len(text)} chars")
 
 

@@ -159,8 +159,8 @@ def kb_fetch(keywords: tuple[str, ...], config_path: str) -> None:
         cfg = load_run_config(config_path)
         if not cfg.kb.store_dir:
             raise ConfigError("kb fetch needs kb.store_dir in the config")
-        bundle = build_bundle(cfg)
         kb = build_knowledge_base(cfg)
+        bundle = build_bundle(cfg, None, kb.doc_store)
     except STORE_OR_CONFIG_ERRORS as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

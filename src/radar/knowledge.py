@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Protocol
+from typing import Any, BinaryIO, Callable, Mapping, Protocol
 from urllib.parse import quote, urljoin
 
 import requests
@@ -400,10 +400,14 @@ class FixtureSource:
     Every file under the directory is read once, by ``walk_files``; with a
     ``digest``, each file's record is added to it as it is read, so the
     run's content digest costs no second read.
+
+    ``stored`` maps doc_id to the documents a knowledge base already holds.
+    A file whose document equals the stored one under its doc_id is served
+    as that stored object, so a document in both is held once.
     """
 
     def __init__(self, corpus_dir: str | Path, fail_keywords: tuple[str, ...] = (),
-                 digest: Any = None):
+                 digest: Any = None, stored: Mapping[str, Document] | None = None):
         self.corpus_dir = Path(corpus_dir)
         if not self.corpus_dir.is_dir():
             raise ConfigError(f"corpus directory {self.corpus_dir} does not exist")
@@ -422,6 +426,9 @@ class FixtureSource:
                 path = os.path.join(self.corpus_dir, name)
                 doc = decode(Document, parse_json(data, path, ConfigError),
                              f"bad corpus document {path}", ConfigError, unknown="ignore")
+                kept = stored.get(doc.doc_id) if stored else None
+                if kept == doc:
+                    doc = kept
                 if doc.keyword not in folded:
                     folded[doc.keyword] = canonical_fold(doc.keyword)
                 self._by_keyword.setdefault(folded[doc.keyword], []).append(doc)

@@ -1,7 +1,7 @@
 """Experiment run orchestration: config loading, provider wiring, output layout.
 
 A run directory holds:
-    manifest.json        resolved config snapshot, timestamps, input digest
+    manifest.json        resolved config snapshot, timestamps, input digest, store error
     reports.jsonl        one {case_id, ...report} object per completed case
     failures.jsonl       one {case_id, error} object per aborted case
     traces/<case_id>.json
@@ -19,10 +19,10 @@ import time
 import uuid
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Literal, NewType, get_args, get_type_hints
+from typing import Any, Iterator, Literal, Mapping, NewType, get_args, get_type_hints
 
 from .agents import DEFAULT_MAX_RETRIES, DEFAULT_N_QUERIES, TemplateRegistry
-from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS, check_window
+from .chunking import DEFAULT_CHUNK_CHARS, DEFAULT_OVERLAP_CHARS, Document, check_window
 from .domain import (
     Case,
     DiagnosisReport,
@@ -204,8 +204,11 @@ def build_chat(cfg: RunConfig) -> ChatProvider:
     )
 
 
-def build_bundle(cfg: RunConfig, digest: Any = None) -> ProviderBundle:
-    """The run's providers; a fixture source adds its corpus files' records to ``digest``."""
+def build_bundle(
+    cfg: RunConfig, digest: Any = None, stored: Mapping[str, Document] | None = None
+) -> ProviderBundle:
+    """The run's providers; a fixture source adds its corpus files' records to
+    ``digest`` and serves a document equal to one in ``stored`` as that object."""
     chat = build_chat(cfg)
     if cfg.provider.embedder_kind == "hashing":
         embedder = HashingEmbedder(dim=cfg.provider.dim)
@@ -217,7 +220,8 @@ def build_bundle(cfg: RunConfig, digest: Any = None) -> ProviderBundle:
 
     src = cfg.kb.source
     if src.kind == "fixture":
-        source = FixtureSource(src.corpus_dir, fail_keywords=src.fail_keywords, digest=digest)
+        source = FixtureSource(src.corpus_dir, fail_keywords=src.fail_keywords, digest=digest,
+                               stored=stored)
     else:
         source = LiveSource(src.base_url, delay_ms=src.delay_ms, cache_dir=src.cache_dir)
     return ProviderBundle(chat=chat, embedder=embedder, source=source)
@@ -290,6 +294,7 @@ def _write_manifest(
     digest: str,
     started: float,
     ended: float | None,
+    store_error: str | None = None,
 ) -> None:
     manifest = {
         "run_id": run_id,
@@ -298,6 +303,7 @@ def _write_manifest(
         "content_digest": digest,
         "started_at": started,
         "ended_at": ended,
+        "store_error": store_error,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
@@ -327,7 +333,9 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     inputs = hashlib.sha256()  # the content digest of the templates and the corpus read
     for _ in walk_files(templates.template_dir, inputs):
         pass
-    bundle = build_bundle(cfg, inputs)
+    # The store loads first, so the corpus pass keeps the stored copy of a document in both.
+    kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
+    bundle = build_bundle(cfg, inputs, None if kb is None else kb.doc_store)
     if isinstance(bundle.chat, ScriptedChatProvider) and bundle.chat.remaining and (
         cfg.topology is Topology.RADAR or cfg.workers > 1
     ):
@@ -337,7 +345,6 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
             f"script {cfg.provider.script_path} has unkeyed entries; they replay only "
             "with workers=1 and a topology other than radar"
         )
-    kb = build_knowledge_base(cfg) if cfg.topology is Topology.RADAR else None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "traces").mkdir(exist_ok=True)
@@ -378,10 +385,16 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
             ),
             encoding="utf-8",
         )
-    if kb is not None and cfg.kb.store_dir:
-        kb.save(cfg.kb.store_dir)
-
-    _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, time.time())
+    store_error = None
+    try:
+        if kb is not None and cfg.kb.store_dir:
+            kb.save(cfg.kb.store_dir)
+    except BaseException as exc:
+        store_error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:  # a run whose save failed still ends, and says why its store is stale
+        _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, time.time(),
+                        store_error)
     return RunSummary(
         run_id=run_id, n_cases=len(cases), n_ok=len(cases) - len(failures), failures=failures
     )

@@ -5,6 +5,8 @@ import json
 import shutil
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radar import agents
 from radar.agents import (
@@ -101,6 +103,49 @@ class TestParseStructured:
         reply = "[" * 20000 + " " + ten_candidates_json()
         assert agents._extract_json(reply) == ({"candidates": TEN}, 20001)
         assert len(starts) == 2
+
+    def test_a_run_of_brackets_that_cannot_start_a_value_costs_no_attempt(self, monkeypatch):
+        calls = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def spy(decoder, text, *args):
+            calls.append(len(text))
+            return raw_decode(decoder, text, *args)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", spy)
+        with pytest.raises(ParseError):
+            agents._extract_json("{" * 20000)
+        assert calls == []
+        assert agents._extract_json("{" * 20000 + '{"a": [1]}') == ({"a": [1]}, 20000)
+        assert calls == [10]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet='{}[]" a1-:,\n\ttfnNI', max_size=30))
+    @example("x [-1] [1]")
+    @example("[ NaN] [1]")
+    @example("[\tInfinity]")
+    @example("[\r\n-Infinity]")
+    @example("[[1] x")
+    @example('{{"a": 1} x')
+    @example('{ \n}')
+    def test_finds_what_trying_every_bracket_finds(self, text):
+        def extract_trying_every_bracket(reply):
+            decoder = json.JSONDecoder()
+            for pos, ch in enumerate(reply):
+                if ch in "{[":
+                    try:
+                        value, _ = decoder.raw_decode(reply[pos:])
+                    except ValueError:
+                        continue
+                    return json.dumps(value), pos
+            return None
+
+        try:
+            value, pos = agents._extract_json(text)
+            found = json.dumps(value), pos
+        except ParseError:
+            found = None
+        assert found == extract_trying_every_bracket(text)
 
 
 # One parser per reply type, bound to the context its agent supplies.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 import requests
@@ -183,6 +185,109 @@ class TestFixtureSource:
         path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(ConfigError, match="gbm-case-2.json"):
             FixtureSource(corpus_dir)
+
+
+def saved_store(directory, corpus_dir, *keywords):
+    """A store saved after looking up ``keywords`` in the corpus."""
+    kb = fresh_kb()
+    source = FixtureSource(corpus_dir)
+    for keyword in keywords:
+        kb.lookup_or_fetch(keyword, source, EMBEDDER)
+    kb.save(directory)
+    return directory
+
+
+def edit_corpus_file(corpus_dir, edit):
+    """Change the corpus after a store was saved from it; the doc_id whose
+    served document changes."""
+    def rewrite(name, change, to=None):
+        raw = json.loads((corpus_dir / name).read_text(encoding="utf-8"))
+        (corpus_dir / (to or name)).write_text(json.dumps({**raw, **change}), encoding="utf-8")
+
+    if edit == "body":
+        rewrite("gbm-article-1.json", {"body": "an edited body. " * 70})
+        return "gbm-article-1"
+    if edit == "keyword":
+        rewrite("gbm-case-2.json", {"keyword": "tuberous sclerosis"})
+        return "gbm-case-2"
+    # the doc_id of a stored document listed a second time, under another keyword
+    rewrite("gbm-article-0.json", {"keyword": "tuberous sclerosis"}, to="tsc-article-00.json")
+    return "gbm-article-0"
+
+
+EDITS = ["body", "keyword", "doc_id-under-a-second-keyword"]
+KEYWORDS = ("glioblastoma", "tuberous sclerosis")
+
+
+def kept_bytes(build):
+    """The bytes still allocated after ``build()``, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del built
+    return kept
+
+
+class TestFixtureSourceBesideAStore:
+    """A corpus document equal to a stored one is served as the stored object."""
+
+    def test_serves_the_stored_object_for_a_document_in_both(self, tmp_path, corpus_dir):
+        loaded = KnowledgeBase.load(saved_store(tmp_path / "store", corpus_dir, "glioblastoma"))
+        source = FixtureSource(corpus_dir, stored=loaded.doc_store)
+        alone = FixtureSource(corpus_dir)
+        assert all(doc is loaded.doc_store[doc.doc_id] for doc in source.fetch("glioblastoma"))
+        assert not any(doc.doc_id in loaded.doc_store for doc in source.fetch("tuberous sclerosis"))
+        for keyword in KEYWORDS:
+            assert source.fetch(keyword) == alone.fetch(keyword)
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_a_file_changed_since_the_save_is_served_as_read(self, tmp_path, corpus_dir, edit):
+        loaded = KnowledgeBase.load(saved_store(tmp_path / "store", corpus_dir, *KEYWORDS))
+        doc_id = edit_corpus_file(corpus_dir, edit)
+        source = FixtureSource(corpus_dir, stored=loaded.doc_store)
+        alone = FixtureSource(corpus_dir)
+        changed = 0
+        for keyword in KEYWORDS:
+            served = source.fetch(keyword)
+            assert served == alone.fetch(keyword)
+            for doc in served:
+                stored = loaded.doc_store[doc.doc_id]
+                assert (doc is stored) == (doc == stored)
+                changed += doc.doc_id == doc_id and doc != stored
+        assert changed == 1
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_lookups_and_ingests_after_an_edit_are_as_without_the_store(self, tmp_path,
+                                                                        corpus_dir, edit):
+        store = saved_store(tmp_path / "store", corpus_dir, "glioblastoma")
+        edit_corpus_file(corpus_dir, edit)
+        results = []
+        for beside in (True, False):
+            kb = KnowledgeBase.load(store)
+            source = FixtureSource(corpus_dir, stored=kb.doc_store if beside else None)
+            fresh = fresh_kb()
+            outcomes = []
+            for keyword in KEYWORDS:
+                outcomes.append(kb.lookup_or_fetch(keyword, source, EMBEDDER))
+                fresh.ingest(keyword, fetch_documents(source, keyword), EMBEDDER)
+            results.append([outcomes] + [
+                (list(k.doc_store.items()), [(cid, vec.tolist(), kw) for cid, vec, kw
+                                             in k.index.entries()]) for k in (kb, fresh)])
+        assert results[0] == results[1]
+        assert [o.hit for o in results[0][0]] == [RetrievalHit.INTERNAL, RetrievalHit.FETCHED]
+
+    def test_keeps_a_small_part_of_what_it_keeps_alone(self, tmp_path, corpus_dir):
+        loaded = KnowledgeBase.load(saved_store(tmp_path / "store", corpus_dir, *KEYWORDS))
+        assert len(loaded.doc_store) == len(list(corpus_dir.glob("*.json")))
+        FixtureSource(corpus_dir, stored=loaded.doc_store)  # warm every cache a build fills
+        beside = kept_bytes(lambda: FixtureSource(corpus_dir, stored=loaded.doc_store))
+        alone = kept_bytes(lambda: FixtureSource(corpus_dir))
+        assert beside < alone / 4
 
 
 class TestLookupOrFetch:

@@ -347,6 +347,7 @@ class TestRunCases:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["case_count"] == 3
         assert manifest["ended_at"] is not None
+        assert manifest["store_error"] is None
 
     def test_golden_store_bytes_are_pinned(self, tmp_path, monkeypatch):
         # The store a golden run saves, with its fetch-log time fixed: any
@@ -363,6 +364,27 @@ class TestRunCases:
             "index.rdrx": "57276e258dec36dbbd38642db225e7f5e14ad3358db3bc6c2ffcd4b86ea61a6d",
             "meta.json": "e5f60d3d3701312cba69fe4ef7ae818a7270ef0463ae5b62cccdb4b1a459040d",
         }
+
+    def test_a_run_over_a_saved_store_holds_each_stored_document_once(self, tmp_path,
+                                                                       monkeypatch):
+        store = tmp_path / "store"
+        cfg = load_run_config(write_config(tmp_path / "c.json", **{"kb.store_dir": str(store)}))
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "first").all_ok
+        built = {}
+        for name in ("build_knowledge_base", "build_bundle"):
+            def wrapper(cfg, *args, name=name, build=getattr(runner, name)):
+                built[name] = build(cfg, *args)
+                return built[name]
+            monkeypatch.setattr(runner, name, wrapper)
+        assert run_cases(cfg, DATA / "cases.jsonl", tmp_path / "second").all_ok
+        stored = built["build_knowledge_base"].doc_store
+        source = built["build_bundle"].source
+        served = [doc for keyword in ("glioblastoma", "tuberous sclerosis")
+                  for doc in source.fetch(keyword)]
+        assert len(served) == len(stored) == 20
+        assert all(doc is stored[doc.doc_id] for doc in served)
+        golden = (DATA / "golden" / "reports.jsonl").read_text()
+        assert (tmp_path / "second" / "reports.jsonl").read_text() == golden
 
     def test_a_run_with_hits_only_leaves_the_store_as_it_was(self, tmp_path):
         store = tmp_path / "store"
@@ -791,6 +813,21 @@ class TestCliRun:
         assert result.exit_code == 1, result.output
         assert "Traceback" not in result.output
         assert len(result.stderr.splitlines()) == 1 and str(path) in result.stderr
+
+    def test_a_run_whose_store_save_fails_still_ends_its_manifest(self, tmp_path):
+        store = tmp_path / "store"
+        store.write_text("not a directory")
+        config = write_config(tmp_path / "c.json", **{"kb.store_dir": str(store)})
+        out = tmp_path / "run"
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--cases",
+                                           str(DATA / "cases.jsonl"), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert len(result.stderr.splitlines()) == 1 and str(store) in result.stderr
+        assert (out / "reports.jsonl").read_text() == (
+            DATA / "golden" / "reports.jsonl").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["ended_at"] >= manifest["started_at"]
+        assert manifest["store_error"] == f"FileExistsError: [Errno 17] File exists: '{store}'"
 
 
 class TestTemplateDirectory:
