@@ -12,6 +12,7 @@ Each chunk's text lives once, in its stored document: the chunk id
 from __future__ import annotations
 
 import hashlib
+import http.client
 import itertools
 import json
 import logging
@@ -19,14 +20,14 @@ import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping, Protocol
 from urllib.parse import quote, urljoin
-
-import requests
 
 from .chunking import (
     DEFAULT_CHUNK_CHARS,
@@ -61,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .index import FlatIndex
-from .providers import DEFAULT_EMBED_DIM, Embedder, with_retries
+from .providers import DEFAULT_EMBED_DIM, Embedder, http_url, with_retries
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +169,7 @@ class KnowledgeBase:
     no per-chunk copy is kept, and ``load`` checks ids without segmenting.
 
     Concurrency: lookups for the same folded keyword serialize on a
-    per-keyword lock, so concurrent requests cause a single fetch; distinct
+    per-keyword lock, so concurrent lookups cause a single fetch; distinct
     keywords may fetch in parallel. The index enforces its own single-writer
     contract for the final insert. Searches take no knowledge-base lock, so
     an ingest stores its documents before their rows reach the index.
@@ -504,7 +505,9 @@ class LiveSource:
     reduced to plain text. Every network request honors a politeness delay
     of at least one second, also across concurrent fetches, which take turns
     at one request gate; responses are cached on disk so repeated runs do
-    not hammer the site.
+    not hammer the site. Each GET follows redirects and honors the
+    ``*_proxy`` environment variables; ``opener`` stands in for the default
+    `urllib.request` opener.
     """
 
     def __init__(
@@ -514,10 +517,11 @@ class LiveSource:
         delay_ms: int = MIN_POLITENESS_DELAY_MS,
         cache_dir: str | Path | None = None,
         timeout_s: float = 30.0,
-        session: requests.Session | None = None,
+        opener: urllib.request.OpenerDirector | None = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
+        http_url(base_url)
         self.base_url = base_url.rstrip("/")
         if delay_ms < MIN_POLITENESS_DELAY_MS:
             log.warning(
@@ -531,7 +535,7 @@ class LiveSource:
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._timeout_s = timeout_s
-        self._session = session or requests.Session()
+        self._opener = opener or urllib.request.build_opener()
         self._sleep = sleep
         self._clock = clock
         self._last_request = float("-inf")
@@ -543,26 +547,39 @@ class LiveSource:
         return self.cache_dir / (hashlib.sha256(url.encode("utf-8")).hexdigest() + ".html")
 
     def _get(self, url: str) -> str:
+        """The page at ``url``: from the disk cache, else one GET, cached
+        before the gate opens so a thread waiting for the same page reads it
+        from the cache instead of sending a second request."""
         cached = self._cache_path(url)
         if cached and cached.exists():
             return cached.read_text(encoding="utf-8")
         with self._gate:  # one request at a time, each at least delay_s after the last
+            if cached and cached.exists():  # fetched while this thread waited
+                return cached.read_text(encoding="utf-8")
             wait = self.delay_s - (self._clock() - self._last_request)
             if wait > 0:
                 self._sleep(wait)
             try:
-                resp = self._session.get(url, timeout=self._timeout_s)
-            except requests.RequestException as exc:
+                with self._opener.open(url, timeout=self._timeout_s) as resp:
+                    status, data = resp.status, resp.read()
+                    charset = resp.headers.get_content_charset()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                error = TransportError if exc.code >= 500 else FetchError
+                raise error(f"GET {url} answered {exc.code}") from None
+            except (OSError, http.client.HTTPException) as exc:
                 raise TransportError(f"GET {url} failed: {exc}") from exc
             finally:
                 self._last_request = self._clock()
-        if resp.status_code >= 500:
-            raise TransportError(f"GET {url} answered {resp.status_code}")
-        if resp.status_code != 200:
-            raise FetchError(f"GET {url} answered {resp.status_code}")
-        if cached:
-            replace_file(cached, lambda fh, _: fh.write(resp.text.encode("utf-8")))
-        return resp.text
+            if status != 200:
+                raise FetchError(f"GET {url} answered {status}")
+            try:  # in the charset the Content-Type names, else UTF-8
+                text = data.decode(charset or "utf-8", "replace")
+            except LookupError:  # a charset Python does not know
+                text = data.decode("utf-8", "replace")
+            if cached:
+                replace_file(cached, lambda fh, _: fh.write(text.encode("utf-8")))
+        return text
 
     def _result_links(self, html: str, path_prefix: str) -> list[str]:
         links: list[str] = []

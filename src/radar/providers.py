@@ -6,15 +6,22 @@ plain HTTP JSON client pair for live model backends.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
+import json
+import math
+import queue
+import select
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar
+from urllib.parse import SplitResult, urlsplit, urlunsplit
 
 import numpy as np
-import requests
 
 from .domain import decode, read_json
 from .errors import (
@@ -43,12 +50,14 @@ RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 
 # Model calls one process keeps in flight at most: the thread cap of the pool
-# that runs a case's independent agent calls, and the connections an HTTP
-# backend's session keeps per host. The default 4 workers put up to 4 x 5
-# answer calls in flight at once.
+# that runs a case's independent agent calls, and the idle connections each
+# HTTP endpoint keeps. The default 4 workers put up to 4 x 5 answer calls in
+# flight at once.
 MAX_CONCURRENT_CALLS = 32
 
 T = TypeVar("T")
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,8 @@ class ChatRequest:
         object.__setattr__(self, "messages", tuple(self.messages))
         if not self.messages:
             raise ValidationError("chat request needs at least one message")
-        if self.temperature < 0:
-            raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:  # also NaN, which JSON cannot carry
+            raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ValidationError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens <= 0:
@@ -338,12 +347,23 @@ def with_retries(call: Callable[[], T], *, sleep: Callable[[float], None] = time
     return call()
 
 
+def http_url(url: str) -> SplitResult:
+    """The parts of an http or https URL that names a host; any other URL
+    is a `ConfigError`, rather than a request to nowhere or to localhost."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"not an http(s) URL with a host: {url!r}")
+    return parts
+
+
 class _JsonEndpoint:
     """One JSON-over-HTTP backend: a POST of a JSON object that answers one.
 
-    Sends the bearer token when given, forwards ``model`` when set, and
-    keeps a connection per concurrent call instead of reconnecting every
-    call beyond requests' default pool of 10.
+    Sends the bearer token when given and forwards ``model`` when set. It
+    connects directly, without a proxy, and verifies HTTPS against the
+    system trust store. Idle kept-alive connections wait on a stack of at
+    most MAX_CONCURRENT_CALLS; a call opens one only when none is idle.
+    ``connect`` makes a new `http.client.HTTPConnection`-like object.
     """
 
     def __init__(
@@ -353,18 +373,19 @@ class _JsonEndpoint:
         api_key: str | None = None,
         model: str | None = None,
         timeout_s: float = 30.0,
-        session: requests.Session | None = None,
+        connect: Callable[[], http.client.HTTPConnection] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if session is None:
-            session = requests.Session()
-            adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_CONCURRENT_CALLS)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
+        parts = http_url(url)
+        if connect is None:
+            tls = {"context": ssl.create_default_context()} if parts.scheme == "https" else {}
+            connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+            connect = functools.partial(connection, parts.netloc, timeout=timeout_s, **tls)
         self.url = url
+        self._path = urlunsplit(("", "", parts.path or "/", parts.query, ""))
         self._model = model
-        self._timeout_s = timeout_s
-        self._session = session
+        self._connect = connect
+        self._idle = queue.LifoQueue(MAX_CONCURRENT_CALLS)
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
         if api_key:
@@ -378,27 +399,51 @@ class _JsonEndpoint:
         """
         if self._model:
             payload["model"] = self._model
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
 
         def attempt() -> dict:
+            status, data = self._exchange(body)
+            if status >= 500:
+                raise TransportError(f"{self.url} answered {status}")
+            if status >= 400:
+                text = data.decode("utf-8", "replace")
+                raise ProviderError(f"{self.url} answered {status}: {text[:200]}")
             try:
-                resp = self._session.post(
-                    self.url, json=payload, headers=self._headers, timeout=self._timeout_s
-                )
-            except requests.RequestException as exc:
-                raise TransportError(f"POST {self.url} failed: {exc}") from exc
-            if resp.status_code >= 500:
-                raise TransportError(f"{self.url} answered {resp.status_code}")
-            if resp.status_code >= 400:
-                raise ProviderError(f"{self.url} answered {resp.status_code}: {resp.text[:200]}")
-            try:
-                body = resp.json()
+                reply = json.loads(data)
             except (ValueError, RecursionError) as exc:  # also too-deep nesting
                 raise ProviderError(f"{self.url} returned a non-JSON payload") from exc
-            if not isinstance(body, dict):
+            if not isinstance(reply, dict):
                 raise ProviderError(f"{self.url} returned a non-object payload")
-            return body
+            return reply
 
         return with_retries(attempt, sleep=self._sleep)
+
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        """The status and body of one POST of ``body``, sent on an idle
+        connection if there is one. A connection the server closed while
+        idle reconnects before it sends; one that fails is closed and
+        dropped, and the others go back on the stack."""
+        try:
+            conn = self._idle.get_nowait()
+        except queue.Empty:
+            conn = self._connect()
+        else:
+            # An idle socket that reads as ready holds the server's close (urllib3
+            # checks the same); closed here, the request below opens a fresh one.
+            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+        try:
+            conn.request("POST", self._path, body, self._headers)
+            resp = conn.getresponse()
+            status, data = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"POST {self.url} failed: {exc}") from exc
+        try:
+            self._idle.put_nowait(conn)
+        except queue.Full:
+            conn.close()
+        return status, data
 
 
 class HttpChatProvider(_JsonEndpoint):
@@ -423,7 +468,7 @@ class HttpChatProvider(_JsonEndpoint):
         content = body.get("content")
         if not isinstance(content, str):
             raise ProviderError(f"{self.url} reply carries no 'content' string")
-        usage = body.get("usage") or {}
+        usage = {} if body.get("usage") is None else body["usage"]
         if not isinstance(usage, dict):
             raise ProviderError(f"{self.url} reply carries a non-object 'usage'")
         tokens = [usage.get(key, 0) for key in ("prompt_tokens", "completion_tokens")]
@@ -448,8 +493,10 @@ class HttpEmbedder(_JsonEndpoint):
         if not text:
             raise ValidationError("cannot embed empty text")
         embedding = self._post({"text": text}).get("embedding")
-        if not isinstance(embedding, list) or not all(type(x) in (int, float) for x in embedding):
-            raise ProviderError(f"{self.url} reply carries no 'embedding' list of numbers")
+        if not isinstance(embedding, list) or not all(
+            type(x) in (int, float) and abs(x) <= _FLOAT32_MAX for x in embedding  # also NaN
+        ):
+            raise ProviderError(f"{self.url} reply carries no 'embedding' list of float32 numbers")
         vec = np.asarray(embedding, dtype=np.float32)
         if vec.shape != (self.dim,):
             raise ShapeError(f"{self.url} returned dim {vec.shape}, expected ({self.dim},)")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import socket
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,94 @@ class StaticSource:
     def fetch(self, keyword: str):
         self.calls += 1
         return list(self.docs)
+
+
+class FakeReply:
+    """A canned HTTP reply: a status and the raw body ``read`` returns, by
+    default ``body`` as JSON (``None``: an empty body)."""
+
+    def __init__(self, body=None, status=200, raw=None):
+        self.status = status
+        self._raw = raw if raw is not None else b"" if body is None else json.dumps(body).encode()
+
+    def read(self):
+        return self._raw
+
+
+class FakeEndpoint:
+    """Stands in for the ``connect`` seam of the HTTP JSON clients: each
+    request on a connection it makes records its parsed body and headers in
+    ``requests`` and answers the next outcome, a `FakeReply` or an exception
+    to raise. Once the outcomes run out, the last one answers again."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.requests = []
+        self.connects = 0
+
+    def __call__(self):
+        self.connects += 1
+        return _FakeConnection(self)
+
+
+class _FakeConnection:
+    sock = None  # never readable while idle
+
+    def __init__(self, endpoint):
+        self._endpoint = endpoint
+
+    def request(self, method, path, body=None, headers=None):
+        self._endpoint.requests.append({"path": path, "json": json.loads(body), "headers": headers})
+
+    def getresponse(self):
+        outcomes = self._endpoint.outcomes
+        outcome = outcomes.pop(0) if len(outcomes) > 1 else outcomes[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def close(self):
+        pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """A threading HTTP server on 127.0.0.1 that keeps every connection it
+    accepts in ``accepted``; ``url`` is its base URL."""
+
+    daemon_threads = True
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.accepted = []
+
+    def get_request(self):
+        conn, address = super().get_request()
+        self.accepted.append(conn)
+        return conn, address
+
+
+@pytest.fixture
+def loopback():
+    """Starts a `LoopbackServer` for a request handler class; each one is
+    stopped, and its connections shut, when the test ends."""
+    servers = []
+
+    def start(handler):
+        server = LoopbackServer(handler)
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        for conn in server.accepted:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
+                pass
+        server.server_close()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -12,9 +13,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import urllib.error
+from email.message import Message
+from http.server import BaseHTTPRequestHandler
+from urllib.response import addinfourl
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1040,7 +1044,7 @@ class TestFileModes:
     def test_store_files_and_cache_pages_take_the_umask_in_force(self, tmp_path, corpus_dir):
         url = "https://radio.test/articles/glioblastoma-1"
         source = LiveSource("https://radio.test", cache_dir=tmp_path / "cache",
-                            session=_PageSession({url: "<p>body</p>"}), sleep=lambda _: None)
+                            opener=_PageOpener({url: "<p>body</p>"}), sleep=lambda _: None)
         kb = fresh_kb()
         kb.lookup_or_fetch("glioblastoma", FixtureSource(corpus_dir), EMBEDDER)
         umask = os.umask(0o027)
@@ -1084,25 +1088,22 @@ class TestHtmlToText:
         assert "\n\n\n" not in text
 
 
-class _PageSession:
-    """Serves canned HTML per URL and records request order."""
+class _PageOpener:
+    """Serves canned HTML per URL, as `urllib.request`'s opener does, and
+    records request order; an unknown URL answers ``missing_status``."""
 
     def __init__(self, pages, missing_status=404):
         self.pages = pages
         self.missing_status = missing_status
         self.urls = []
 
-    def get(self, url, timeout=None):
+    def open(self, url, timeout=None):
         self.urls.append(url)
-
-        class Resp:
-            def __init__(self, status_code, text):
-                self.status_code = status_code
-                self.text = text
-
         if url not in self.pages:
-            return Resp(self.missing_status, "")
-        return Resp(200, self.pages[url])
+            raise urllib.error.HTTPError(url, self.missing_status, "error", Message(), None)
+        headers = Message()
+        headers["Content-Type"] = "text/html; charset=utf-8"
+        return addinfourl(io.BytesIO(self.pages[url].encode("utf-8")), headers, url, 200)
 
 
 class TestLiveSource:
@@ -1123,16 +1124,16 @@ class TestLiveSource:
         }
 
     def _source(self, tmp_path, sleeps):
-        session = _PageSession(self._pages())
+        opener = _PageOpener(self._pages())
         source = LiveSource(
             self.BASE,
             delay_ms=1000,
             cache_dir=tmp_path / "cache",
-            session=session,
+            opener=opener,
             sleep=sleeps.append,
             clock=lambda: 0.0,
         )
-        return source, session
+        return source, opener
 
     def test_fetch_reduces_pages_to_documents(self, tmp_path):
         sleeps = []
@@ -1146,23 +1147,23 @@ class TestLiveSource:
 
     def test_politeness_delay_between_requests(self, tmp_path):
         sleeps = []
-        source, session = self._source(tmp_path, sleeps)
+        source, opener = self._source(tmp_path, sleeps)
         source.fetch("glioblastoma")
         # first request free, each subsequent one waits the full delay
-        assert len(sleeps) == len(session.urls) - 1
+        assert len(sleeps) == len(opener.urls) - 1
         assert all(s == pytest.approx(1.0) for s in sleeps)
 
     def test_disk_cache_skips_network(self, tmp_path):
         sleeps = []
-        source, session = self._source(tmp_path, sleeps)
+        source, opener = self._source(tmp_path, sleeps)
         source.fetch("glioblastoma")
-        first_requests = len(session.urls)
+        first_requests = len(opener.urls)
         source.fetch("glioblastoma")
-        assert len(session.urls) == first_requests
+        assert len(opener.urls) == first_requests
 
     def test_a_cache_write_that_dies_leaves_no_cache_file(self, tmp_path, monkeypatch):
         sleeps = []
-        source, session = self._source(tmp_path, sleeps)
+        source, opener = self._source(tmp_path, sleeps)
         url = f"{self.BASE}/articles/glioblastoma-1"
         _die_writing(monkeypatch, lambda path: path.parent == source.cache_dir)
         with pytest.raises(OSError, match="died"):
@@ -1170,103 +1171,113 @@ class TestLiveSource:
         monkeypatch.undo()
         assert list(source.cache_dir.iterdir()) == []
         assert "Article body text." in source._get(url)
-        assert session.urls == [url, url]
+        assert opener.urls == [url, url]
         assert source._get(url) == source._cache_path(url).read_text(encoding="utf-8")
-        assert session.urls == [url, url]
+        assert opener.urls == [url, url]
 
     def test_delay_clamped_to_floor(self, tmp_path):
         source = LiveSource(self.BASE, delay_ms=10, cache_dir=tmp_path)
         assert source.delay_s == pytest.approx(1.0)
 
     def test_not_found_is_a_fetch_error_after_one_get(self):
-        session = _PageSession({})
+        opener = _PageOpener({})
         gate, backoff = [], []
-        source = LiveSource(self.BASE, session=session, sleep=gate.append, clock=lambda: 0.0)
+        source = LiveSource(self.BASE, opener=opener, sleep=gate.append, clock=lambda: 0.0)
         with pytest.raises(FetchError, match="answered 404"):
             fetch_documents(source, "glioblastoma", sleep=backoff.append)
-        assert len(session.urls) == 1
+        assert len(opener.urls) == 1
         assert (gate, backoff) == ([], [])
 
     def test_server_error_is_transport_and_retried(self):
-        session = _PageSession({}, missing_status=503)
+        opener = _PageOpener({}, missing_status=503)
         gate, backoff = [], []
-        source = LiveSource(self.BASE, session=session, sleep=gate.append, clock=lambda: 0.0)
+        source = LiveSource(self.BASE, opener=opener, sleep=gate.append, clock=lambda: 0.0)
         with pytest.raises(TransportError, match="answered 503"):
             source.fetch("glioblastoma")
         with pytest.raises(FetchError, match="answered 503"):
             fetch_documents(source, "glioblastoma", sleep=backoff.append)
-        assert len(session.urls) == 1 + 3
+        assert len(opener.urls) == 1 + 3
         assert backoff == [1.0, 2.0]
 
     def test_network_exception_is_transport(self):
-        class ExplodingSession:
-            def get(self, url, timeout=None):
-                raise requests.ConnectionError("no route")
+        class ExplodingOpener:
+            def open(self, url, timeout=None):
+                raise urllib.error.URLError(ConnectionRefusedError("no route"))
 
         source = LiveSource(
-            self.BASE, session=ExplodingSession(), sleep=lambda _: None, clock=lambda: 0.0
+            self.BASE, opener=ExplodingOpener(), sleep=lambda _: None, clock=lambda: 0.0
         )
         with pytest.raises(TransportError):
             source.fetch("glioblastoma")
 
     def test_concurrent_requests_keep_the_delay(self):
         """Two fetches that reach the network together still send their
-        requests a full delay apart. Both threads meet at a barrier: at the
-        first request if nothing serializes them, else the one that finds
-        the source's request gate taken meets the other there."""
+        requests a full delay apart."""
         now = [0.0]
-        barrier = threading.Barrier(2)
-        arrivals = iter(range(1_000))
-
-        def meet():
-            if next(arrivals) < 2:  # only the first two arrivals rendezvous
-                barrier.wait(timeout=10)
-
-        class Gate:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def __enter__(self):
-                if not self._lock.acquire(blocking=False):
-                    meet()
-                    self._lock.acquire()
-
-            def __exit__(self, *exc):
-                self._lock.release()
-
+        gate, meet = _racing_gate()
         sent = []
 
-        class RacingSession(_PageSession):
-            def get(self, url, timeout=None):
+        class RacingOpener(_PageOpener):
+            def open(self, url, timeout=None):
                 sent.append(now[0])
                 meet()
-                return super().get(url, timeout)
+                return super().open(url, timeout)
 
         pages = {f"{self.BASE}/a": "<p>a</p>", f"{self.BASE}/b": "<p>b</p>"}
         source = LiveSource(
             self.BASE,
-            session=RacingSession(pages),
+            opener=RacingOpener(pages),
             sleep=lambda s: now.__setitem__(0, now[0] + s),
             clock=lambda: now[0],
         )
-        source._gate = Gate()
+        source._gate = gate
         _run_threads([functools.partial(source._get, url) for url in pages])
         assert len(sent) == 2
         assert sent[1] - sent[0] >= source.delay_s
+
+    def test_threads_wanting_one_uncached_page_send_one_request(self, tmp_path):
+        """Two threads ask for a page neither finds cached: the one that
+        waits at the gate reads the page the other cached before it let go."""
+        now = [0.0]
+        gate, meet = _racing_gate()
+        sent = []
+
+        class RacingOpener(_PageOpener):
+            def open(self, url, timeout=None):
+                sent.append((url, now[0]))
+                meet()
+                return super().open(url, timeout)
+
+        url, other = f"{self.BASE}/a", f"{self.BASE}/b"
+        source = LiveSource(
+            self.BASE,
+            cache_dir=tmp_path,
+            opener=RacingOpener({url: "<p>a</p>", other: "<p>b</p>"}),
+            sleep=lambda s: now.__setitem__(0, now[0] + s),
+            clock=lambda: now[0],
+        )
+        source._gate = gate
+        texts = []
+        _run_threads([lambda: texts.append(source._get(url))] * 2)
+        assert texts == ["<p>a</p>"] * 2
+        assert [u for u, _ in sent] == [url]
+        assert source._get(other) == "<p>b</p>"
+        assert [u for u, _ in sent] == [url, other]
+        assert sent[1][1] - sent[0][1] >= source.delay_s
 
     def test_many_concurrent_fetches_keep_the_delay(self):
         now = [0.0]
         sent = []
 
-        class ClockedSession(_PageSession):
-            def get(self, url, timeout=None):
+        class ClockedOpener(_PageOpener):
+            def open(self, url, timeout=None):
                 sent.append(now[0])
-                return super().get(url, timeout)
+                return super().open(url, timeout)
 
         pages = {f"{self.BASE}/p{i}": f"<p>{i}</p>" for i in range(48)}
         source = LiveSource(
             self.BASE,
-            session=ClockedSession(pages),
+            opener=ClockedOpener(pages),
             sleep=lambda s: now.__setitem__(0, now[0] + s),
             clock=lambda: now[0],
         )
@@ -1284,6 +1295,105 @@ class TestLiveSource:
             sys.setswitchinterval(switch)
         assert len(sent) == len(urls)
         assert all(b - a >= source.delay_s for a, b in zip(sent, sent[1:]))
+
+
+class TestLiveSourceOverHttp:
+    """LiveSource with its own opener against an HTTP server on 127.0.0.1."""
+
+    @pytest.fixture(autouse=True)
+    def _no_proxy(self, monkeypatch):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+
+    def _serve(self, loopback, routes, missing_status=404):
+        """Serves ``routes``: request path -> (status, headers, body); any
+        other path answers ``missing_status``. Returns the server and the
+        list of paths it was asked for."""
+        asked = []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                asked.append(self.path)
+                status, headers, body = routes.get(self.path, (missing_status, {}, b""))
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):
+                pass
+
+        return loopback(Handler), asked
+
+    def _source(self, url, gate):
+        return LiveSource(url, sleep=gate.append, clock=lambda: 0.0)
+
+    def test_a_redirect_is_followed_to_the_page(self, loopback):
+        server, asked = self._serve(loopback, {
+            "/old": (302, {"Location": "/page"}, b""),
+            "/page": (200, {"Content-Type": "text/html; charset=utf-8"}, b"<p>moved</p>"),
+        })
+        gate = []
+        assert self._source(server.url, gate)._get(server.url + "/old") == "<p>moved</p>"
+        assert asked == ["/old", "/page"]
+        assert gate == []  # one turn at the gate
+
+    def test_a_server_error_is_retried_with_backoff_then_a_fetch_error(self, loopback):
+        server, asked = self._serve(loopback, {}, missing_status=503)
+        gate, backoff = [], []
+        source = self._source(server.url, gate)
+        with pytest.raises(FetchError, match="answered 503"):
+            fetch_documents(source, "glioblastoma", sleep=backoff.append)
+        assert backoff == [1.0, 2.0]
+        assert asked == ["/search?q=glioblastoma&scope=articles"] * 3
+        assert gate == [1.0, 1.0]
+
+    @pytest.mark.parametrize("content_type, body, text", [
+        ("text/html", "<p>naïve 胶质瘤</p>".encode("utf-8"), "<p>naïve 胶质瘤</p>"),
+        ("text/html; charset=ISO-8859-1", "<p>naïve</p>".encode("latin-1"), "<p>naïve</p>"),
+        ("text/html", b"<p>\xff</p>", "<p>\ufffd</p>"),
+        ("text/html; charset=x-unknown", "<p>naïve</p>".encode("utf-8"), "<p>naïve</p>"),
+    ], ids=["no-charset", "latin-1", "undecodable", "unknown-charset"])
+    def test_a_page_decodes_in_its_charset_else_utf8(self, loopback, content_type, body, text):
+        server, _ = self._serve(loopback, {"/page": (200, {"Content-Type": content_type}, body)})
+        assert self._source(server.url, [])._get(server.url + "/page") == text
+
+    def test_the_proxy_variables_are_honored(self, loopback, monkeypatch):
+        page = "http://radio.test/articles/glioblastoma"
+        server, asked = self._serve(loopback, {page: (200, {}, b"<p>proxied</p>")})
+        monkeypatch.setenv("http_proxy", server.url)
+        assert self._source("http://radio.test", [])._get(page) == "<p>proxied</p>"
+        assert asked == [page]
+
+
+def _racing_gate():
+    """A stand-in for a source's request gate, and a ``meet`` call for its
+    opener, that make two threads meet at a barrier: at their first request
+    if nothing serializes them, else when one finds the gate taken by the
+    other, which is then in its request."""
+    barrier = threading.Barrier(2)
+    arrivals = iter(range(1_000))
+
+    def meet():
+        if next(arrivals) < 2:  # only the first two arrivals rendezvous
+            barrier.wait(timeout=10)
+
+    class Gate:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            if not self._lock.acquire(blocking=False):
+                meet()
+                self._lock.acquire()
+
+        def __exit__(self, *exc):
+            self._lock.release()
+
+    return Gate(), meet
 
 
 def _die_writing(monkeypatch, matches):

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import socket
 import sys
 import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,8 @@ from radar.providers import (
     with_retries,
 )
 
+from conftest import FakeEndpoint, FakeReply
+
 
 def req(text: str = "hello") -> ChatRequest:
     return user_request(text)
@@ -53,6 +58,8 @@ class TestChatRequest:
 
     @pytest.mark.parametrize("kwargs", [
         {"temperature": -0.1},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
         {"top_p": 0.0},
         {"top_p": 1.5},
         {"max_tokens": 0},
@@ -368,110 +375,82 @@ class TestWithRetries:
         assert waits == []
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("no json")
-        return self._body
-
-
-class _FakeSession:
-    """Plays back a queue of responses/exceptions for post()."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 class TestHttpChatProvider:
     def _provider(self, outcomes):
-        session = _FakeSession(outcomes)
+        endpoint = FakeEndpoint(outcomes)
         provider = HttpChatProvider(
             "https://backend.test/chat",
             api_key="token",
-            session=session,
+            connect=endpoint,
             sleep=lambda _: None,
         )
-        return provider, session
+        return provider, endpoint
 
     def test_success_passes_auth_and_payload(self):
-        provider, session = self._provider(
-            [_FakeResponse(body={"content": "hi", "usage": {"prompt_tokens": 3, "completion_tokens": 1}})]
+        provider, endpoint = self._provider(
+            [FakeReply(body={"content": "hi", "usage": {"prompt_tokens": 3, "completion_tokens": 1}})]
         )
         response = provider.complete(req("ping"))
         assert response.content == "hi"
         assert response.prompt_tokens == 3
-        sent = session.requests[0]
+        sent = endpoint.requests[0]
         assert sent["headers"]["Authorization"] == "Bearer token"
         assert sent["json"]["messages"] == [{"role": "user", "content": "ping"}]
 
     def test_retries_transport_then_succeeds(self):
-        provider, session = self._provider(
+        provider, endpoint = self._provider(
             [
-                requests.ConnectionError("down"),
-                _FakeResponse(status_code=503),
-                _FakeResponse(body={"content": "ok"}),
+                ConnectionRefusedError("down"),
+                FakeReply(status=503),
+                FakeReply(body={"content": "ok"}),
             ]
         )
         assert provider.complete(req()).content == "ok"
-        assert len(session.requests) == 3
+        assert len(endpoint.requests) == 3
 
     def test_transport_exhaustion_is_typed_not_fabricated(self):
-        provider, _ = self._provider([requests.ConnectionError("down")] * 3)
+        provider, _ = self._provider([ConnectionRefusedError("down")] * 3)
         with pytest.raises(TransportError):
             provider.complete(req())
 
     def test_client_error_not_retried(self):
-        provider, session = self._provider([_FakeResponse(status_code=400, text="bad")])
+        provider, endpoint = self._provider([FakeReply(status=400, raw=b"bad")])
         with pytest.raises(ProviderError):
             provider.complete(req())
-        assert len(session.requests) == 1
+        assert len(endpoint.requests) == 1
 
     def test_unparseable_payload(self):
-        provider, _ = self._provider([_FakeResponse(body=None)])
+        provider, _ = self._provider([FakeReply(body=None)])
         with pytest.raises(ProviderError):
             provider.complete(req())
 
     def test_a_payload_nested_too_deep_is_a_provider_error(self):
-        resp = requests.Response()
-        resp.status_code, resp._content = 200, b"[" * 100_000
-        provider, session = self._provider([resp])
+        provider, endpoint = self._provider([FakeReply(raw=b"[" * 100_000)])
         with pytest.raises(ProviderError, match="non-JSON"):
             provider.complete(req())
-        assert len(session.requests) == 1
+        assert len(endpoint.requests) == 1
 
     def test_missing_content_field(self):
-        provider, _ = self._provider([_FakeResponse(body={"message": "hi"})])
+        provider, _ = self._provider([FakeReply(body={"message": "hi"})])
         with pytest.raises(ProviderError):
             provider.complete(req())
 
     @pytest.mark.parametrize("body", [[1, 2], "ok", 7], ids=["array", "string", "number"])
     def test_non_object_payload(self, body):
-        provider, session = self._provider([_FakeResponse(body=body)])
+        provider, endpoint = self._provider([FakeReply(body=body)])
         with pytest.raises(ProviderError):
             provider.complete(req())
-        assert len(session.requests) == 1
+        assert len(endpoint.requests) == 1
 
     @pytest.mark.parametrize(
         "usage",
         [[1], {"prompt_tokens": "abc"}, {"prompt_tokens": None}, {"completion_tokens": 1.5},
-         {"prompt_tokens": -1}, {"completion_tokens": True}, "many"],
-        ids=["array", "string-count", "null-count", "float-count", "negative", "bool", "string"],
+         {"prompt_tokens": -1}, {"completion_tokens": True}, "many", [], 0, False, ""],
+        ids=["array", "string-count", "null-count", "float-count", "negative", "bool", "string",
+             "empty-array", "zero", "false", "empty-string"],
     )
     def test_malformed_usage_is_a_provider_error(self, usage):
-        provider, _ = self._provider([_FakeResponse(body={"content": "hi", "usage": usage})])
+        provider, _ = self._provider([FakeReply(body={"content": "hi", "usage": usage})])
         with pytest.raises(ProviderError):
             provider.complete(req())
 
@@ -479,16 +458,16 @@ class TestHttpChatProvider:
         "usage, tokens", [(None, (0, 0)), ({}, (0, 0)), ({"prompt_tokens": 5}, (5, 0))]
     )
     def test_absent_token_counts_are_zero(self, usage, tokens):
-        provider, _ = self._provider([_FakeResponse(body={"content": "hi", "usage": usage})])
+        provider, _ = self._provider([FakeReply(body={"content": "hi", "usage": usage})])
         response = provider.complete(req())
         assert (response.prompt_tokens, response.completion_tokens) == tokens
 
     def test_wire_payload(self):
-        session = _FakeSession([_FakeResponse(body={"content": "hi"})])
-        provider = HttpChatProvider("https://backend.test/chat", model="m1", session=session)
+        endpoint = FakeEndpoint([FakeReply(body={"content": "hi"})])
+        provider = HttpChatProvider("https://backend.test/chat", model="m1", connect=endpoint)
         assert provider.provider_id == "http:m1"
         provider.complete(req("ping"))
-        sent = session.requests[0]
+        sent = endpoint.requests[0]
         assert json.dumps(sent["json"]) == json.dumps({
             "messages": [{"role": "user", "content": "ping"}],
             "temperature": 0.5,
@@ -501,31 +480,29 @@ class TestHttpChatProvider:
 
 class TestHttpEmbedder:
     def _embedder(self, outcomes, dim=4):
-        from radar.providers import HttpEmbedder
-
-        session = _FakeSession(outcomes)
+        endpoint = FakeEndpoint(outcomes)
         embedder = HttpEmbedder(
             "https://backend.test/embed",
             dim=dim,
             api_key="token",
-            session=session,
+            connect=endpoint,
             sleep=lambda _: None,
         )
-        return embedder, session
+        return embedder, endpoint
 
     def test_success(self):
-        embedder, session = self._embedder([_FakeResponse(body={"embedding": [1.0, 0.0, 0.0, 0.0]})])
+        embedder, endpoint = self._embedder([FakeReply(body={"embedding": [1.0, 0.0, 0.0, 0.0]})])
         vec = embed_text(embedder, "lesion")
         assert vec.shape == (4,)
-        assert session.requests[0]["json"] == {"text": "lesion"}
+        assert endpoint.requests[0]["json"] == {"text": "lesion"}
 
     def test_wrong_dimension(self):
-        embedder, _ = self._embedder([_FakeResponse(body={"embedding": [1.0, 0.0]})])
+        embedder, _ = self._embedder([FakeReply(body={"embedding": [1.0, 0.0]})])
         with pytest.raises(ShapeError):
             embed_text(embedder, "lesion")
 
     def test_missing_embedding_field(self):
-        embedder, _ = self._embedder([_FakeResponse(body={"vector": [1.0]})])
+        embedder, _ = self._embedder([FakeReply(body={"vector": [1.0]})])
         with pytest.raises(ProviderError):
             embed_text(embedder, "lesion")
 
@@ -536,26 +513,35 @@ class TestHttpEmbedder:
         ids=["letters", "numeric-string", "null", "bool", "nested", "object"],
     )
     def test_non_numeric_embedding_is_a_provider_error(self, embedding):
-        embedder, _ = self._embedder([_FakeResponse(body={"embedding": embedding})])
+        embedder, _ = self._embedder([FakeReply(body={"embedding": embedding})])
         with pytest.raises(ProviderError):
             embed_text(embedder, "lesion")
 
+    @pytest.mark.parametrize("component", [10**400, 1e39, -1e39, float("nan"), float("inf")],
+                             ids=["huge-int", "big", "-big", "nan", "inf"])
+    def test_a_component_outside_float32_is_a_provider_error(self, component):
+        embedder, _ = self._embedder([FakeReply(body={"embedding": [component, 0, 0, 0]})])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProviderError, match="float32"):
+                embedder.embed("lesion")
+
     def test_integer_components_accepted(self):
-        embedder, _ = self._embedder([_FakeResponse(body={"embedding": [0, 1, 0, 0]})])
+        embedder, _ = self._embedder([FakeReply(body={"embedding": [0, 1, 0, 0]})])
         assert embed_text(embedder, "lesion").tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_wire_payload_forwards_model_last(self):
-        session = _FakeSession([_FakeResponse(body={"embedding": [1.0, 0.0, 0.0, 0.0]})])
-        HttpEmbedder("https://backend.test/embed", dim=4, model="e1", session=session).embed("x")
-        assert json.dumps(session.requests[0]["json"]) == '{"text": "x", "model": "e1"}'
+        endpoint = FakeEndpoint([FakeReply(body={"embedding": [1.0, 0.0, 0.0, 0.0]})])
+        HttpEmbedder("https://backend.test/embed", dim=4, model="e1", connect=endpoint).embed("x")
+        assert json.dumps(endpoint.requests[0]["json"]) == '{"text": "x", "model": "e1"}'
 
     def test_retries_transport(self):
-        embedder, session = self._embedder(
-            [requests.ConnectionError("down"), _FakeResponse(body={"embedding": [0.0, 1.0, 0.0, 0.0]})]
+        embedder, endpoint = self._embedder(
+            [ConnectionRefusedError("down"), FakeReply(body={"embedding": [0.0, 1.0, 0.0, 0.0]})]
         )
         vec = embed_text(embedder, "lesion")
         assert vec[1] == 1.0
-        assert len(session.requests) == 2
+        assert len(endpoint.requests) == 2
 
     def test_empty_text_rejected(self):
         embedder, _ = self._embedder([])
@@ -564,17 +550,105 @@ class TestHttpEmbedder:
 
 
 class TestHttpConnectionPool:
-    """Concurrent agent calls share one session; its pool must hold them all."""
+    """Concurrent agent calls share one endpoint; its stack must keep a
+    connection for each of them."""
 
     @pytest.mark.parametrize("backend", [HttpChatProvider, HttpEmbedder])
-    def test_own_session_pools_a_connection_per_concurrent_call(self, backend):
-        client = backend("http://backend.test/v1")
-        for url in ("http://backend.test/v1", "https://backend.test/v1"):
-            adapter = client._session.get_adapter(url)
-            assert adapter.poolmanager.connection_pool_kw["maxsize"] == MAX_CONCURRENT_CALLS
-        assert MAX_CONCURRENT_CALLS > requests.adapters.DEFAULT_POOLSIZE
+    @pytest.mark.parametrize("scheme", ["http", "https"])
+    def test_own_stack_keeps_a_connection_per_concurrent_call(self, backend, scheme):
+        client = backend(f"{scheme}://backend.test/v1")
+        assert client._idle.maxsize == MAX_CONCURRENT_CALLS
 
     @pytest.mark.parametrize("backend", [HttpChatProvider, HttpEmbedder])
-    def test_given_session_used_as_is(self, backend):
-        session = _FakeSession([])
-        assert backend("http://backend.test/v1", session=session)._session is session
+    def test_given_connect_used_as_is(self, backend):
+        endpoint = FakeEndpoint([])
+        assert backend("http://backend.test/v1", connect=endpoint)._connect is endpoint
+
+
+def _chat_handler(posts, *, before_reply=lambda: None, after_reply=None):
+    """A handler answering every POST with ``{"content": "hi"}``; it records
+    each ``(path, body, headers)`` in ``posts``, calls ``before_reply`` first and,
+    if given, ``after_reply(connection)`` once the reply is sent."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            posts.append((self.path, body, self.headers))
+            before_reply()
+            data = b'{"content": "hi"}'
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            if after_reply:
+                after_reply(self.connection)
+                self.close_connection = True
+
+        def log_message(self, format, *args):
+            pass
+
+    return Handler
+
+
+class TestLoopbackTransport:
+    """The JSON clients against a real HTTP server on 127.0.0.1."""
+
+    @pytest.mark.parametrize("calls", [8, MAX_CONCURRENT_CALLS])
+    def test_a_second_round_of_concurrent_calls_opens_no_connection(self, loopback, calls):
+        posts, barrier = [], threading.Barrier(calls)
+        server = loopback(_chat_handler(posts, before_reply=lambda: barrier.wait(timeout=10)))
+        provider = HttpChatProvider(server.url + "/chat", sleep=lambda _: None)
+        for _ in range(2):  # the barrier holds every reply until all calls are in
+            with ThreadPoolExecutor(calls) as pool:
+                replies = list(pool.map(lambda _: provider.complete(req()).content, range(calls)))
+            assert replies == ["hi"] * calls
+            assert len(server.accepted) == calls
+        assert len(posts) == 2 * calls
+
+    def test_a_connection_the_server_closed_while_idle_costs_no_retry(self, loopback):
+        posts, closed = [], threading.Event()
+
+        def close(connection):
+            connection.shutdown(socket.SHUT_RDWR)
+            closed.set()
+
+        server = loopback(_chat_handler(posts, after_reply=close))
+        waits = []
+        provider = HttpChatProvider(server.url + "/chat", sleep=waits.append)
+        assert provider.complete(req()).content == "hi"
+        assert closed.wait(timeout=10)
+        assert provider.complete(req()).content == "hi"
+        assert len(posts) == 2  # one POST per call
+        assert waits == []
+        assert len(server.accepted) == 2
+
+    def test_wire_bytes_and_headers(self, loopback):
+        posts = []
+        server = loopback(_chat_handler(posts))
+        provider = HttpChatProvider(server.url + "/v1/chat?tier=a", api_key="token", model="m1")
+        provider.complete(req("naïve café – 胶质瘤"))
+        payload = {
+            "messages": [{"role": "user", "content": "naïve café – 胶质瘤"}],
+            "temperature": 0.5,
+            "top_p": 1.0,
+            "max_tokens": 1024,
+            "model": "m1",
+        }
+        (path, body, headers), = posts
+        assert path == "/v1/chat?tier=a"
+        assert body == json.dumps(payload, allow_nan=False).encode("utf-8")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer token"
+
+    def test_a_refused_connection_is_a_transport_error_after_retries(self):
+        waits = []
+        with socket.socket() as unheard:  # bound, never listening: connections are refused
+            unheard.bind(("127.0.0.1", 0))
+            provider = HttpChatProvider(f"http://127.0.0.1:{unheard.getsockname()[1]}/chat",
+                                        sleep=waits.append)
+            with pytest.raises(TransportError, match="failed"):
+                provider.complete(req())
+        assert waits == [1.0, 2.0]

@@ -9,6 +9,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -256,6 +258,17 @@ class TestConfigFaultsExitTwo:
         assert result.exit_code == 2, result.output
         assert key in result.output
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"provider.kind": "http", "provider.chat": {"url": "backend.test/chat"}},
+        {"provider.embedder_kind": "http", "provider.embed": {"url": "ftp://backend.test/e"}},
+        {"kb.source": {"kind": "live", "base_url": "https:///articles"}},
+    ], ids=["no-scheme", "ftp", "no-host"])
+    def test_an_endpoint_url_must_be_http_with_a_host(self, tmp_path, overrides):
+        result = self._run(write_config(tmp_path / "c.json", **overrides), tmp_path / "run")
+        assert result.exit_code == 2, result.output
+        assert "not an http(s) URL with a host" in result.output
+        assert not (tmp_path / "run" / "reports.jsonl").exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("kb.chunk_chars", 800, "chunk_chars 1000 does not match configured chunk_chars 800"),
@@ -1228,3 +1241,20 @@ class TestCliKb:
             main, ["kb", "fetch", "--keyword", "broken term", "--config", str(config)]
         )
         assert result.exit_code == 1
+
+
+class TestImports:
+    def test_importing_the_program_loads_no_third_party_http_client(self):
+        """Counts only what the imports add: a site hook may load some of
+        these names before any program code runs."""
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "import radar, radar.runner, radar.cli\n"
+                  "print(sorted({'requests', 'urllib3', 'charset_normalizer', 'idna', 'certifi'}"
+                  " & (set(sys.modules) - before)))\n")
+        src = Path(runner.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

@@ -29,7 +29,7 @@ from radar.topologies import (
     run_single,
 )
 
-from conftest import make_case, make_document, make_report, unit_chunk
+from conftest import FakeEndpoint, FakeReply, make_case, make_document, make_report, unit_chunk
 
 TEN = [f"diagnosis {i}" for i in range(10)]
 
@@ -344,23 +344,30 @@ class TestRunRadar:
         assert "search" not in trace.kinds()
         assert bundle.chat.calls == 2 + 1  # no answer call for a failed retrieval
 
-    def test_non_numeric_http_query_embedding_degrades_to_sentinel(self, corpus_dir):
-        """A live embedder's reply with a non-numeric embedding is a
-        ProviderError, so it fails retrieval instead of the case."""
-
-        class NonNumericReplies:  # stands in for the embedder's requests.Session
-            def post(self, url, json=None, headers=None, timeout=None):
-                return SimpleNamespace(status_code=200, json=lambda: {"embedding": ["a"] * 64})
-
+    def _degrades_with_http_embedding(self, corpus_dir, embedding):
+        """On a warm store, a live embedder that answers ``embedding`` to
+        every query fails each question's retrieval with a ProviderError
+        and the case completes on the no-evidence answer."""
         kb = self._kb()
         run_radar(self._bundle(corpus_dir), kb, make_case("warm-up"))  # every keyword now a hit
-        embedder = HttpEmbedder("http://embed.test", dim=64, session=NonNumericReplies())
+        endpoint = FakeEndpoint([FakeReply(body={"embedding": embedding})])
+        embedder = HttpEmbedder("http://embed.test", dim=64, connect=endpoint)
         bundle = replace(self._bundle(corpus_dir), embedder=embedder)
         report, trace = run_radar(bundle, kb, make_case())
         assert [e.answer for e in report.evidence] == [NO_EVIDENCE_ANSWER] * 5
         errors = [s.detail["error"] for s in trace.steps if s.step_kind == "retrieval_error"]
         assert len(errors) == 5
         assert all(e.startswith("ProviderError: ") for e in errors)
+
+    def test_non_numeric_http_query_embedding_degrades_to_sentinel(self, corpus_dir):
+        """A live embedder's reply with a non-numeric embedding is a
+        ProviderError, so it fails retrieval instead of the case."""
+        self._degrades_with_http_embedding(corpus_dir, ["a"] * 64)
+
+    @pytest.mark.parametrize("component", [10**400, 1e39], ids=["huge-int", "big"])
+    def test_http_query_embedding_outside_float32_degrades_to_sentinel(self, corpus_dir,
+                                                                      component):
+        self._degrades_with_http_embedding(corpus_dir, [component] + [0.0] * 63)
 
     def test_non_finite_chunk_embedding_degrades_to_sentinel(self, corpus_dir):
         """On a cold store every keyword ingests; a chunk vector with a NaN
