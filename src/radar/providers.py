@@ -445,6 +445,14 @@ class _JsonEndpoint:
             conn.close()
         return status, data
 
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        while True:
+            try:
+                self._idle.get_nowait().close()
+            except queue.Empty:
+                return
+
 
 class HttpChatProvider(_JsonEndpoint):
     """Chat completions against one JSON endpoint.

@@ -148,7 +148,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     manifest's config snapshot loads back to an equal config; an unknown key
     is an error that names the closest known one. Relative paths are
     resolved against the config file's directory, and every referenced path
-    must exist at load time.
+    must exist at load time (one the system cannot stat counts as missing).
     """
     path = Path(path)
     cfg = decode(RunConfig, read_json(path, ConfigError), str(path), ConfigError)
@@ -159,7 +159,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if provider.kind == "scripted":
         if not provider.script_path:
             raise ConfigError("scripted provider needs provider.script_path")
-        if not Path(provider.script_path).is_file():
+        if not os.path.isfile(provider.script_path):
             raise ConfigError(f"script file {provider.script_path} does not exist")
     if provider.kind == "http" and not provider.chat.url:
         raise ConfigError("http provider needs provider.chat.url")
@@ -169,19 +169,21 @@ def load_run_config(path: str | Path) -> RunConfig:
     if source.kind == "fixture":
         if not source.corpus_dir:
             raise ConfigError("fixture source needs kb.source.corpus_dir")
-        if not Path(source.corpus_dir).is_dir():
+        if not os.path.isdir(source.corpus_dir):
             raise ConfigError(f"corpus directory {source.corpus_dir} does not exist")
     if source.kind == "live" and not source.base_url:
         raise ConfigError("live source needs kb.source.base_url")
+    if provider.dim <= 0:
+        raise ConfigError(f"provider.dim must be positive, got {provider.dim}")
     if provider.timeouts_ms <= 0:
         raise ConfigError(f"provider.timeouts_ms must be positive, got {provider.timeouts_ms}")
     if cfg.agents.n_queries <= 0:
         raise ConfigError(f"agents.n_queries must be positive, got {cfg.agents.n_queries}")
     if cfg.agents.max_retries < 0:
         raise ConfigError(f"agents.max_retries must be >= 0, got {cfg.agents.max_retries}")
-    if cfg.agents.template_dir and not Path(cfg.agents.template_dir).is_dir():
+    if cfg.agents.template_dir and not os.path.isdir(cfg.agents.template_dir):
         raise ConfigError(f"template directory {cfg.agents.template_dir} does not exist")
-    if cfg.eval.synonym_table and not Path(cfg.eval.synonym_table).is_file():
+    if cfg.eval.synonym_table and not os.path.isfile(cfg.eval.synonym_table):
         raise ConfigError(f"synonym table {cfg.eval.synonym_table} does not exist")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
@@ -354,8 +356,12 @@ def run_cases(cfg: RunConfig, cases_path: str | Path, out_dir: str | Path) -> Ru
     started = time.time()
     _write_manifest(out_dir, run_id, cfg, len(cases), digest, started, None)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(_execute_case, cfg, bundle, kb, templates, case) for case in cases]
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_execute_case, cfg, bundle, kb, templates, case)
+                       for case in cases]
+    finally:  # only the cases use the clients; an aborted run closes them too
+        bundle.close()
 
     failures: list[tuple[str, str]] = []
     report_lines = []

@@ -42,17 +42,7 @@ from .domain import (
     canonical_fold,
     no_evidence_answer,
 )
-from .errors import (
-    DegenerateVectorError,
-    DuplicateChunkError,
-    FetchError,
-    IngestionError,
-    ProviderError,
-    RadarError,
-    ShapeError,
-    TransportError,
-    ValidationError,
-)
+from .errors import RadarError, ValidationError
 from .knowledge import DocumentSource, KnowledgeBase, RetrievalHit
 from .providers import MAX_CONCURRENT_CALLS, ChatProvider, Embedder, embed_text
 
@@ -147,6 +137,12 @@ class ProviderBundle:
     chat: ChatProvider
     embedder: Embedder | None = None
     source: DocumentSource | None = None
+
+    def close(self) -> None:
+        """Close the model clients that hold connections (those with a ``close``)."""
+        for client in (self.chat, self.embedder):
+            if hasattr(client, "close"):
+                client.close()
 
 
 def _digest(text: str) -> str:
@@ -418,9 +414,11 @@ def run_radar(
 ) -> tuple[DiagnosisReport, RunTrace]:
     """Hypotheses, targeted queries, cached retrieval, grounded answers, final report.
 
-    A retrieval failure for one question degrades that question to the
-    sentinel answer and the pipeline continues; agent failures abort the
-    case with the trace attached.
+    A `RadarError` raised by one question's lookup, embedding or query
+    check degrades that question to the sentinel answer and the pipeline
+    continues; so a source or embedder raises a `RadarError` for anything
+    a question can cause. Any other exception, and an agent failure,
+    aborts the case with the trace attached.
 
     Independent model calls overlap, so a case waits on three calls in a
     row, not one per agent step. The initial doctor and the query generator
@@ -483,7 +481,7 @@ def run_radar(
         queries = stages[1].outcome
         pairs = queries.result() if queries.exception() is None else []
         # One retrieval pass. First, in query order: look up, note the rows
-        # the question may see, and embed it; a failure degrades only it.
+        # the question may see, and embed it; a RadarError degrades only it.
         prepared = []  # per question: pair, trace part, whether it has a query
         units, counts = [], []  # unit query and rows seen, per question that has one
         for pair in pairs:
@@ -500,8 +498,7 @@ def run_radar(
                 )
                 seen = kb.index.count
                 query = kb.index.unit_query(embed_text(providers.embedder, pair.question))
-            except (FetchError, TransportError, IngestionError, ValidationError,
-                    DuplicateChunkError, ProviderError, ShapeError, DegenerateVectorError) as exc:
+            except RadarError as exc:
                 part.add(
                     "retrieval_error",
                     "knowledge_base",

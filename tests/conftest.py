@@ -107,16 +107,21 @@ class FakeEndpoint:
     """Stands in for the ``connect`` seam of the HTTP JSON clients: each
     request on a connection it makes records its parsed body and headers in
     ``requests`` and answers the next outcome, a `FakeReply` or an exception
-    to raise. Once the outcomes run out, the last one answers again."""
+    to raise. Once the outcomes run out, the last one answers again. Each
+    connection it made is kept in ``connections``."""
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
         self.requests = []
-        self.connects = 0
+        self.connections = []
+
+    @property
+    def connects(self):
+        return len(self.connections)
 
     def __call__(self):
-        self.connects += 1
-        return _FakeConnection(self)
+        self.connections.append(_FakeConnection(self))
+        return self.connections[-1]
 
 
 class _FakeConnection:
@@ -124,6 +129,7 @@ class _FakeConnection:
 
     def __init__(self, endpoint):
         self._endpoint = endpoint
+        self.closed = False
 
     def request(self, method, path, body=None, headers=None):
         self._endpoint.requests.append({"path": path, "json": json.loads(body), "headers": headers})
@@ -136,7 +142,7 @@ class _FakeConnection:
         return outcome
 
     def close(self):
-        pass
+        self.closed = True
 
 
 class LoopbackServer(ThreadingHTTPServer):

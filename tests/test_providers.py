@@ -564,6 +564,17 @@ class TestHttpConnectionPool:
         endpoint = FakeEndpoint([])
         assert backend("http://backend.test/v1", connect=endpoint)._connect is endpoint
 
+    def test_close_closes_every_idle_connection(self):
+        endpoint = FakeEndpoint([FakeReply(body={"content": "hi"})])
+        provider = HttpChatProvider("http://backend.test/v1", connect=endpoint)
+        provider.complete(req())
+        provider.complete(req())
+        assert endpoint.connects == 1
+        provider.close()
+        assert [conn.closed for conn in endpoint.connections] == [True]
+        provider.complete(req())  # a call after close opens a new connection
+        assert endpoint.connects == 2
+
 
 def _chat_handler(posts, *, before_reply=lambda: None, after_reply=None):
     """A handler answering every POST with ``{"content": "hi"}``; it records

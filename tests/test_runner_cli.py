@@ -11,17 +11,27 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler
 from operator import attrgetter
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from radar import knowledge, runner
+from radar import cli, knowledge, runner
 from radar.agents import TEMPLATE_DIR
 from radar.cli import main
 from radar.domain import NO_EVIDENCE_ANSWER, DiagnosisReport, canonical_fold
-from radar.errors import ConfigError, EvaluationError, ScriptKeyError
+from radar.errors import (
+    ConfigError,
+    CorruptionError,
+    EvaluationError,
+    ProviderError,
+    ScriptKeyError,
+)
+from radar.knowledge import KnowledgeBase, LiveSource
 from radar.providers import TEMP_LOW, ChatResponse, request_fingerprint, user_request
 from radar.runner import (
     AgentSettings,
@@ -251,7 +261,7 @@ class TestConfigFaultsExitTwo:
 
     @pytest.mark.parametrize(
         "key, value", [("agents.max_retries", -1), ("provider.timeouts_ms", 0),
-                       ("provider.timeouts_ms", -5)]
+                       ("provider.timeouts_ms", -5), ("provider.dim", 0)]
     )
     def test_out_of_range_value(self, tmp_path, key, value):
         result = self._run(write_config(tmp_path / "c.json", **{key: value}), tmp_path / "run")
@@ -426,19 +436,19 @@ class TestRunCases:
         assert json.loads(failures[0])["case_id"] == "c3"
 
 
-class DiskFullOnce:
-    """Wraps a source; the first fetch of one keyword raises the OSError a
-    live source's cache write raises on a full disk."""
+class FailsOnce:
+    """Wraps a source; the first fetch of one keyword raises ``error``."""
 
-    def __init__(self, source, keyword):
+    def __init__(self, source, keyword, error):
         self.source = source
         self.keyword = keyword
+        self.error = error
         self.failed = False
 
     def fetch(self, keyword):
         if keyword == self.keyword and not self.failed:
             self.failed = True
-            raise OSError(28, "No space left on device")
+            raise self.error
         return self.source.fetch(keyword)
 
 
@@ -451,7 +461,11 @@ class TestCaseIsolation:
 
         def failing_bundle(cfg, *args):
             bundle = build_bundle(cfg, *args)
-            return dataclasses.replace(bundle, source=DiskFullOnce(bundle.source, "tuberous sclerosis"))
+            # the OSError a live source's cache write raises on a full disk
+            disk_full = OSError(28, "No space left on device")
+            return dataclasses.replace(
+                bundle, source=FailsOnce(bundle.source, "tuberous sclerosis", disk_full)
+            )
 
         monkeypatch.setattr(runner, "build_bundle", failing_bundle)
 
@@ -478,6 +492,27 @@ class TestCaseIsolation:
         assert result.exit_code == 1, result.output
         assert "failed c1: OSError" in result.output
         assert len((out / "reports.jsonl").read_text().splitlines()) == 2
+
+
+class TestRetrievalRule:
+    def test_an_error_outside_the_program_aborts_only_its_case(self, tmp_path, monkeypatch):
+        """A KeyError is no RadarError, so it is no question's failure."""
+        build_bundle = runner.build_bundle
+
+        def failing_bundle(cfg, *args):
+            bundle = build_bundle(cfg, *args)
+            error = KeyError("tuberous sclerosis")
+            return dataclasses.replace(
+                bundle, source=FailsOnce(bundle.source, "tuberous sclerosis", error)
+            )
+
+        monkeypatch.setattr(runner, "build_bundle", failing_bundle)
+        cfg = load_run_config(write_config(tmp_path / "c.json"))
+        out = tmp_path / "out"
+        summary = run_cases(cfg, DATA / "cases.jsonl", out)
+        assert summary.failures == [("c1", "KeyError: 'tuberous sclerosis'")]
+        golden = (DATA / "golden" / "reports.jsonl").read_text().splitlines()
+        assert (out / "reports.jsonl").read_text().splitlines() == golden[1:]
 
 
 class ScriptWithFallback:
@@ -1258,3 +1293,192 @@ class TestImports:
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+
+# One row per way a command ends a failure: the command as `radar --help`
+# names it, its arguments, the callable a failure is raised from, and the
+# prefix of the exit-1 line.
+EXIT_TABLE = [
+    pytest.param("run", ["run", "--cases", str(DATA / "cases.jsonl"), "--out", "{tmp}/run"],
+                 (cli, "run_cases"), "run failed", id="run"),
+    pytest.param("eval", ["eval", "--run", str(DATA / "golden"), "--truth",
+                          str(DATA / "truth.jsonl"), "--out", "{tmp}/eval.json"],
+                 (cli, "load_truths"), "evaluation failed", id="eval"),
+    pytest.param("kb fetch", ["kb", "fetch", "--keyword", "glioblastoma"],
+                 (cli, "build_bundle"), "fetch failed", id="kb-fetch"),
+    pytest.param("kb fetch", ["kb", "fetch", "--keyword", "glioblastoma"],
+                 (KnowledgeBase, "save"), "save failed", id="kb-fetch-save"),
+    pytest.param("kb stats", ["kb", "stats"],
+                 (cli, "build_knowledge_base"), "stats failed", id="kb-stats"),
+]
+
+
+def command_names(group: click.Group, prefix: str = "") -> set[str]:
+    names = set()
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            names |= command_names(command, prefix + name + " ")
+        else:
+            names.add(prefix + name)
+    return names
+
+
+class TestFailureRule:
+    """Every command ends a failure by its class: a store or config error
+    exits 2, any other RadarError or an OSError exits 1, each with one line
+    on stderr and no traceback."""
+
+    @pytest.mark.parametrize("command, args, seam, prefix", EXIT_TABLE)
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("bad value"), 2),
+        (CorruptionError("bad store"), 2),
+        (ProviderError("bad reply"), 1),
+        (OSError(5, "Input/output error"), 1),
+    ], ids=["config", "corruption", "other-radar-error", "os-error"])
+    def test_exit_code_and_one_line(self, tmp_path, monkeypatch, command, args, seam, prefix,
+                                    error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(*seam, fail)
+        config = write_config(tmp_path / "c.json", **{"kb.store_dir": str(tmp_path / "store")})
+        result = CliRunner().invoke(
+            main, [arg.format(tmp=tmp_path) for arg in args] + ["--config", str(config)]
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == code, result.output
+        expected = "config error" if code == 2 else prefix
+        assert result.stderr.splitlines() == [f"{expected}: {error}"]
+        assert "Traceback" not in result.output
+
+    def test_every_command_is_in_the_exit_table(self):
+        assert command_names(main) == {row.values[0] for row in EXIT_TABLE}
+
+    def test_a_keyword_whose_cache_page_cannot_be_read_costs_no_other(self, tmp_path):
+        base = "http://127.0.0.1:9"  # never asked: every page the run reads is cached
+        cache = tmp_path / "cache"
+        page = LiveSource(base, cache_dir=cache)._cache_path
+
+        def search(keyword, scope):
+            return page(f"{base}/search?q={keyword}&scope={scope}")
+
+        search("glioma", "articles").mkdir()  # reading it raises IsADirectoryError
+        search("other", "articles").write_text('<a href="/articles/other-1">x</a>')
+        search("other", "cases").write_text("")
+        page(f"{base}/articles/other-1").write_text("<title>Other</title><p>other text</p>")
+        config = write_config(tmp_path / "c.json", **{
+            "kb.source": {"kind": "live", "base_url": base, "cache_dir": str(cache)},
+            "kb.store_dir": str(tmp_path / "store"),
+        })
+        result = CliRunner().invoke(main, ["kb", "fetch", "--keyword", "glioma", "--keyword",
+                                           "other", "--config", str(config)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        line, = result.stderr.splitlines()
+        assert line.startswith("fetch failed for 'glioma': [Errno 21] Is a directory")
+        assert "other: fetched, 1 new documents" in result.stdout
+        stats = CliRunner().invoke(main, ["kb", "stats", "--config", str(config)])
+        assert stats.exit_code == 0, stats.output
+        assert "keywords=1 documents=1" in stats.output
+
+
+class TestUnstatablePaths:
+    """A path the system cannot even stat is a missing path: exit 2 and one
+    line, not a traceback."""
+
+    @pytest.mark.parametrize("key", ["--cases", "provider.script_path", "kb.source.corpus_dir",
+                                     "agents.template_dir", "eval.synonym_table"])
+    def test_a_name_too_long_exits_two(self, tmp_path, key):
+        too_long = str(tmp_path / ("x" * 5000))
+        config = write_config(tmp_path / "c.json", **({} if key == "--cases" else {key: too_long}))
+        cases = too_long if key == "--cases" else str(DATA / "cases.jsonl")
+        result = CliRunner().invoke(main, ["run", "--config", str(config), "--cases", cases,
+                                           "--out", str(tmp_path / "run")])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 2, result.output
+        line, = result.stderr.splitlines()
+        assert line.startswith("config error: ") and line.endswith("does not exist")
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "run").exists()
+
+
+def closing_handler(closed: threading.Semaphore, dim: int):
+    """A handler answering a chat POST with ``{"content": "hi"}`` and an
+    embedding POST with a unit vector of ``dim``; ``closed`` is released
+    each time a client closes its connection."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True  # headers and body go out in two writes
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            reply = {"embedding": [1.0] + [0.0] * (dim - 1)} if "text" in body else {"content": "hi"}
+            data = json.dumps(reply).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def handle(self):
+            super().handle()  # serves requests until the client closes the connection
+            closed.release()
+
+        def log_message(self, format, *args):
+            pass
+
+    return Handler
+
+
+class TestClientsClosed:
+    """A command closes the connections of the HTTP clients it built once it
+    is done with them; the test keeps each client alive, so no garbage
+    collection closes them instead."""
+
+    def _keep_bundles(self, monkeypatch, module):
+        """The bundles ``module.build_bundle`` builds, kept in a list."""
+        bundles = []
+        build_bundle = module.build_bundle
+
+        def kept_bundle(*args):
+            bundles.append(build_bundle(*args))
+            return bundles[-1]
+
+        monkeypatch.setattr(module, "build_bundle", kept_bundle)
+        return bundles
+
+    def _assert_all_closed(self, server, closed, bundles):
+        assert bundles and server.accepted
+        for _ in server.accepted:
+            assert closed.acquire(timeout=10)
+
+    @pytest.mark.parametrize("overrides", [
+        {"topology": "single", "provider.kind": "http", "provider.chat": {"url": "{url}/chat"},
+         "workers": 2},
+        {"provider.embedder_kind": "http", "provider.embed": {"url": "{url}/embed"}},
+    ], ids=["chat", "embed"])
+    def test_run_cases(self, tmp_path, monkeypatch, loopback, overrides):
+        closed = threading.Semaphore(0)
+        server = loopback(closing_handler(closed, 384))
+        bundles = self._keep_bundles(monkeypatch, runner)
+        values = {key: json.loads(json.dumps(value).replace("{url}", server.url))
+                  for key, value in overrides.items()}
+        cfg = load_run_config(write_config(tmp_path / "c.json", **values))
+        run_cases(cfg, DATA / "cases.jsonl", tmp_path / "run")
+        self._assert_all_closed(server, closed, bundles)
+
+    def test_kb_fetch(self, tmp_path, monkeypatch, loopback):
+        closed = threading.Semaphore(0)
+        server = loopback(closing_handler(closed, 384))
+        bundles = self._keep_bundles(monkeypatch, cli)
+        config = write_config(tmp_path / "c.json", **{
+            "provider.embedder_kind": "http", "provider.embed": {"url": server.url + "/embed"},
+            "kb.store_dir": str(tmp_path / "store"),
+        })
+        result = CliRunner().invoke(
+            main, ["kb", "fetch", "--keyword", "glioblastoma", "--config", str(config)]
+        )
+        assert result.exit_code == 0, result.output
+        self._assert_all_closed(server, closed, bundles)

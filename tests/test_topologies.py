@@ -14,7 +14,7 @@ import pytest
 from radar import topologies
 from radar.agents import PACKAGED_TEMPLATES
 from radar.domain import NO_EVIDENCE_ANSWER
-from radar.errors import ProviderError
+from radar.errors import ConfigError, ProviderError
 from radar.index import FlatIndex
 from radar.knowledge import FixtureSource, KnowledgeBase
 from radar.providers import ChatResponse, HashingEmbedder, HttpEmbedder, ScriptedChatProvider
@@ -267,6 +267,20 @@ def step_records(trace):
 RETRIEVED = {"fetch": ["kb_fetch", "search", "answer"], "hit": ["kb_hit", "search", "answer"]}
 
 
+class RaisingSource:
+    """Wraps a source; every fetch of ``keyword`` raises ``error``."""
+
+    def __init__(self, source, keyword, error):
+        self.source = source
+        self.keyword = keyword
+        self.error = error
+
+    def fetch(self, keyword):
+        if keyword == self.keyword:
+            raise self.error
+        return self.source.fetch(keyword)
+
+
 class TestRunRadar:
     def _bundle(self, corpus_dir, keywords=("glioblastoma", "tuberous sclerosis"), hooks=None,
                 **src_kwargs):
@@ -477,6 +491,32 @@ class TestRunRadar:
         errors = [s.detail["error"] for s in trace.steps if s.step_kind == "retrieval_error"]
         assert len(errors) == 3 and all(e.startswith("DuplicateChunkError: ") for e in errors)
         assert bundle.chat.calls == 2 + 2 + 1
+
+    def test_any_radar_error_from_the_source_degrades_only_its_questions(self, corpus_dir):
+        """A ConfigError names no retrieval failure in particular; as a
+        RadarError it still degrades only the questions of its keyword."""
+        bundle = self._bundle(corpus_dir)
+        error = ConfigError("cannot read the cached page")
+        bundle = replace(bundle, source=RaisingSource(bundle.source, "tuberous sclerosis", error))
+        report, trace = run_radar(bundle, self._kb(), make_case())
+        answers = [e.answer == NO_EVIDENCE_ANSWER for e in report.evidence]
+        assert answers == [False, True, False, True, False]
+        errors = [s.detail for s in trace.steps if s.step_kind == "retrieval_error"]
+        assert errors == [{"keyword": "tuberous sclerosis",
+                           "error": "ConfigError: cannot read the cached page"}] * 2
+        assert report.primary == "glioblastoma"
+        assert bundle.chat.calls == 2 + 3 + 1
+
+    def test_an_error_outside_the_program_aborts_the_case(self, corpus_dir):
+        """Any other exception is a program fault, not the question's: it
+        aborts the case once every started agent call is back."""
+        bundle = self._bundle(corpus_dir)
+        error = KeyError("tuberous sclerosis")
+        bundle = replace(bundle, source=RaisingSource(bundle.source, "tuberous sclerosis", error))
+        with pytest.raises(KeyError) as raised:
+            run_radar(bundle, self._kb(), make_case())
+        assert raised.value is error
+        assert bundle.chat.calls == 2  # no answer was asked
 
     def test_five_answers_in_flight_together(self, corpus_dir):
         barrier = threading.Barrier(5, timeout=5)
