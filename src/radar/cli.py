@@ -122,11 +122,15 @@ def cmd_eval(run_dirs: tuple[str, ...], truth_path: str, out_path: str,
     else:
         table = load_synonyms(synonyms_path) if synonyms_path else {}
         normalizer = DictionaryNormalizer(table)
-    truths = load_truths(truth_path)
-    results = []
-    for run_dir in run_dirs:
-        reports = [(line.case_id, line) for _, line in report_records(run_dir)]
-        results.append(evaluate_run(reports, truths, normalizer, run_id=Path(run_dir).name))
+    try:
+        truths = load_truths(truth_path)
+        results = []
+        for run_dir in run_dirs:
+            reports = [(line.case_id, line) for _, line in report_records(run_dir)]
+            results.append(evaluate_run(reports, truths, normalizer, run_id=Path(run_dir).name))
+    finally:  # only the scoring uses the normalizer; a provider one holds connections
+        if hasattr(normalizer, "close"):
+            normalizer.close()
     payload: dict = {"runs": [r.to_dict() for r in results]}
     click.echo(f"{'run':<24} {'cases':>6} {'top1':>8} {'top5':>8}")
     for r in results:

@@ -98,6 +98,11 @@ class ProviderNormalizer:
                 raw=raw, canonical=folded, normalizer_id=self.normalizer_id, degraded=True
             )
 
+    def close(self) -> None:
+        """Close the chat client's connections, if it holds any (has a ``close``)."""
+        if hasattr(self._provider, "close"):
+            self._provider.close()
+
 
 # ---------------------------------------------------------------------------
 # Scoring

@@ -11,8 +11,8 @@ Each chunk's text lives once, in its stored document: the chunk id
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import http.client
 import itertools
 import json
 import logging
@@ -20,13 +20,10 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum
-from html.parser import HTMLParser
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Mapping, Protocol
 from urllib.parse import quote, urljoin
 
 from .chunking import (
@@ -63,6 +60,9 @@ from .errors import (
 )
 from .index import FlatIndex
 from .providers import DEFAULT_EMBED_DIM, Embedder, http_url, with_retries
+
+if TYPE_CHECKING:
+    import urllib.request
 
 log = logging.getLogger(__name__)
 
@@ -455,27 +455,35 @@ _BLOCK_TAGS = {
 _SKIP_TAGS = {"script", "style", "noscript", "template", "title"}
 
 
-class _TextExtractor(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.parts: list[str] = []
-        self._skip_depth = 0
+@functools.cache
+def _text_extractor() -> type:
+    """The `HTMLParser` subclass that ``html_to_text`` feeds, made on first
+    use so that a run that reads no HTML loads no `html.parser`."""
+    from html.parser import HTMLParser
 
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-        elif tag in _BLOCK_TAGS:
-            self.parts.append("\n")
+    class TextExtractor(HTMLParser):
+        def __init__(self) -> None:
+            super().__init__(convert_charrefs=True)
+            self.parts: list[str] = []
+            self._skip_depth = 0
 
-    def handle_endtag(self, tag):
-        if tag in _SKIP_TAGS and self._skip_depth:
-            self._skip_depth -= 1
-        elif tag in _BLOCK_TAGS:
-            self.parts.append("\n")
+        def handle_starttag(self, tag, attrs):
+            if tag in _SKIP_TAGS:
+                self._skip_depth += 1
+            elif tag in _BLOCK_TAGS:
+                self.parts.append("\n")
 
-    def handle_data(self, data):
-        if not self._skip_depth:
-            self.parts.append(data)
+        def handle_endtag(self, tag):
+            if tag in _SKIP_TAGS and self._skip_depth:
+                self._skip_depth -= 1
+            elif tag in _BLOCK_TAGS:
+                self.parts.append("\n")
+
+        def handle_data(self, data):
+            if not self._skip_depth:
+                self.parts.append(data)
+
+    return TextExtractor
 
 
 def html_to_text(html: str) -> str:
@@ -485,7 +493,7 @@ def html_to_text(html: str) -> str:
     become line breaks, entities are unescaped, and whitespace collapses
     within each line. Blank lines collapse to at most one.
     """
-    extractor = _TextExtractor()
+    extractor = _text_extractor()()
     extractor.feed(html)
     lines = [" ".join(line.split()) for line in "".join(extractor.parts).split("\n")]
     out: list[str] = []
@@ -507,7 +515,8 @@ class LiveSource:
     at one request gate; responses are cached on disk so repeated runs do
     not hammer the site. Each GET follows redirects and honors the
     ``*_proxy`` environment variables; ``opener`` stands in for the default
-    `urllib.request` opener.
+    `urllib.request` opener. The HTTP modules are imported here, not with
+    this module, so a run that builds no live source loads none of them.
     """
 
     def __init__(
@@ -521,6 +530,8 @@ class LiveSource:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
+        import urllib.request
+
         http_url(base_url)
         self.base_url = base_url.rstrip("/")
         if delay_ms < MIN_POLITENESS_DELAY_MS:
@@ -550,6 +561,9 @@ class LiveSource:
         """The page at ``url``: from the disk cache, else one GET, cached
         before the gate opens so a thread waiting for the same page reads it
         from the cache instead of sending a second request."""
+        import http.client
+        import urllib.error
+
         cached = self._cache_path(url)
         if cached and cached.exists():
             return cached.read_text(encoding="utf-8")

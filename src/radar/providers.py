@@ -8,17 +8,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import json
 import math
 import queue
-import select
-import ssl
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import SplitResult, urlsplit, urlunsplit
 
 import numpy as np
@@ -33,6 +30,9 @@ from .errors import (
     TransportError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import http.client
 
 ROLES = ("system", "user", "assistant")
 
@@ -363,7 +363,9 @@ class _JsonEndpoint:
     connects directly, without a proxy, and verifies HTTPS against the
     system trust store. Idle kept-alive connections wait on a stack of at
     most MAX_CONCURRENT_CALLS; a call opens one only when none is idle.
-    ``connect`` makes a new `http.client.HTTPConnection`-like object.
+    ``connect`` makes a new `http.client.HTTPConnection`-like object. The
+    HTTP modules are imported here, not with this module, so a run that
+    builds no endpoint loads none of them.
     """
 
     def __init__(
@@ -378,6 +380,9 @@ class _JsonEndpoint:
     ):
         parts = http_url(url)
         if connect is None:
+            import http.client
+            import ssl
+
             tls = {"context": ssl.create_default_context()} if parts.scheme == "https" else {}
             connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
             connect = functools.partial(connection, parts.netloc, timeout=timeout_s, **tls)
@@ -423,6 +428,9 @@ class _JsonEndpoint:
         connection if there is one. A connection the server closed while
         idle reconnects before it sends; one that fails is closed and
         dropped, and the others go back on the stack."""
+        import http.client
+        import select
+
         try:
             conn = self._idle.get_nowait()
         except queue.Empty:

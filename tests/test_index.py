@@ -433,6 +433,37 @@ class TestSearchBatch:
             prefix = tagged_index(rows[:c], keywords[:c])
             assert [(h.chunk_id, h.score, h.keyword) for h in batch] == hits(prefix, query, k)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 3, None]),
+           edges=st.integers(1, 3), k=st.integers(1, 6))
+    def test_each_query_equals_a_canonical_scan_of_its_prefix(self, data, seed, block, edges, k):
+        """Under blocks of 1 row, 3 rows and the default size, with counts of 0,
+        on a block edge and one row past it, and tied rows across each edge."""
+        dim = 384 if block is None else data.draw(st.sampled_from([3, 17, 64]), label="dim")
+        step = block or index_module.SCAN_BLOCK_BYTES // (4 * dim)
+        n = edges * step + 1
+        ends = sorted({0, *range(step, n, step), *range(step + 1, n + 1, step)})
+        counts = [0] + data.draw(st.lists(st.sampled_from(ends), min_size=1, max_size=5),
+                                 label="counts")
+        rng = np.random.default_rng(seed)
+        rows = unit_rows(rng, n, dim).astype(np.float32)
+        tie = rows[0].copy()
+        for edge in range(step, n, step):
+            rows[edge - 1 : edge + 1] = tie
+        keywords = [f"k{i % 3}" for i in range(n)]
+        index = tagged_index(rows, keywords)
+        units = [index.unit_query(tie + 0.05 * rng.normal(size=dim)) for _ in counts]
+
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(index_module, "SCAN_BLOCK_BYTES", block * 4 * dim)
+            found = index.search_batch(units, k, counts)
+        for unit, c, batch in zip(units, counts, found):
+            scores = [float(np.dot(row.astype(np.float64), unit)) for row in rows[:c]]
+            best = sorted(range(c), key=lambda i: (-scores[i], i))[:k]
+            assert [(h.chunk_id, h.score, h.keyword) for h in batch] == [
+                (f"c{i}", scores[i], keywords[i]) for i in best]
+
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_every_row_of_every_block_is_scanned(self, monkeypatch, block):
         monkeypatch.setattr(index_module, "SCAN_BLOCK_BYTES", block * 4 * 8)

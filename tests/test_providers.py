@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
@@ -611,12 +612,13 @@ class TestLoopbackTransport:
     def test_a_second_round_of_concurrent_calls_opens_no_connection(self, loopback, calls):
         posts, barrier = [], threading.Barrier(calls)
         server = loopback(_chat_handler(posts, before_reply=lambda: barrier.wait(timeout=10)))
-        provider = HttpChatProvider(server.url + "/chat", sleep=lambda _: None)
-        for _ in range(2):  # the barrier holds every reply until all calls are in
-            with ThreadPoolExecutor(calls) as pool:
-                replies = list(pool.map(lambda _: provider.complete(req()).content, range(calls)))
-            assert replies == ["hi"] * calls
-            assert len(server.accepted) == calls
+        with closing(HttpChatProvider(server.url + "/chat", sleep=lambda _: None)) as provider:
+            for _ in range(2):  # the barrier holds every reply until all calls are in
+                with ThreadPoolExecutor(calls) as pool:
+                    replies = list(pool.map(lambda _: provider.complete(req()).content,
+                                            range(calls)))
+                assert replies == ["hi"] * calls
+                assert len(server.accepted) == calls
         assert len(posts) == 2 * calls
 
     def test_a_connection_the_server_closed_while_idle_costs_no_retry(self, loopback):
@@ -628,10 +630,10 @@ class TestLoopbackTransport:
 
         server = loopback(_chat_handler(posts, after_reply=close))
         waits = []
-        provider = HttpChatProvider(server.url + "/chat", sleep=waits.append)
-        assert provider.complete(req()).content == "hi"
-        assert closed.wait(timeout=10)
-        assert provider.complete(req()).content == "hi"
+        with closing(HttpChatProvider(server.url + "/chat", sleep=waits.append)) as provider:
+            assert provider.complete(req()).content == "hi"
+            assert closed.wait(timeout=10)
+            assert provider.complete(req()).content == "hi"
         assert len(posts) == 2  # one POST per call
         assert waits == []
         assert len(server.accepted) == 2
@@ -639,8 +641,9 @@ class TestLoopbackTransport:
     def test_wire_bytes_and_headers(self, loopback):
         posts = []
         server = loopback(_chat_handler(posts))
-        provider = HttpChatProvider(server.url + "/v1/chat?tier=a", api_key="token", model="m1")
-        provider.complete(req("naïve café – 胶质瘤"))
+        with closing(HttpChatProvider(server.url + "/v1/chat?tier=a", api_key="token",
+                                      model="m1")) as provider:
+            provider.complete(req("naïve café – 胶质瘤"))
         payload = {
             "messages": [{"role": "user", "content": "naïve café – 胶质瘤"}],
             "temperature": 0.5,

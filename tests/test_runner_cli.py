@@ -1278,21 +1278,40 @@ class TestCliKb:
         assert result.exit_code == 1
 
 
+# Modules only an HTTP client or the live source uses; importing the program
+# or running it on the fixture source loads none of them.
+HTTP_MODULES = ["requests", "urllib3", "charset_normalizer", "idna", "certifi",
+                "http.client", "ssl", "urllib.request", "urllib.error", "html.parser"]
+
+
+def modules_added_by(code: str) -> list[str]:
+    """The ``HTTP_MODULES`` that running ``code`` in a fresh process loads.
+    Counts only what the code adds: a site hook may load some of these
+    names before any program code runs."""
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              f"{code}\n"
+              f"print(json.dumps(sorted(set({HTTP_MODULES!r}) & (set(sys.modules) - before))))\n")
+    src = Path(runner.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 class TestImports:
-    def test_importing_the_program_loads_no_third_party_http_client(self):
-        """Counts only what the imports add: a site hook may load some of
-        these names before any program code runs."""
-        script = ("import sys\n"
-                  "before = set(sys.modules)\n"
-                  "import radar, radar.runner, radar.cli\n"
-                  "print(sorted({'requests', 'urllib3', 'charset_normalizer', 'idna', 'certifi'}"
-                  " & (set(sys.modules) - before)))\n")
-        src = Path(runner.__file__).resolve().parents[1]
-        result = subprocess.run([sys.executable, "-c", script],
-                                env={**os.environ, "PYTHONPATH": str(src)},
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+    def test_importing_the_program_loads_no_http_module(self):
+        assert modules_added_by("import radar, radar.runner, radar.cli") == []
+
+    def test_a_fixture_run_loads_no_http_module(self, tmp_path):
+        config = write_config(tmp_path / "c.json")
+        code = ("from radar.runner import load_run_config, run_cases\n"
+                f"run_cases(load_run_config({str(config)!r}), {str(DATA / 'cases.jsonl')!r}, "
+                f"{str(tmp_path / 'run')!r})")
+        assert modules_added_by(code) == []
+        assert (tmp_path / "run" / "reports.jsonl").read_bytes() == (
+            DATA / "golden" / "reports.jsonl").read_bytes()
 
 
 # One row per way a command ends a failure: the command as `radar --help`
@@ -1437,20 +1456,20 @@ class TestClientsClosed:
     is done with them; the test keeps each client alive, so no garbage
     collection closes them instead."""
 
-    def _keep_bundles(self, monkeypatch, module):
-        """The bundles ``module.build_bundle`` builds, kept in a list."""
-        bundles = []
-        build_bundle = module.build_bundle
+    def _keep(self, monkeypatch, module, builder="build_bundle"):
+        """What ``module.<builder>`` builds, kept in a list."""
+        built = []
+        build = getattr(module, builder)
 
-        def kept_bundle(*args):
-            bundles.append(build_bundle(*args))
-            return bundles[-1]
+        def kept(*args):
+            built.append(build(*args))
+            return built[-1]
 
-        monkeypatch.setattr(module, "build_bundle", kept_bundle)
-        return bundles
+        monkeypatch.setattr(module, builder, kept)
+        return built
 
-    def _assert_all_closed(self, server, closed, bundles):
-        assert bundles and server.accepted
+    def _assert_all_closed(self, server, closed, built):
+        assert built and server.accepted
         for _ in server.accepted:
             assert closed.acquire(timeout=10)
 
@@ -1462,7 +1481,7 @@ class TestClientsClosed:
     def test_run_cases(self, tmp_path, monkeypatch, loopback, overrides):
         closed = threading.Semaphore(0)
         server = loopback(closing_handler(closed, 384))
-        bundles = self._keep_bundles(monkeypatch, runner)
+        bundles = self._keep(monkeypatch, runner)
         values = {key: json.loads(json.dumps(value).replace("{url}", server.url))
                   for key, value in overrides.items()}
         cfg = load_run_config(write_config(tmp_path / "c.json", **values))
@@ -1472,7 +1491,7 @@ class TestClientsClosed:
     def test_kb_fetch(self, tmp_path, monkeypatch, loopback):
         closed = threading.Semaphore(0)
         server = loopback(closing_handler(closed, 384))
-        bundles = self._keep_bundles(monkeypatch, cli)
+        bundles = self._keep(monkeypatch, cli)
         config = write_config(tmp_path / "c.json", **{
             "provider.embedder_kind": "http", "provider.embed": {"url": server.url + "/embed"},
             "kb.store_dir": str(tmp_path / "store"),
@@ -1482,3 +1501,17 @@ class TestClientsClosed:
         )
         assert result.exit_code == 0, result.output
         self._assert_all_closed(server, closed, bundles)
+
+    def test_eval(self, tmp_path, monkeypatch, loopback):
+        closed = threading.Semaphore(0)
+        server = loopback(closing_handler(closed, 384))
+        normalizers = self._keep(monkeypatch, cli, "build_normalizer")
+        config = write_config(tmp_path / "c.json", **{
+            "provider.kind": "http", "provider.chat": {"url": server.url + "/chat"},
+            "eval.normalizer_kind": "provider",
+        })
+        result = CliRunner().invoke(main, [
+            "eval", "--run", str(DATA / "golden"), "--truth", str(DATA / "truth.jsonl"),
+            "--out", str(tmp_path / "eval.json"), "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        self._assert_all_closed(server, closed, normalizers)
