@@ -23,16 +23,17 @@ a time, one matrix-vector product per query into its row of one
 ``(queries, rows)`` buffer, so a block is read from memory once and then
 from cache by every later query. One matrix-matrix product per block, with a
 case's five queries, measured 1.3 times as slow at 16k-100k rows, and
-OpenBLAS packs its operands for it in a buffer of about 2 MB. A batch of one
-query takes the whole matrix in one matrix-vector product, which beats
-blocks of it. Row ``j`` of ``S``, cut to the query's own prefix of
-``c = counts[j]`` entries, is that query's scan ``s32``, and no row past the
-prefix is ever a candidate. With ``m = min(k, c)`` and ``kth`` the m-th
-largest of ``s32``, every row with ``s32 >= kth - 2 * eps`` is a candidate,
-and only the candidates get their canonical score. A stable sort of the
-candidates by canonical score then gives the same ids, order and scores as
-a canonical full scan of an index holding only those ``c`` rows.
-``search_top_k`` is the batch of one query over every row.
+OpenBLAS packs its operands for it in a buffer of about 2 MB. Row ``j`` of
+``S``, cut to the query's own prefix of ``c = counts[j]`` entries, is that
+query's scan ``s32``, and no row past the prefix is ever a candidate. With
+``m = min(k, c)`` and ``kth`` the m-th largest of ``s32``, every row with
+``s32 >= kth - 2 * eps`` is a candidate, and only the candidates are
+rescored, a block of them at a time, by one stack of ``(1, d) @ (d, 1)``
+float64 products. numpy takes each such product with the vector dot that
+``np.dot`` of two vectors calls, so each is the canonical score bit for bit.
+A stable sort of the candidates by canonical score then gives the same ids,
+order and scores as a canonical full scan of an index holding only those
+``c`` rows. ``search_top_k`` is the batch of one query over every row.
 
 The bound ``eps``. Let ``u = 2**-24`` (float32 unit roundoff), ``d`` the
 dim, ``tau = UNIT_NORM_TOLERANCE``, ``x`` a row with ``|x| <= 1 + tau``
@@ -103,7 +104,8 @@ _HEADER = struct.Struct("<4sIIQ")
 _U16 = struct.Struct("<H")
 
 UNIT_NORM_TOLERANCE = 1e-6
-# Rows per block of a batch scan: 3 MiB of the matrix, 2048 rows at dim 384.
+# Rows per block of a batch scan, and candidates per block of its float64
+# rescoring: 3 MiB of the matrix, 2048 rows at dim 384.
 # With five queries at dim 384 on a 2-vCPU Xeon (2 MiB L2 per core), blocks of
 # 2048 rows scanned 16k / 20.4k / 100k rows in 1.4 / 1.8 / 11.9 ms, against
 # 2.8 / 3.3 / 21.8 ms in 1024-row and 2.2 / 2.9 / 18.9 ms in 4096-row blocks.
@@ -232,10 +234,8 @@ class FlatIndex:
         self, queries: Sequence[np.ndarray], k: int, counts: Sequence[int]
     ) -> list[list[ScoredChunk]]:
         """Exact top-k of each unit query (as ``unit_query`` returns it) over
-        the first ``counts[j]`` rows. Every query is scored against a block of
-        ``SCAN_BLOCK_BYTES`` of rows, one matrix-vector product each, before
-        the next block is read; one query is scored against every row in one
-        product."""
+        the first ``counts[j]`` rows, scanned a block of ``SCAN_BLOCK_BYTES``
+        of rows at a time, one matrix-vector product per query."""
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         if len(queries) != len(counts):
@@ -253,7 +253,7 @@ class FlatIndex:
             raise ShapeError(f"queries of shape {q64.shape}, expected ({len(counts)}, {self.dim})")
         q32 = q64.astype(np.float32)
         scans = np.empty((len(counts), len(matrix)), np.float32)
-        step = max(1, len(matrix) if len(counts) == 1 else SCAN_BLOCK_BYTES // (4 * self.dim))
+        step = max(1, SCAN_BLOCK_BYTES // (4 * self.dim))
         for start in range(0, len(matrix), step):
             block = matrix[start : start + step]
             for q, scan in zip(q32, scans[:, start : start + step]):
@@ -266,19 +266,16 @@ class FlatIndex:
                 results.append([])
                 continue
             kth = np.partition(scan, c - m)[c - m]
-            candidates = np.flatnonzero(scan >= kth - self._slack).tolist()
-            memo: dict[float, tuple[bytes, float]] = {}  # s32 -> one row's bytes, its score
-            scores = []
-            for i, s in zip(candidates, scan[candidates].tolist()):
-                row, known = matrix[i].tobytes(), memo.get(s)
-                if known is None or known[0] != row:
-                    known = memo[s] = (row, np.dot(matrix[i].astype(np.float64), q))
-                scores.append(known[1])
+            candidates = np.flatnonzero(scan >= kth - self._slack)
+            scores = np.concatenate([
+                np.matmul(matrix[candidates[s : s + step], None, :], q[:, None])[:, 0, 0]
+                for s in range(0, len(candidates), step)
+            ])
             # The candidates are in insertion order, so a stable sort keeps ties so.
-            best = np.argsort(np.negative(scores), kind="stable")[:m].tolist()
+            best = np.argsort(np.negative(scores), kind="stable")[:m]
             results.append([
-                ScoredChunk(ids[candidates[j]], float(scores[j]), keywords[candidates[j]])
-                for j in best
+                ScoredChunk(ids[i], score, keywords[i])
+                for i, score in zip(candidates[best].tolist(), scores[best].tolist())
             ])
         return results
 

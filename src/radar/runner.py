@@ -35,7 +35,9 @@ from .domain import (
 )
 from .errors import ConfigError, EvaluationError
 from .evaluation import DictionaryNormalizer, Normalizer, ProviderNormalizer, load_synonyms
-from .knowledge import MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
+from .knowledge import (
+    META_FILENAME, MIN_POLITENESS_DELAY_MS, FixtureSource, KnowledgeBase, LiveSource
+)
 from .providers import (
     DEFAULT_EMBED_DIM,
     ChatProvider,
@@ -231,7 +233,7 @@ def build_bundle(
 
 def build_knowledge_base(cfg: RunConfig) -> KnowledgeBase:
     store = Path(cfg.kb.store_dir) if cfg.kb.store_dir else None
-    if store and (store / "meta.json").exists():
+    if store and (store / META_FILENAME).exists():
         kb = KnowledgeBase.load(store)
         for name, have, want in (
             ("dim", kb.index.dim, cfg.provider.dim),

@@ -493,6 +493,29 @@ class TestSearchBatch:
         assert found == expected
         assert peak < 20_000 * 5 * 4 + 2**20  # a float64 or whole-matrix copy: 30 MB or more
 
+    def test_rescoring_rows_that_all_tie_holds_one_block_of_candidates(self):
+        """20k tied rows, then one row an ulp from them that scores higher:
+        every row is a candidate, and the last block of them holds the best."""
+        tie = unit_rows(np.random.default_rng(9), 1, 384)[0].astype(np.float32)
+        unit = FlatIndex(384).unit_query(np.random.default_rng(10).normal(size=384))
+        j = int(np.argmax(np.abs(unit)))
+        best = tie.copy()
+        best[j] = np.nextafter(tie[j], np.float32(np.sign(unit[j])))
+        assert np.dot(best.astype(np.float64), unit) > np.dot(tie.astype(np.float64), unit)
+        index = FlatIndex(384)
+        index.insert([exact_chunk(f"c{i}", tie) for i in range(20_000)], "kw")
+        index.insert([exact_chunk("best", best)], "kw")
+        tracemalloc.start()
+        try:
+            found = index.search_batch([unit], 5, [index.count])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [h.chunk_id for h in found] == ["best", "c0", "c1", "c2", "c3"]
+        # A block of rows gathered as float32 and cast to float64 is 3 block
+        # sizes; all 20k candidates at once would be 92 MB.
+        assert peak < 3 * index_module.SCAN_BLOCK_BYTES + 2**20
+
     def test_empty_batch_returns_nothing(self):
         assert FlatIndex(4).search_batch([], 5, []) == []
 
@@ -802,6 +825,20 @@ class TestBufferedLoad:
             with pytest.raises(CorruptionError) as caught:
                 FlatIndex.load(path)
             assert str(caught.value) == f"{path}: {problem}"
+
+    @pytest.mark.parametrize("buffer", [7, COPY_BUFFER_BYTES])
+    @pytest.mark.parametrize("into", [0, 1, 2 + 300 + 1], ids=["at-record", "id-len", "kw-len"])
+    def test_a_file_cut_in_a_length_prefix_is_truncated_at_its_record(self, tmp_path,
+                                                                     monkeypatch, buffer, into):
+        """Records long enough that the count fits however the last is cut."""
+        monkeypatch.setattr(index_module, "COPY_BUFFER_BYTES", buffer)
+        records = [(b"a" * 300, b"kw", (1.0, 0.0, 0.0)), (b"b" * 300, b"kw", (0.0, 1.0, 0.0))]
+        last = 20 + 4 + 300 + 2 + 12
+        path = tmp_path / "cut.rdrx"
+        path.write_bytes(index_file(3, records)[: last + into])
+        with pytest.raises(CorruptionError) as caught:
+            FlatIndex.load(path)
+        assert str(caught.value) == f"{path}: truncated at byte {last}"
 
     def test_a_load_holds_at_most_a_buffer_of_the_file(self, tmp_path):
         rows = unit_rows(np.random.default_rng(5), 4000, 384)

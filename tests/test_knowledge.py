@@ -931,7 +931,10 @@ class TestProportionalSave:
                                                              indent=1), "utf-8")),
         ("index.rdrx", lambda p: os.utime(p, ns=(1_000_000_000, 1_000_000_000))),
         ("index.rdrx", lambda p: domain.replace_file(p, lambda fh, _: fh.write(p.read_bytes()))),
-    ], ids=["documents-touched", "documents-redumped", "index-touched", "index-replaced"])
+        ("documents.json", lambda p: p.unlink()),
+        ("index.rdrx", lambda p: p.unlink()),
+    ], ids=["documents-touched", "documents-redumped", "index-touched", "index-replaced",
+            "documents-deleted", "index-deleted"])
     @pytest.mark.parametrize("marked_by", ["load", "save"])
     def test_a_file_changed_since_the_load_is_not_copied(self, tmp_path, monkeypatch, name,
                                                           change, marked_by):
@@ -948,6 +951,7 @@ class TestProportionalSave:
         other = "documents.json" if name == "index.rdrx" else "index.rdrx"
         assert spy.copied_from(name) == [] and spy.copied_from(other) != []
         assert _store_bytes(store) == _full_save(kb, tmp_path / "full")
+        _assert_reloads(store, kb)
 
     @pytest.mark.parametrize("redump, copied", [
         (lambda docs: json.dumps(docs, indent=1), True),
@@ -1090,11 +1094,13 @@ class TestHtmlToText:
 
 class _PageOpener:
     """Serves canned HTML per URL, as `urllib.request`'s opener does, and
-    records request order; an unknown URL answers ``missing_status``."""
+    records request order; an unknown URL answers ``missing_status``, and a
+    URL in ``statuses`` answers its page with that success status."""
 
-    def __init__(self, pages, missing_status=404):
+    def __init__(self, pages, missing_status=404, statuses=None):
         self.pages = pages
         self.missing_status = missing_status
+        self.statuses = statuses or {}
         self.urls = []
 
     def open(self, url, timeout=None):
@@ -1103,7 +1109,8 @@ class _PageOpener:
             raise urllib.error.HTTPError(url, self.missing_status, "error", Message(), None)
         headers = Message()
         headers["Content-Type"] = "text/html; charset=utf-8"
-        return addinfourl(io.BytesIO(self.pages[url].encode("utf-8")), headers, url, 200)
+        status = self.statuses.get(url, 200)
+        return addinfourl(io.BytesIO(self.pages[url].encode("utf-8")), headers, url, status)
 
 
 class TestLiveSource:
@@ -1144,6 +1151,37 @@ class TestLiveSource:
         assert by_section[Section.ARTICLE].body == "Article body text."
         assert by_section[Section.ARTICLE].title == "GBM article"
         assert by_section[Section.CASE].source_url.endswith("/cases/glioblastoma-case-1")
+
+    def test_a_page_answered_204_is_a_fetch_error(self, tmp_path):
+        url = f"{self.BASE}/search?q=glioblastoma&scope=articles"
+        opener = _PageOpener(self._pages(), statuses={url: 204})
+        source = LiveSource(self.BASE, cache_dir=tmp_path / "cache", opener=opener,
+                            sleep=lambda s: None)
+        with pytest.raises(FetchError, match=f"GET {re.escape(url)} answered 204"):
+            source.fetch("glioblastoma")
+        assert opener.urls == [url]
+        assert list(source.cache_dir.iterdir()) == []
+
+    def test_a_search_page_yields_its_first_five_result_links(self):
+        names = [f"glioblastoma-{i}" for i in range(7)]
+        pages = {
+            f"{self.BASE}/search?q=glioblastoma&scope=articles": "".join(
+                f'<a href="/articles/{name}">{name}</a>' for name in [names[0], *names]),
+            f"{self.BASE}/search?q=glioblastoma&scope=cases": "",
+            **{f"{self.BASE}/articles/{name}": f"<p>{name} body.</p>" for name in names},
+        }
+        opener = _PageOpener(pages)
+        source = LiveSource(self.BASE, opener=opener, sleep=lambda s: None)
+        docs = source.fetch("glioblastoma")
+        assert [d.doc_id for d in docs] == [f"articles:{name}" for name in names[:5]]
+        assert not any(url.endswith(("-5", "-6")) for url in opener.urls)
+
+    def test_a_result_page_without_text_is_skipped(self):
+        pages = self._pages()
+        pages[f"{self.BASE}/articles/glioblastoma-1"] = "<title>Empty</title><p> </p>"
+        source = LiveSource(self.BASE, opener=_PageOpener(pages), sleep=lambda s: None)
+        docs = source.fetch("glioblastoma")
+        assert [d.section for d in docs] == [Section.CASE]
 
     def test_politeness_delay_between_requests(self, tmp_path):
         sleeps = []

@@ -261,12 +261,26 @@ class TestConfigFaultsExitTwo:
 
     @pytest.mark.parametrize(
         "key, value", [("agents.max_retries", -1), ("provider.timeouts_ms", 0),
-                       ("provider.timeouts_ms", -5), ("provider.dim", 0)]
+                       ("provider.timeouts_ms", -5), ("provider.dim", 0),
+                       ("agents.n_queries", 0), ("workers", 0)]
     )
     def test_out_of_range_value(self, tmp_path, key, value):
         result = self._run(write_config(tmp_path / "c.json", **{key: value}), tmp_path / "run")
         assert result.exit_code == 2, result.output
         assert key in result.output
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"provider.script_path": None}, "scripted provider needs provider.script_path"),
+        ({"provider.kind": "http"}, "http provider needs provider.chat.url"),
+        ({"provider.embedder_kind": "http"}, "http embedder needs provider.embed.url"),
+        ({"kb.source": {"kind": "fixture"}}, "fixture source needs kb.source.corpus_dir"),
+        ({"kb.source": {"kind": "live"}}, "live source needs kb.source.base_url"),
+    ], ids=["script", "chat-url", "embed-url", "corpus-dir", "base-url"])
+    def test_a_kind_without_the_key_it_needs(self, tmp_path, overrides, message):
+        result = self._run(write_config(tmp_path / "c.json", **overrides), tmp_path / "run")
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("overrides", [
@@ -627,15 +641,17 @@ class TestOrderedScripts:
     """Unkeyed script entries answer calls in arrival order, so they replay
     only where calls arrive in a fixed order."""
 
-    def _config(self, tmp_path, primaries, **overrides):
+    def _config(self, tmp_path, replies, **overrides):
+        """The golden config over a script of ``replies`` in call order: a
+        string is a report with that primary, anything else is sent as JSON."""
         script = tmp_path / "ordered.json"
         script.write_text(json.dumps([
-            {"content": json.dumps({
-                "primary": primary,
+            {"content": json.dumps(reply if not isinstance(reply, str) else {
+                "primary": reply,
                 "differentials": ["metastasis", "lymphoma", "abscess", "demyelination"],
                 "confidences": [0.6, 0.2, 0.1, 0.06, 0.04],
             })}
-            for primary in primaries
+            for reply in replies
         ]))
         return write_config(tmp_path / "c.json", **{"provider.script_path": str(script)}, **overrides)
 
@@ -660,6 +676,31 @@ class TestOrderedScripts:
         assert [(cid, raw["primary"]) for cid, raw in load_reports(out)] == [
             ("c1", "a"), ("c2", "b"), ("c3", "c")
         ]
+
+    @pytest.mark.parametrize("topology, replies, kinds", [
+        ("collaborative", [*"xay", *"aaa", *"bbb", *"ccc"],
+         [["diagnose"] * 3 + ["discuss"] * 3, ["diagnose"] * 3, ["diagnose"] * 3]),
+        ("challenger", ["x", {"objections": ["the rim is thin"]}, "a",
+                        "b", {"objections": []}, "c", {"objections": []}],
+         [["draft", "critique", "revise"], ["draft", "critique"], ["draft", "critique"]]),
+    ])
+    def test_a_baseline_topology_chosen_on_the_command_line_replays_in_order(
+            self, tmp_path, topology, replies, kinds):
+        config = self._config(tmp_path, replies)  # the config names radar
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--config", str(config), "--cases", str(DATA / "cases.jsonl"),
+             "--out", str(out), "--topology", topology],
+        )
+        assert result.exit_code == 0, result.output
+        assert [(cid, raw["primary"]) for cid, raw in load_reports(out)] == [
+            ("c1", "a"), ("c2", "b"), ("c3", "c")
+        ]
+        traces = [json.loads((out / "traces" / f"{cid}.json").read_text())
+                  for cid in ("c1", "c2", "c3")]
+        assert [t["topology"] for t in traces] == [topology] * 3
+        assert [[s["step_kind"] for s in t["steps"]] for t in traces] == kinds
 
 
 def reference_digest(*dirs) -> str:
@@ -1259,6 +1300,15 @@ class TestCliKb:
         result = CliRunner().invoke(main, ["kb", "stats", "--config", str(config)])
         assert result.exit_code == 0
         assert "keywords=0 documents=0 chunks=0" in result.output
+
+    def test_fetch_without_a_store_exits_two(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["kb", "fetch", "--keyword", "glioblastoma",
+                   "--config", str(write_config(tmp_path / "c.json"))]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [
+            "config error: kb fetch needs kb.store_dir in the config"]
 
     def test_fetch_failure_exits_one(self, tmp_path):
         config = write_config(

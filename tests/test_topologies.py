@@ -335,6 +335,23 @@ class TestRunRadar:
         assert report.primary == "glioblastoma"
         assert bundle.chat.calls == 2 + 3 + 1  # no answer call for a failed retrieval
 
+    def test_a_search_that_sees_no_rows_answers_the_sentinel(self, corpus_dir):
+        """On an empty store the first keyword fetches no documents, so the
+        first question's search sees no rows and it is answered without a
+        chat call; later questions see the rows later keywords fetched."""
+        asked = []
+        hooks = {"answer_generator": asked.append}  # returns None: the usual reply
+        bundle = self._bundle(corpus_dir, ("no such keyword", "glioblastoma"), hooks)
+        report, trace = run_radar(bundle, self._kb(), make_case())
+        fetch, search, answer = trace.steps[2:5]
+        assert (fetch.step_kind, fetch.detail["new_docs"]) == ("kb_fetch", 0)
+        assert (search.step_kind, search.detail["chunk_ids"]) == ("search", [])
+        assert (answer.step_kind, answer.detail) == ("answer", {"sentinel": True})
+        assert report.evidence[0].answer == NO_EVIDENCE_ANSWER
+        assert not any("question 0 about the lesion?" in prompt for prompt in asked)
+        assert len(asked) == 4  # every later question saw the glioblastoma rows
+        assert bundle.chat.calls == 2 + 4 + 1
+
     @pytest.mark.parametrize("vector", [None, np.zeros(8, dtype=np.float32)])
     def test_failed_query_embedding_degrades_to_sentinel(self, corpus_dir, vector):
         """A query embedder that raises ProviderError (None) or returns the
